@@ -26,7 +26,6 @@ class AugmentConfig:
     max_time_frames: int = 20
     n_freq_masks: int = 2
     max_mel_bins: int = 8
-    seed: int = 0
 
     def __post_init__(self):
         for name in ("gain_db_range", "pitch_semitone_range", "bandpass_lo_range", "bandpass_hi_range"):

@@ -2,8 +2,10 @@
 
 Verbs: features extract, rotate, augment, emulate, dataset sample-epoch,
 dataset kfold, accdoa decode, tta run, eval, pipeline run. Every verb
-accepts --seed; verbs that are fully deterministic ignore it. Worker count
-for pipeline runs comes from the SELDKIT_WORKERS environment variable.
+accepts --seed; verbs that are fully deterministic ignore it. The worker
+count of pipeline runs is set only by the SELDKIT_WORKERS environment
+variable (default 1). ``tta run --model`` takes ``oracle:<labels.csv>``
+(the clip's own labels), ``constant[:<value>]`` or ``external:<dir>``.
 """
 
 from __future__ import annotations
@@ -20,12 +22,12 @@ from . import emulate as emulate_mod
 from .audio import read_wav, write_wav
 from .augment import AugmentConfig, augment_waveform
 from .features import FEATURE_CHANNELS, FeatureConfig, extract_features
-from .labels import ClipAnnotation, EventLabel, read_labels, write_labels
+from .labels import read_labels, write_labels
 from .manifest import load_manifest, save_manifest
 from .metrics import MetricConfig, class_breakdown, evaluate_stats, finalize
 from .pipeline import RunConfig, kfold_split, run_pipeline, write_scores
 from .predict import ClipIdentity, make_predictor
-from .rotation import apply_to_audio, apply_to_direction, pattern_by_id
+from .rotation import apply_to_audio, pattern_by_id, rotate_annotation
 from .tensorio import load_tensor, save_tensor
 from .tta import TtaConfig, run_tta
 
@@ -75,14 +77,7 @@ def rotate(pattern, in_path, labels_path, out_prefix, n_classes, seed):
     outputs = [f"{out_prefix}.wav"]
     if labels_path:
         annotation = read_labels(labels_path, n_classes=n_classes)
-        rotated = ClipAnnotation(
-            tuple(
-                EventLabel(ev.frame, ev.class_id, ev.track_id, apply_to_direction(ev.direction, p))
-                for ev in annotation.events
-            ),
-            n_classes=n_classes,
-        )
-        write_labels(rotated, f"{out_prefix}.csv")
+        write_labels(rotate_annotation(annotation, p), f"{out_prefix}.csv")
         outputs.append(f"{out_prefix}.csv")
     click.echo(f"pattern {pattern} ({p.azimuth_map}, elevation x{p.sign_z}) -> " + ", ".join(outputs))
 

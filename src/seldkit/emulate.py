@@ -20,12 +20,10 @@ from scipy.signal import fftconvolve
 
 from .audio import AudioClip, read_wav_mono
 from .geometry import Direction, dir_to_unit
-from .labels import ClipAnnotation, EventLabel
+from .labels import LABEL_FRAME_S, ClipAnnotation, EventLabel
 from .manifest import DatasetManifest, ManifestEntry
 
 log = logging.getLogger(__name__)
-
-LABEL_FRAME_S = 0.1
 
 
 @dataclass(frozen=True)
@@ -35,7 +33,6 @@ class SrirSynthConfig:
     rt60_s: float = 0.3
     direct_to_diffuse_db: float = 20.0
     ir_length_s: float = 0.5
-    seed: int = 0
 
     def __post_init__(self):
         if self.direct_delay_ms < 0:

@@ -16,6 +16,7 @@ from scipy.signal import get_window
 
 from .audio import AudioClip
 from .geometry import Direction, unit_to_dir
+from .labels import LABEL_FRAME_S
 
 FEATURE_CHANNELS = (
     "logmel_w",
@@ -54,7 +55,7 @@ class FeatureConfig:
     @property
     def frames_per_label(self) -> int:
         """STFT frames per 100 ms label frame (4 at the default hop)."""
-        f = round(0.1 * self.sample_rate / self.hop)
+        f = round(LABEL_FRAME_S * self.sample_rate / self.hop)
         return max(1, int(f))
 
     def n_frames(self, n_samples: int) -> int:
@@ -126,42 +127,28 @@ def mel_filterbank(config: FeatureConfig) -> np.ndarray:
     return fb
 
 
-def log_mel(clip: AudioClip, config: FeatureConfig) -> np.ndarray:
-    """Natural-log mel power of all four channels, shaped (4, frames, n_mels)."""
-    if clip.sample_rate != config.sample_rate:
-        raise ValueError(
-            f"clip rate {clip.sample_rate} != config rate {config.sample_rate}"
-        )
-    fb = mel_filterbank(config)
-    out = []
-    for ch in range(4):
-        power = np.abs(stft(clip.samples[ch], config)) ** 2
-        out.append(np.log(power @ fb.T + config.floor_eps))
-    return np.stack(out)
-
-
-def intensity_vector(stft_w, stft_x, stft_y, stft_z, config: FeatureConfig) -> np.ndarray:
+def intensity_vector(stft_w, stft_x, stft_y, stft_z, fb, floor_eps: float) -> np.ndarray:
     """Mel-aggregated FOA intensity, shaped (3, frames, n_mels).
 
     Per TF bin the intensity is Re(conj(W) * (X, Y, Z)); each component is
-    aggregated through the mel filterbank, then the 3-vector of every
-    (frame, mel) cell is scaled to unit norm (zero where the norm is below
-    the floor), so the cell encodes a pure direction.
+    aggregated through the mel filterbank ``fb`` (see ``mel_filterbank``),
+    then the 3-vector of every (frame, mel) cell is scaled to unit norm
+    (zero where the norm is below ``floor_eps``), so the cell encodes a
+    pure direction.
     """
     specs = [np.asarray(s) for s in (stft_w, stft_x, stft_y, stft_z)]
     if len({s.shape for s in specs}) != 1:
         raise ValueError("spectrogram dims must match")
-    fb = mel_filterbank(config)
     w = specs[0]
     comps = [np.real(np.conj(w) * s) @ fb.T for s in specs[1:]]
     vec = np.stack(comps)
     norm = np.linalg.norm(vec, axis=0)
-    scale = np.where(norm > config.floor_eps, 1.0 / np.maximum(norm, config.floor_eps), 0.0)
+    scale = np.where(norm > floor_eps, 1.0 / np.maximum(norm, floor_eps), 0.0)
     return vec * scale
 
 
 def extract_features(clip: AudioClip, config: FeatureConfig | None = None) -> np.ndarray:
-    """Full feature tensor, shaped (7, frames, n_mels)."""
+    """Full feature tensor, shaped (7, frames, n_mels): log-mel W/X/Y/Z, then intensity."""
     config = config or FeatureConfig()
     if clip.sample_rate != config.sample_rate:
         raise ValueError(
@@ -170,7 +157,7 @@ def extract_features(clip: AudioClip, config: FeatureConfig | None = None) -> np
     specs = [stft(clip.samples[ch], config) for ch in range(4)]
     fb = mel_filterbank(config)
     logmel = np.stack([np.log(np.abs(s) ** 2 @ fb.T + config.floor_eps) for s in specs])
-    intensity = intensity_vector(*specs, config)
+    intensity = intensity_vector(*specs, fb, config.floor_eps)
     return np.concatenate([logmel, intensity])
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from .geometry import Direction
 
 LABEL_COLUMNS = ("frame", "class_id", "track_id", "azimuth", "elevation")
+LABEL_FRAME_S = 0.1  # length of one label frame, seconds
 
 
 @dataclass(frozen=True)

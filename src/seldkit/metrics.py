@@ -27,26 +27,17 @@ from .geometry import angle_between, dir_to_unit
 
 @dataclass(frozen=True)
 class MetricConfig:
+    """Scoring settings. Class averaging is always macro (the mean over classes)."""
+
     spatial_threshold_deg: float = 20.0
     segment_frames: int = 10
     n_classes: int = 13
-    averaging: str = "macro"
 
     def __post_init__(self):
         if not 0.0 < self.spatial_threshold_deg < 180.0:
             raise ValueError("spatial_threshold_deg must be in (0, 180)")
         if self.segment_frames < 1:
             raise ValueError("segment_frames must be >= 1")
-        if self.averaging != "macro":
-            raise ValueError(f"only macro averaging is implemented, got {self.averaging!r}")
-
-    def to_dict(self) -> dict:
-        return {
-            "spatial_threshold_deg": self.spatial_threshold_deg,
-            "segment_frames": self.segment_frames,
-            "n_classes": self.n_classes,
-            "averaging": self.averaging,
-        }
 
 
 @dataclass

@@ -23,7 +23,7 @@ from .accdoa import decode
 from .audio import AudioClip, read_wav
 from .augment import AugmentConfig, augment_waveform
 from .features import FeatureConfig, extract_features
-from .labels import read_labels
+from .labels import ClipAnnotation, read_labels
 from .manifest import DatasetManifest, ManifestEntry, load_manifest
 from .metrics import MetricConfig, class_breakdown, evaluate_stats, finalize, merge_stats
 from .predict import ClipIdentity, make_predictor, seed_material
@@ -123,7 +123,7 @@ def kfold_split(
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One JSON document configuring a full scoring run."""
+    """One JSON document configuring a full scoring run (workers come from SELDKIT_WORKERS)."""
 
     manifest_path: str
     predictor: dict
@@ -134,10 +134,19 @@ class RunConfig:
     tta: TtaConfig | None = TtaConfig()
     augment: AugmentConfig | None = None
     decode_threshold: float = 0.5
-    workers: int | None = None
+
+    KEYS = frozenset(
+        ("manifest", "predictor", "seed", "n_classes", "feature", "metric", "tta", "augment",
+         "decode_threshold")
+    )
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
+        """Parse a run document; unknown keys raise ValueError, unknown sub-config fields TypeError."""
+        unknown = sorted(set(doc) - cls.KEYS)
+        if unknown:
+            raise ValueError(f"unknown run config keys: {', '.join(unknown)}")
+
         def sub(config_cls, key, default):
             if key not in doc or doc[key] is None:
                 return default
@@ -156,7 +165,6 @@ class RunConfig:
             tta=sub(TtaConfig, "tta", None) if "tta" in doc else TtaConfig(),
             augment=sub(AugmentConfig, "augment", None),
             decode_threshold=float(doc.get("decode_threshold", 0.5)),
-            workers=doc.get("workers"),
         )
 
     @classmethod
@@ -165,15 +173,12 @@ class RunConfig:
             return cls.from_dict(json.load(f))
 
 
-def _worker_count(config: RunConfig) -> int:
-    if config.workers is not None:
-        return max(1, int(config.workers))
+def _worker_count() -> int:
     return max(1, int(os.environ.get(WORKERS_ENV, "1")))
 
 
-def _score_entry(entry: ManifestEntry, config: RunConfig, predictor):
+def _score_entry(entry: ManifestEntry, annotation: ClipAnnotation, config: RunConfig, predictor):
     clip = read_wav(entry.clip_path)
-    annotation = read_labels(entry.label_path, n_classes=config.n_classes)
     if config.augment is not None:
         rng = np.random.default_rng(seed_material(config.seed, entry.clip_path))
         clip = augment_waveform(clip, config.augment, rng)
@@ -195,24 +200,25 @@ def run_pipeline(config: RunConfig) -> dict:
     no timestamps or machine state.
     """
     manifest = load_manifest(config.manifest_path)
-    annotations = {
-        e.clip_path: read_labels(e.label_path, n_classes=config.n_classes) for e in manifest
-    }
-    predictor = make_predictor(config.predictor, annotations=annotations, n_classes=config.n_classes)
+    labels = [read_labels(e.label_path, n_classes=config.n_classes) for e in manifest]
+    annotations = {e.clip_path: a for e, a in zip(manifest, labels)}
+    predictor = make_predictor(
+        config.predictor, annotations, n_classes=config.n_classes, feature=config.feature
+    )
 
-    def job(entry):
+    def job(entry, annotation):
         try:
-            return entry, _score_entry(entry, config, predictor), None
+            return entry, _score_entry(entry, annotation, config, predictor), None
         except Exception as exc:  # reported per entry, run continues
             log.warning("entry %s failed: %s", entry.clip_path, exc)
             return entry, None, f"{type(exc).__name__}: {exc}"
 
-    workers = _worker_count(config)
+    workers = _worker_count()
     if workers == 1:
-        results = [job(e) for e in manifest]
+        results = [job(e, a) for e, a in zip(manifest, labels)]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(job, manifest.entries))
+            results = list(pool.map(job, manifest.entries, labels))
 
     per_entry = [stats for _, stats, err in results if err is None]
     failures = [

@@ -1,7 +1,9 @@
 """The predictor contract plus test-double and file-backed implementations.
 
 A predictor maps a feature tensor (7, T, M) to an ACCDOA sequence
-(T // 4, n_classes, 3) with values in [-1, 1]. Predictors also receive a
+(T // frames_per_label, n_classes, 3) with values in [-1, 1], the ratio
+being the run's ``FeatureConfig.frames_per_label`` (4 at the default hop).
+Predictors also receive a
 ClipIdentity naming the clip and the rotation pattern already applied to
 its audio; feature-driven models may ignore it, while the oracle uses it
 to stay consistent with rotated inputs (which is what makes end-to-end
@@ -18,11 +20,9 @@ from typing import Protocol
 import numpy as np
 
 from .accdoa import encode
-from .labels import ClipAnnotation
-from .rotation import apply_to_direction, pattern_by_id
+from .features import FeatureConfig
+from .rotation import pattern_by_id, rotate_annotation
 from .tensorio import load_tensor
-
-FRAMES_PER_LABEL = 4  # STFT frames per 100 ms label frame at the default hop
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,7 @@ class Predictor(Protocol):
     def predict(self, features: np.ndarray, identity: ClipIdentity) -> np.ndarray: ...
 
 
-def label_frames_of(features, frames_per_label: int = FRAMES_PER_LABEL) -> int:
+def label_frames_of(features, frames_per_label: int) -> int:
     return int(np.asarray(features).shape[1]) // frames_per_label
 
 
@@ -96,23 +96,23 @@ class OraclePredictor:
     fixed emitted activity roughen it into a controllable imperfect model.
     """
 
-    def __init__(self, annotations: dict, config: OraclePredictorConfig | None = None):
+    def __init__(
+        self,
+        annotations: dict,
+        config: OraclePredictorConfig | None = None,
+        feature: FeatureConfig = FeatureConfig(),
+    ):
         self.annotations = dict(annotations)
         self.config = config or OraclePredictorConfig()
+        self.frames_per_label = feature.frames_per_label
 
     def predict(self, features: np.ndarray, identity: ClipIdentity) -> np.ndarray:
         if identity.clip_id not in self.annotations:
             raise ValueError(f"unknown clip identity {identity.clip_id!r}")
-        annotation = self.annotations[identity.clip_id]
-        pattern = pattern_by_id(identity.pattern_id)
-        rotated = ClipAnnotation(
-            tuple(
-                replace(ev, direction=apply_to_direction(ev.direction, pattern))
-                for ev in annotation.events
-            ),
-            n_classes=annotation.n_classes,
+        rotated = rotate_annotation(
+            self.annotations[identity.clip_id], pattern_by_id(identity.pattern_id)
         )
-        seq = encode(rotated, label_frames_of(features))
+        seq = encode(rotated, label_frames_of(features, self.frames_per_label))
         if self.config.jitter_deg > 0:
             rng = np.random.default_rng(
                 seed_material(self.config.seed, identity.clip_id, identity.pattern_id)
@@ -124,14 +124,16 @@ class OraclePredictor:
 class ConstantPredictor:
     """Emits the same vector everywhere; value 0 predicts silence."""
 
-    def __init__(self, n_classes: int = 13, value: float = 0.0):
+    def __init__(self, n_classes: int = 13, value: float = 0.0, feature: FeatureConfig = FeatureConfig()):
         if abs(value) > 1.0:
             raise ValueError("constant value must be within the tanh range [-1, 1]")
         self.n_classes = n_classes
         self.value = value
+        self.frames_per_label = feature.frames_per_label
 
     def predict(self, features: np.ndarray, identity: ClipIdentity) -> np.ndarray:
-        return np.full((label_frames_of(features), self.n_classes, 3), self.value)
+        frames = label_frames_of(features, self.frames_per_label)
+        return np.full((frames, self.n_classes, 3), self.value)
 
 
 class ExternalFilePredictor:
@@ -160,22 +162,28 @@ class ExternalFilePredictor:
         )
 
 
-def make_predictor(spec, annotations: dict | None = None, n_classes: int = 13):
-    """Build a predictor from a config mapping or a CLI spec string.
+def make_predictor(
+    spec,
+    annotations: dict | None = None,
+    n_classes: int = 13,
+    feature: FeatureConfig = FeatureConfig(),
+):
+    """Build a predictor from a config mapping or a spec string.
 
     Mappings: {"kind": "oracle", "jitter_deg": 3, "activity": 1, "seed": 0},
     {"kind": "constant", "value": 0}, {"kind": "external", "dir": "preds/"}.
-    Strings: ``oracle``, ``oracle:<jitter_deg>``, ``constant``,
-    ``constant:<value>``, ``external:<dir>``.
+    Strings: ``oracle``, ``constant``, ``constant:<value>``, ``external:<dir>``;
+    oracle jitter is set through the mapping form. The oracle and constant
+    predictors emit on the label grid of ``feature``, the run's feature config.
     """
     if isinstance(spec, str):
         kind, _, arg = spec.partition(":")
-        spec = {"kind": kind}
-        if arg:
-            key = {"oracle": "jitter_deg", "constant": "value", "external": "dir"}.get(kind)
-            if key is None:
-                raise ValueError(f"unknown predictor kind {kind!r}")
-            spec[key] = arg
+        key = {"constant": "value", "external": "dir"}.get(kind)
+        if arg and key is None:
+            raise ValueError(
+                f"predictor spec {spec!r}: only constant:<value> and external:<dir> take an argument"
+            )
+        spec = {"kind": kind, key: arg} if arg else {"kind": kind}
     kind = spec.get("kind")
     if kind == "oracle":
         if annotations is None:
@@ -185,9 +193,9 @@ def make_predictor(spec, annotations: dict | None = None, n_classes: int = 13):
             activity=float(spec.get("activity", 1.0)),
             seed=int(spec.get("seed", 0)),
         )
-        return OraclePredictor(annotations, config)
+        return OraclePredictor(annotations, config, feature)
     if kind == "constant":
-        return ConstantPredictor(n_classes=n_classes, value=float(spec.get("value", 0.0)))
+        return ConstantPredictor(n_classes, float(spec.get("value", 0.0)), feature)
     if kind == "external":
         if "dir" not in spec:
             raise ValueError("external predictor needs a directory")

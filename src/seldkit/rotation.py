@@ -6,17 +6,19 @@ field. On source angles this realizes the eight azimuth transforms
 {phi, -phi, 90-phi, phi+90, phi-90, -phi-90, 180-phi, phi+180} crossed
 with an elevation sign flip: the dihedral group of the square acting on
 azimuth times the up/down reflection. Patterns act identically on audio
-channels, Cartesian DOA vectors, and (azimuth, elevation) pairs.
+channels, Cartesian DOA vectors, (azimuth, elevation) pairs and whole
+label annotations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .audio import AudioClip
 from .geometry import Direction, wrap_azimuth
+from .labels import ClipAnnotation
 
 _AXIS = {"x": 0, "y": 1}
 
@@ -123,6 +125,14 @@ def apply_to_direction(d: Direction, p: RotationPattern) -> Direction:
     return Direction(
         wrap_azimuth(p.az_scale * d.azimuth + p.az_offset),
         p.sign_z * d.elevation,
+    )
+
+
+def rotate_annotation(annotation: ClipAnnotation, p: RotationPattern) -> ClipAnnotation:
+    """Rotate every event direction of an annotation; frames, classes and tracks stay."""
+    return ClipAnnotation(
+        tuple(replace(ev, direction=apply_to_direction(ev.direction, p)) for ev in annotation.events),
+        n_classes=annotation.n_classes,
     )
 
 

@@ -43,15 +43,6 @@ class TtaConfig:
         if not 0.0 < self.activity_threshold < MAX_ACTIVITY:
             raise ValueError(f"activity_threshold must be in (0, sqrt(3)), got {self.activity_threshold}")
 
-    def to_dict(self) -> dict:
-        return {
-            "unify_deg": self.unify_deg,
-            "min_candidates": self.min_candidates,
-            "min_pts": self.min_pts,
-            "max_tracks": self.max_tracks,
-            "activity_threshold": self.activity_threshold,
-        }
-
 
 @dataclass
 class CandidateSet:

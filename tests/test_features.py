@@ -10,7 +10,6 @@ from seldkit.features import (
     doa_from_features,
     extract_features,
     intensity_vector,
-    log_mel,
     mel_filterbank,
     stft,
 )
@@ -107,18 +106,20 @@ class TestMelFilterbank:
 
 
 class TestLogMel:
+    """The log-mel half of the feature tensor: channels W/X/Y/Z, features[:4]."""
+
     def test_silence_is_floor(self):
-        lm = log_mel(AudioClip(np.zeros((4, 12000))), CFG)
+        lm = extract_features(AudioClip(np.zeros((4, 12000))), CFG)[:4]
         np.testing.assert_allclose(lm, math.log(CFG.floor_eps))
 
     def test_rate_mismatch_rejected(self):
         with pytest.raises(ValueError, match="rate"):
-            log_mel(AudioClip(np.zeros((4, 1000)), sample_rate=16000), CFG)
+            extract_features(AudioClip(np.zeros((4, 1000)), sample_rate=16000), CFG)
 
     def test_scaling_adds_log4(self, rng):
         x = rng.standard_normal((4, 12000))
-        lm1 = log_mel(AudioClip(x), CFG)
-        lm2 = log_mel(AudioClip(2.0 * x), CFG)
+        lm1 = extract_features(AudioClip(x), CFG)[:4]
+        lm2 = extract_features(AudioClip(2.0 * x), CFG)[:4]
         above_floor = lm1 > math.log(CFG.floor_eps) + 8
         assert above_floor.mean() > 0.9
         np.testing.assert_allclose(
@@ -129,7 +130,7 @@ class TestLogMel:
         t = np.arange(24000) / CFG.sample_rate
         samples = np.zeros((4, 24000))
         samples[0] = np.sin(2 * np.pi * 1000.0 * t)
-        lm = log_mel(AudioClip(samples), CFG)
+        lm = extract_features(AudioClip(samples), CFG)[:4]
         mid = lm.shape[1] // 2
         assert int(lm[0, mid].argmax()) == expected_mel_bin(1000.0, CFG)
         np.testing.assert_allclose(lm[1:], math.log(CFG.floor_eps))
@@ -138,7 +139,7 @@ class TestLogMel:
 class TestIntensity:
     def test_silence_all_zero(self):
         zero = np.zeros((11, CFG.n_bins), dtype=complex)
-        iv = intensity_vector(zero, zero, zero, zero, CFG)
+        iv = intensity_vector(zero, zero, zero, zero, mel_filterbank(CFG), CFG.floor_eps)
         assert iv.shape == (3, 11, CFG.n_mels)
         assert np.all(iv == 0)
 
@@ -146,7 +147,7 @@ class TestIntensity:
         a = np.zeros((11, CFG.n_bins), dtype=complex)
         b = np.zeros((12, CFG.n_bins), dtype=complex)
         with pytest.raises(ValueError, match="dims"):
-            intensity_vector(a, a, a, b, CFG)
+            intensity_vector(a, a, a, b, mel_filterbank(CFG), CFG.floor_eps)
 
     @pytest.mark.parametrize(
         "direction,expected",
@@ -155,8 +156,9 @@ class TestIntensity:
     def test_plane_wave_axis(self, direction, expected):
         clip = plane_wave_clip(direction)
         specs = [stft(clip.samples[ch], CFG) for ch in range(4)]
-        iv = intensity_vector(*specs, CFG)
-        power = np.abs(specs[0]) ** 2 @ mel_filterbank(CFG).T
+        fb = mel_filterbank(CFG)
+        iv = intensity_vector(*specs, fb, CFG.floor_eps)
+        power = np.abs(specs[0]) ** 2 @ fb.T
         energized = power > 1e-4 * power.max()
         assert energized.sum() > 50
         for axis in range(3):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from seldkit.audio import AudioClip, write_wav
+from seldkit.augment import AugmentConfig
 from seldkit.geometry import Direction, angular_distance
 from seldkit.labels import write_labels
 from seldkit.manifest import DatasetManifest, ManifestEntry, save_manifest
@@ -18,7 +19,7 @@ from seldkit.predict import (
     make_predictor,
 )
 from seldkit.accdoa import decode, encode
-from seldkit.features import extract_features
+from seldkit.features import FeatureConfig, extract_features
 from seldkit.tensorio import save_tensor
 from seldkit.labels import ClipAnnotation, EventLabel
 
@@ -212,6 +213,19 @@ class TestPredictors:
             make_predictor("warp-drive")
         with pytest.raises(ValueError):
             make_predictor({"kind": "oracle"})
+        with pytest.raises(ValueError, match="take an argument"):
+            make_predictor("oracle:2.0", annotations={})
+
+    @pytest.mark.parametrize("kind", ["oracle", "constant"])
+    def test_label_frames_follow_feature_config(self, kind):
+        # hop 300: 8 STFT frames per label frame, not the default 4
+        cfg = FeatureConfig(hop=300)
+        clip, annotation = two_event_scene(seed=7)
+        features = extract_features(clip, cfg)
+        predictor = make_predictor({"kind": kind}, annotations={"c": annotation}, feature=cfg)
+        seq = predictor.predict(features, ClipIdentity("c"))
+        assert cfg.frames_per_label == 8
+        assert seq.shape[0] == cfg.n_frames(clip.n_samples) // cfg.frames_per_label
 
 
 @pytest.fixture(scope="module")
@@ -274,11 +288,42 @@ class TestRunPipeline:
         write_scores(run_pipeline(config), out2)
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_worker_pool_matches_serial(self, small_dataset):
+    def test_worker_pool_matches_serial(self, small_dataset, monkeypatch):
         _, manifest_path = small_dataset
-        serial = run_pipeline(self.config(manifest_path, workers=1))
-        pooled = run_pipeline(self.config(manifest_path, workers=3))
+        config = self.config(manifest_path)
+        monkeypatch.setenv("SELDKIT_WORKERS", "1")
+        serial = run_pipeline(config)
+        monkeypatch.setenv("SELDKIT_WORKERS", "3")
+        pooled = run_pipeline(config)
         assert serial == pooled
+
+    def test_predictor_gets_run_feature_config(self, small_dataset):
+        # a constant predictor fires in every label frame; class 0 has no
+        # references, so its false positives count the label frames
+        _, manifest_path = small_dataset
+        config = self.config(
+            manifest_path, predictor={"kind": "constant", "value": 0.6}, tta=None,
+            feature={"hop": 300},
+        )
+        result = run_pipeline(config)
+        label_frames = config.feature.n_frames(120000) // config.feature.frames_per_label
+        assert label_frames == 50
+        assert result["per_class"]["0"]["fp"] == 3 * label_frames
+
+    def test_unknown_keys_rejected(self, small_dataset):
+        _, manifest_path = small_dataset
+        # the keys the benchmark's run documents use keep loading
+        config = self.config(manifest_path, n_classes=13, tta=None, augment={})
+        assert config.tta is None and config.augment == AugmentConfig()
+        with pytest.raises(ValueError, match="augmnet"):
+            self.config(manifest_path, augmnet={})
+        with pytest.raises(ValueError, match="workers"):
+            self.config(manifest_path, workers=2)
+        # a misspelled field inside a sub-config is the sub-config's TypeError
+        with pytest.raises(TypeError, match="seed"):
+            self.config(manifest_path, augment={"seed": 0})
+        with pytest.raises(TypeError, match="unify"):
+            self.config(manifest_path, tta={"unify": 10.0})
 
     def test_failures_reported_run_continues(self, small_dataset, tmp_path):
         root, manifest_path = small_dataset

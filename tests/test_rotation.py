@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from seldkit.audio import AudioClip
 from seldkit.features import FeatureConfig, doa_from_features, extract_features
 from seldkit.geometry import Direction, angular_distance, dir_to_unit
+from seldkit.labels import ClipAnnotation, EventLabel
 from seldkit.rotation import (
     all_patterns,
     apply_to_audio,
@@ -12,6 +14,7 @@ from seldkit.rotation import (
     compose,
     inverse,
     pattern_by_id,
+    rotate_annotation,
 )
 
 from conftest import plane_wave_clip, random_direction
@@ -161,3 +164,48 @@ class TestAudioAction:
             for p in all_patterns():
                 est = doa_from_features(extract_features(apply_to_audio(clip, p), cfg), cfg)
                 assert angular_distance(est, apply_to_direction(d, p)) < 1.0
+
+
+# (frame, class, track) -> (azimuth, elevation)
+label_cells = st.dictionaries(
+    st.tuples(st.integers(0, 49), st.integers(0, 12), st.integers(0, 2)),
+    st.tuples(
+        st.floats(min_value=-180.0, max_value=180.0, allow_nan=False),
+        st.floats(min_value=-90.0, max_value=90.0, allow_nan=False),
+    ),
+    max_size=12,
+)
+
+
+def annotation_of(cells) -> ClipAnnotation:
+    return ClipAnnotation(
+        tuple(EventLabel(f, c, t, Direction(az, el)) for (f, c, t), (az, el) in cells.items())
+    )
+
+
+def cells_of(annotation: ClipAnnotation):
+    return [(ev.frame, ev.class_id, ev.track_id) for ev in annotation.events]
+
+
+class TestAnnotationAction:
+    @settings(max_examples=50, deadline=None)
+    @given(label_cells)
+    def test_matches_per_event_direction_map(self, cells):
+        annotation = annotation_of(cells)
+        for p in all_patterns():
+            rotated = rotate_annotation(annotation, p)
+            assert rotated.n_classes == annotation.n_classes
+            assert cells_of(rotated) == cells_of(annotation)
+            assert [ev.direction for ev in rotated.events] == [
+                apply_to_direction(ev.direction, p) for ev in annotation.events
+            ]
+
+    @settings(max_examples=50, deadline=None)
+    @given(label_cells)
+    def test_inverse_round_trip(self, cells):
+        annotation = annotation_of(cells)
+        for p in all_patterns():
+            back = rotate_annotation(rotate_annotation(annotation, p), inverse(p))
+            assert cells_of(back) == cells_of(annotation)
+            for ev, ev_back in zip(annotation.events, back.events):
+                assert angular_distance(ev.direction, ev_back.direction) < 1e-9
