@@ -59,12 +59,18 @@ def encode(annotation: ClipAnnotation, label_frames: int) -> np.ndarray:
 
 
 def decode(seq, threshold: float = 0.5) -> list[DetectedEvent]:
-    """Decode events from a sequence: active wherever the vector norm exceeds the threshold."""
+    """Decode events from a sequence: active wherever the vector norm exceeds the threshold.
+
+    A NaN or infinite value raises ValueError rather than reading as inactive.
+    """
     if not 0.0 < threshold < MAX_ACTIVITY:
         raise ValueError(f"threshold must be in (0, sqrt(3)), got {threshold}")
     arr = np.asarray(seq, dtype=float)
     if arr.ndim != 3 or arr.shape[2] != 3:
         raise ValueError(f"expected shape (frames, classes, 3), got {arr.shape}")
+    bad = np.argwhere(~np.isfinite(arr))
+    if len(bad):
+        raise ValueError(f"non-finite sequence value at frame {bad[0][0]}, class {bad[0][1]}")
     norms = np.linalg.norm(arr, axis=2)
     events = []
     for frame, class_id in zip(*np.nonzero(norms > threshold)):

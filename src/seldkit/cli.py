@@ -10,6 +10,7 @@ variable (default 1). ``tta run --model`` takes ``oracle:<labels.csv>``
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -59,7 +60,7 @@ def features_extract(in_path, out_path, config_path, seed):
     config = FeatureConfig(**_load_json(config_path)) if config_path else FeatureConfig()
     clip = read_wav(in_path)
     tensor = extract_features(clip, config)
-    save_tensor(out_path, tensor, channel_names=FEATURE_CHANNELS, config=config.to_dict())
+    save_tensor(out_path, tensor, channel_names=FEATURE_CHANNELS, config=dataclasses.asdict(config))
     click.echo(f"wrote {out_path} dims {list(tensor.shape)}")
 
 
@@ -242,7 +243,7 @@ def pipeline_run(config_path, out_path, seed):
     config = RunConfig.from_dict(doc)
     base = Path(config_path).parent
     if not Path(config.manifest_path).is_absolute():
-        config = RunConfig(**{**config.__dict__, "manifest_path": str(base / config.manifest_path)})
+        config = dataclasses.replace(config, manifest_path=str(base / config.manifest_path))
     result = run_pipeline(config)
     write_scores(result, out_path)
     if result["failures"]:

@@ -61,16 +61,6 @@ class FeatureConfig:
     def n_frames(self, n_samples: int) -> int:
         return 1 + n_samples // self.hop
 
-    def to_dict(self) -> dict:
-        return {
-            "sample_rate": self.sample_rate,
-            "nfft": self.nfft,
-            "hop": self.hop,
-            "window": self.window,
-            "n_mels": self.n_mels,
-            "floor_eps": self.floor_eps,
-        }
-
 
 def stft(samples, config: FeatureConfig) -> np.ndarray:
     """Hann-windowed STFT of one channel, shaped (frames, nfft//2 + 1).

@@ -174,53 +174,49 @@ def evaluate_stats(pred_events, ref_annotation, config: MetricConfig | None = No
     return stats
 
 
-def finalize(stats, config: MetricConfig | None = None) -> SeldScores:
-    """Macro-average per-class stats into the four scores.
+def class_scores(st: ClassStats) -> dict:
+    """One class's ER20/F20/LE_CD/LR_CD; None where a score's denominator is 0."""
+    f_denominator = 2 * st.tp + st.fp + st.fn
+    return {
+        "er20": (st.seg_s + st.seg_d + st.seg_i) / st.ref_count if st.ref_count else None,
+        "f20": 2 * st.tp / f_denominator if f_denominator else None,
+        "le_cd": st.loc_error_sum / st.loc_match_count if st.loc_match_count else None,
+        "lr_cd": st.det_recall_count / st.ref_count if st.ref_count else None,
+    }
 
-    Classes without references are excluded; the localization error
-    averages over classes with matched pairs and degrades to 180 degrees
-    when no class has any.
+
+def finalize(stats, config: MetricConfig | None = None) -> SeldScores:
+    """Macro-average per-class scores (see ``class_scores``) into the four scores.
+
+    Classes without references are excluded; F20 counts 0 for a class
+    with no TP, FP or FN, and the localization error averages over
+    classes with matched pairs and degrades to 180 degrees when no class
+    has any.
     """
-    config = config or MetricConfig()
-    scored = [st for st in stats if st.ref_count > 0]
+    scored = [class_scores(st) for st in stats if st.ref_count > 0]
     if not scored:
         raise ValueError("undefined metrics: no reference events in any class")
-    er = float(np.mean([(st.seg_s + st.seg_d + st.seg_i) / st.ref_count for st in scored]))
-    f = float(
-        np.mean(
-            [
-                2 * st.tp / (2 * st.tp + st.fp + st.fn) if (2 * st.tp + st.fp + st.fn) else 0.0
-                for st in scored
-            ]
-        )
-    )
-    localized = [st for st in scored if st.loc_match_count > 0]
-    le = (
-        float(np.mean([st.loc_error_sum / st.loc_match_count for st in localized]))
-        if localized
-        else 180.0
-    )
-    lr = float(np.mean([st.det_recall_count / st.ref_count for st in scored]))
+    er = float(np.mean([s["er20"] for s in scored]))
+    f = float(np.mean([0.0 if s["f20"] is None else s["f20"] for s in scored]))
+    localized = [s["le_cd"] for s in scored if s["le_cd"] is not None]
+    le = float(np.mean(localized)) if localized else 180.0
+    lr = float(np.mean([s["lr_cd"] for s in scored]))
     return SeldScores(er, f, le, lr)
 
 
 def class_breakdown(stats) -> dict:
-    """Per-class metric ingredients, JSON-friendly, for score reports."""
-    out = {}
-    for class_id, st in enumerate(stats):
-        if st.ref_count == 0 and st.fp == 0:
-            continue
-        out[str(class_id)] = {
+    """Per-class metric ingredients and scores, JSON-friendly, for score reports."""
+    return {
+        str(class_id): {
             "tp": st.tp,
             "fp": st.fp,
             "fn": st.fn,
             "ref_count": st.ref_count,
-            "er20": ((st.seg_s + st.seg_d + st.seg_i) / st.ref_count) if st.ref_count else None,
-            "f20": (2 * st.tp / (2 * st.tp + st.fp + st.fn)) if (2 * st.tp + st.fp + st.fn) else None,
-            "le_cd": (st.loc_error_sum / st.loc_match_count) if st.loc_match_count else None,
-            "lr_cd": (st.det_recall_count / st.ref_count) if st.ref_count else None,
+            **class_scores(st),
         }
-    return out
+        for class_id, st in enumerate(stats)
+        if st.ref_count or st.fp
+    }
 
 
 def evaluate(pred_events, ref_annotation, config: MetricConfig | None = None) -> SeldScores:

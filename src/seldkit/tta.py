@@ -1,8 +1,10 @@
 """Clustering-based test-time augmentation.
 
 A predictor is run under all 16 rotation patterns; each prediction is
-de-rotated back into the original frame, giving up to 16 candidate DOA
-vectors per (label frame, class). Candidates are clustered per cell with
+de-rotated back into the original frame, and every (label frame, class)
+cell pools its active de-rotated vectors into one (n, 3) candidate array.
+A model ensemble is the same mechanism with more predictions: each model
+adds up to 16 rows per cell. Candidates are clustered per cell with
 DBSCAN under the great-circle metric; outliers are rejected, each cluster
 is averaged into one detection, and detections beyond the track budget of
 a frame are dropped by weight = member count x norm of the cluster mean.
@@ -48,52 +50,42 @@ class TtaConfig:
 class CandidateSet:
     """De-rotated candidate vectors per (label frame, class) cell.
 
-    ``cells`` maps (frame, class_id) to a list of (tag, vector) with the
-    vector activity-scaled; the tag identifies the source prediction and
-    must be unique within a cell.
+    ``cells`` maps (frame, class_id) to an (n, 3) array of activity-scaled
+    vectors, one row per prediction active in the cell, in prediction
+    order: model by model, and within a model pattern by pattern.
     """
 
     cells: dict = field(default_factory=dict)
 
-    def add(self, frame: int, class_id: int, tag, vector) -> None:
-        cell = self.cells.setdefault((frame, class_id), [])
-        if any(t == tag for t, _ in cell):
-            raise ValueError(f"duplicate candidate tag {tag!r} in cell {(frame, class_id)}")
-        cell.append((tag, np.asarray(vector, dtype=float)))
-
-    def merge(self, other: "CandidateSet", namespace) -> None:
-        """Fold another set in, prefixing its tags to keep them unique."""
-        for (frame, class_id), cand in other.cells.items():
-            for tag, vec in cand:
-                self.add(frame, class_id, (namespace, tag), vec)
-
 
 def collect_candidates(predictions, threshold: float) -> CandidateSet:
-    """Pool active cells of per-pattern predictions into one candidate set.
+    """Pool the active cells of de-rotated predictions into one candidate set.
 
-    ``predictions`` is a list of (pattern_id, sequence) pairs, one per
-    rotation pattern, all sequences of equal dims. A cell contributes a
-    candidate when its vector norm exceeds the threshold; the vector is
-    carried back through the inverse pattern (norm preserved exactly,
-    since patterns are signed permutations).
+    ``predictions`` is a list of (pattern_id, sequence) pairs of equal
+    dims: the 16 patterns of one model, then those of the next model of
+    an ensemble. Each sequence is carried back through the inverse of its
+    pattern (norms preserved exactly, since patterns are signed
+    permutations); a cell gets a candidate from every prediction whose
+    vector norm there exceeds the threshold. Non-finite values raise
+    ValueError naming their pattern ids.
     """
-    seen = set()
-    shapes = set()
-    out = CandidateSet()
-    for pattern_id, seq in predictions:
-        if pattern_id in seen:
-            raise ValueError(f"duplicate pattern id {pattern_id}")
-        seen.add(pattern_id)
-        arr = np.asarray(seq, dtype=float)
-        shapes.add(arr.shape)
-        if len(shapes) > 1:
-            raise ValueError(f"prediction dims disagree: {sorted(shapes)}")
-        undo = inverse(pattern_by_id(pattern_id))
-        norms = np.linalg.norm(arr, axis=2)
-        for frame, class_id in zip(*np.nonzero(norms > threshold)):
-            vec = apply_to_vector(arr[frame, class_id], undo)
-            out.add(int(frame), int(class_id), pattern_id, vec)
-    return out
+    shapes = sorted({np.shape(seq) for _, seq in predictions})
+    if len(shapes) > 1:
+        raise ValueError(f"prediction dims disagree: {shapes}")
+    stack = np.stack(
+        [apply_to_vector(seq, inverse(pattern_by_id(pid))) for pid, seq in predictions]
+    )
+    finite = np.isfinite(stack).reshape(len(stack), -1).all(axis=1)
+    if not finite.all():
+        bad = sorted({predictions[i][0] for i in np.flatnonzero(~finite)})
+        raise ValueError(f"non-finite prediction values under rotation pattern(s) {bad}")
+    active = np.linalg.norm(stack, axis=-1) > threshold
+    return CandidateSet(
+        {
+            (int(f), int(c)): stack[active[:, f, c], f, c]
+            for f, c in zip(*np.nonzero(active.any(axis=0)))
+        }
+    )
 
 
 def dbscan_sphere(points, eps_deg: float, min_pts: int) -> np.ndarray:
@@ -146,10 +138,9 @@ def aggregate(candidates: CandidateSet, config: TtaConfig | None = None) -> list
     config = config or TtaConfig()
     weighted: dict = {}
     for (frame, class_id) in sorted(candidates.cells):
-        cand = candidates.cells[(frame, class_id)]
-        if len(cand) < config.min_candidates:
+        vecs = candidates.cells[(frame, class_id)]
+        if len(vecs) < config.min_candidates:
             continue
-        vecs = np.array([vec for _, vec in cand])
         norms = np.linalg.norm(vecs, axis=1)
         units = vecs / norms[:, np.newaxis]
         labels = dbscan_sphere(units, config.unify_deg, config.min_pts)
@@ -183,16 +174,15 @@ def run_tta(
     ``predictor`` follows the predictor contract (see seldkit.predict);
     ``identity`` names the clip and any rotation already applied to it, so
     rotation-aware predictors compose correctly. Accepts a sequence of
-    predictors as well; their candidate sets are merged before aggregation
-    (the cross-validation ensembling path).
+    predictors as well (the cross-validation ensemble): each model's 16
+    predictions add rows to the same candidate cells.
     """
     config = config or TtaConfig()
     feature_config = feature_config or FeatureConfig()
     predictors = predictor if isinstance(predictor, (list, tuple)) else [predictor]
     base_pattern = pattern_by_id(identity.pattern_id)
-    merged = CandidateSet()
+    predictions = []
     for model_idx, model in enumerate(predictors):
-        predictions = []
         for p in all_patterns():
             rotated = apply_to_audio(clip, p)
             ident = identity.with_pattern(compose(p, base_pattern).id)
@@ -202,10 +192,5 @@ def run_tta(
                 raise RuntimeError(
                     f"predictor {model_idx} failed on rotation pattern {p.id}: {exc}"
                 ) from exc
-            predictions.append((p.id, np.asarray(seq, dtype=float)))
-        candidates = collect_candidates(predictions, config.activity_threshold)
-        if len(predictors) == 1:
-            merged = candidates
-        else:
-            merged.merge(candidates, namespace=model_idx)
-    return aggregate(merged, config)
+            predictions.append((p.id, seq))
+    return aggregate(collect_candidates(predictions, config.activity_threshold), config)

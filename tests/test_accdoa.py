@@ -70,6 +70,13 @@ class TestDecode:
             with pytest.raises(ValueError):
                 decode(seq, bad)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_rejected(self, value):
+        seq = np.zeros((4, 3, 3))
+        seq[2, 1, 0] = value
+        with pytest.raises(ValueError, match="non-finite sequence value at frame 2, class 1"):
+            decode(seq)
+
     def test_monotone_in_threshold(self, rng):
         seq = rng.uniform(-1, 1, size=(20, 13, 3))
         taus = [0.2, 0.5, 0.8, 1.1, 1.5]

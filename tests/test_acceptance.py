@@ -163,9 +163,7 @@ def test_criterion_03_tta_robustness_beats_naive_averaging():
             for _ in range(2):
                 v = rng.standard_normal(3)
                 vectors.append(v / np.linalg.norm(v))
-            candidates = CandidateSet()
-            for tag, vec in enumerate(vectors):
-                candidates.add(0, 0, tag, vec)
+            candidates = CandidateSet({(0, 0): np.array(vectors)})
             events = aggregate(candidates, config)
             assert events, "clustering must keep the consensus"
             truth = ClipAnnotation((EventLabel(0, 0, 0, d),), n_classes=1)

@@ -255,3 +255,15 @@ class TestProperties:
         detail = class_breakdown(stats)
         for entry in detail.values():
             assert set(entry) >= {"tp", "fp", "fn", "er20", "f20", "le_cd", "lr_cd"}
+
+        # one class: its breakdown scores are the macro scores of finalize
+        one_class = MetricConfig(n_classes=1)
+        preds = [pred(0, 0, 10, 0), pred(1, 0, 50, 0), pred(2, 0, 0, 0), pred(12, 0, 0, 0)]
+        refs = ClipAnnotation(
+            (ref(0, 0, 0, 0), ref(1, 0, 0, 0), ref(3, 0, 0, 0)), n_classes=1
+        )
+        stats = evaluate_stats(preds, refs, one_class)
+        entry = class_breakdown(stats)["0"]
+        scores = finalize(stats, one_class).to_dict()
+        assert scores["f20"] < 1.0 and scores["er20"] > 0.0
+        assert {key: entry[key] for key in scores} == scores

@@ -345,6 +345,25 @@ class TestRunPipeline:
         assert len(result["failures"]) == 1
         assert "missing.wav" in result["failures"][0]["clip_path"]
 
+    @pytest.mark.parametrize("tta", [None, {}], ids=["direct", "tta"])
+    def test_non_finite_prediction_fails_entry(self, small_dataset, tmp_path, tta):
+        # silent-clip predictions for every entry and pattern, one NaN in scene1's
+        root, manifest_path = small_dataset
+        for i in range(3):
+            for pattern_id in range(16):
+                seq = np.zeros((50, 13, 3))
+                if i == 1 and pattern_id == 0:
+                    seq[7, 2, 1] = np.nan
+                name = f"scene{i}.acc" if pattern_id == 0 else f"scene{i}.p{pattern_id:02d}.acc"
+                save_tensor(tmp_path / name, seq)
+        config = self.config(
+            manifest_path, predictor={"kind": "external", "dir": str(tmp_path)}, tta=tta
+        )
+        result = run_pipeline(config)
+        assert result["n_scored"] == 2
+        assert [f["clip_path"] for f in result["failures"]] == [str(root / "scene1.wav")]
+        assert "non-finite" in result["failures"][0]["error"]
+
     def test_augment_stage_runs(self, small_dataset):
         _, manifest_path = small_dataset
         result = run_pipeline(

@@ -139,9 +139,8 @@ class TestCollectCandidates:
         candidates = collect_candidates(self.rotated_predictions(base), 0.5)
         assert set(candidates.cells) == {(2, 1), (5, 3)}
         for (frame, class_id), cand in candidates.cells.items():
-            assert len(cand) == 16
-            assert sorted(tag for tag, _ in cand) == list(range(16))
-            for _, vec in cand:
+            assert cand.shape == (16, 3)
+            for vec in cand:
                 np.testing.assert_array_equal(vec, base[frame, class_id])
 
     def test_single_active_pattern_singleton(self):
@@ -153,29 +152,44 @@ class TestCollectCandidates:
         assert list(candidates.cells) == [(1, 0)]
         assert len(candidates.cells[(1, 0)]) == 1
 
-    def test_duplicate_pattern_rejected(self):
-        seq = np.zeros((2, 2, 3))
-        with pytest.raises(ValueError, match="duplicate pattern"):
-            collect_candidates([(3, seq), (3, seq)], 0.5)
-
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dims"):
             collect_candidates([(0, np.zeros((2, 2, 3))), (1, np.zeros((3, 2, 3)))], 0.5)
+
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    def test_non_finite_rejected_naming_pattern(self, value):
+        preds = [(p.id, np.zeros((2, 2, 3))) for p in all_patterns()]
+        preds[5][1][0, 1, 2] = value
+        with pytest.raises(ValueError, match=r"non-finite.*pattern\(s\) \[5\]"):
+            collect_candidates(preds, 0.5)
+
+    def test_ensemble_rows_in_model_then_pattern_order(self):
+        # every (model, pattern) prediction de-rotates to its own vector
+        def vector(model, pattern_id):
+            return dir_to_unit(Direction(20.0 * pattern_id - 170.0, 30.0 * model)).as_array() * 0.9
+
+        preds = []
+        for model in (0, 1):
+            for p in all_patterns():
+                seq = np.zeros((2, 2, 3))
+                seq[1, 0] = apply_to_vector(vector(model, p.id), p)
+                preds.append((p.id, seq))
+        cells = collect_candidates(preds, 0.5).cells
+        assert list(cells) == [(1, 0)]
+        want = [vector(model, p.id) for model in (0, 1) for p in all_patterns()]
+        np.testing.assert_array_equal(cells[(1, 0)], want)
 
     def test_norm_preserved_through_derotation(self, rng):
         base = np.zeros((1, 1, 3))
         base[0, 0] = rng.uniform(-1, 1, 3)
         candidates = collect_candidates(self.rotated_predictions(base), 0.01)
-        for _, vec in candidates.cells[(0, 0)]:
+        for vec in candidates.cells[(0, 0)]:
             assert np.linalg.norm(vec) == pytest.approx(np.linalg.norm(base[0, 0]), rel=1e-15)
 
 
 class TestAggregate:
     def cell_with(self, vectors, frame=0, class_id=0):
-        cs = CandidateSet()
-        for tag, vec in enumerate(vectors):
-            cs.add(frame, class_id, tag, vec)
-        return cs
+        return CandidateSet({(frame, class_id): np.array(vectors, dtype=float)})
 
     def test_sixteen_identical(self):
         cs = self.cell_with([[1.0, 0.0, 0.0]] * 16)
@@ -208,8 +222,7 @@ class TestAggregate:
         cs = CandidateSet()
         for class_id, (d, count, act) in enumerate(zip(directions, counts, activities)):
             vec = dir_to_unit(d).as_array() * act
-            for tag in range(count):
-                cs.add(0, class_id, tag, vec)
+            cs.cells[(0, class_id)] = np.tile(vec, (count, 1))
         events = aggregate(cs, TtaConfig(max_tracks=3))
         assert len(events) == 3
         assert {e.class_id for e in events} == {0, 1, 2}
@@ -219,8 +232,7 @@ class TestAggregate:
         for class_id in range(6):
             d = random_direction(rng)
             vec = dir_to_unit(d).as_array()
-            for tag in range(10):
-                cs.add(3, class_id, tag, vec)
+            cs.cells[(3, class_id)] = np.tile(vec, (10, 1))
         events = aggregate(cs, TtaConfig(max_tracks=3))
         assert len(events) == 3
 
@@ -228,8 +240,7 @@ class TestAggregate:
         cs = CandidateSet()
         for class_id, count in enumerate([16, 12, 9, 6, 3]):
             vec = dir_to_unit(random_direction(rng)).as_array() * 0.9
-            for tag in range(count):
-                cs.add(class_id, class_id % 3, tag, vec)
+            cs.cells[(class_id, class_id % 3)] = np.tile(vec, (count, 1))
         counts = [
             len(aggregate(cs, TtaConfig(min_candidates=m))) for m in (1, 4, 8, 12, 16)
         ]
