@@ -24,7 +24,7 @@ from .geometry import Direction, UnitVec3, angular_distance, dir_to_unit, unit_t
 from .labels import ClipAnnotation, EventLabel, read_labels, write_labels
 from .manifest import DatasetManifest, ManifestEntry
 from .metrics import MetricConfig, SeldScores, evaluate
-from .rotation import all_patterns, apply_to_audio, apply_to_direction
+from .rotation import all_patterns, apply_to_audio, apply_to_direction, apply_to_features
 from .tta import TtaConfig, run_tta
 
 __version__ = "0.1.0"
@@ -46,6 +46,7 @@ __all__ = [
     "angular_distance",
     "apply_to_audio",
     "apply_to_direction",
+    "apply_to_features",
     "decode",
     "dir_to_unit",
     "encode",

@@ -53,13 +53,20 @@ def _normalize_pcm(data: np.ndarray) -> np.ndarray:
 
 
 def read_wav_array(path) -> tuple[np.ndarray, int]:
-    """Read a WAV file as a float array shaped (channels, n) plus its rate."""
+    """Read a WAV file as a float array shaped (channels, n) plus its rate.
+
+    NaN or infinite samples (possible only in float WAVs) raise ValueError
+    naming the path and the first bad (channel, sample).
+    """
     sr, data = wavfile.read(str(path))
     data = _normalize_pcm(np.atleast_1d(data))
     if data.ndim == 1:
         data = data[np.newaxis, :]
     else:
         data = data.T
+    if not np.isfinite(data).all():
+        ch, n = np.argwhere(~np.isfinite(data))[0]
+        raise ValueError(f"{path}: non-finite sample at channel {ch}, sample {n}")
     return data, int(sr)
 
 

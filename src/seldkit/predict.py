@@ -69,20 +69,31 @@ class OraclePredictorConfig:
 
 
 def _jitter_vectors(seq: np.ndarray, jitter_deg: float, rng: np.random.Generator) -> np.ndarray:
-    """Rotate each active vector by a random axis-angle of magnitude <= jitter_deg."""
-    out = seq.copy()
+    """Rotate each active vector by a random axis-angle of magnitude <= jitter_deg.
+
+    The draws (axis, then angle) and the axis-vector dot stay per cell, in
+    cell order, so the RNG stream and every bit match a per-cell loop; the
+    Rodrigues rotation itself runs over all cells at once.
+    """
     frames, classes = np.nonzero(np.linalg.norm(seq, axis=2) > 0)
-    for f, c in zip(frames, classes):
+    v = seq[frames, classes]
+    axes = np.empty_like(v)
+    angles = np.empty(len(v))
+    dots = np.empty(len(v))
+    for i in range(len(v)):
         axis = rng.standard_normal(3)
         axis /= np.linalg.norm(axis)
-        angle = np.radians(rng.uniform(0.0, jitter_deg))
-        v = out[f, c]
-        # Rodrigues rotation about the random axis
-        out[f, c] = (
-            v * np.cos(angle)
-            + np.cross(axis, v) * np.sin(angle)
-            + axis * (axis @ v) * (1.0 - np.cos(angle))
-        )
+        angles[i] = rng.uniform(0.0, jitter_deg)
+        axes[i] = axis
+        dots[i] = axis @ v[i]  # per row: a batched dot rounds differently
+    angle = np.radians(angles)[:, np.newaxis]
+    out = seq.copy()
+    # Rodrigues rotation about the random axes
+    out[frames, classes] = (
+        v * np.cos(angle)
+        + np.cross(axes, v) * np.sin(angle)
+        + axes * dots[:, np.newaxis] * (1.0 - np.cos(angle))
+    )
     return out
 
 

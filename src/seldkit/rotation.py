@@ -6,8 +6,8 @@ field. On source angles this realizes the eight azimuth transforms
 {phi, -phi, 90-phi, phi+90, phi-90, -phi-90, 180-phi, phi+180} crossed
 with an elevation sign flip: the dihedral group of the square acting on
 azimuth times the up/down reflection. Patterns act identically on audio
-channels, Cartesian DOA vectors, (azimuth, elevation) pairs and whole
-label annotations.
+channels, feature tensors, Cartesian DOA vectors, (azimuth, elevation)
+pairs and whole label annotations.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .audio import AudioClip
+from .features import FEATURE_CHANNELS
 from .geometry import Direction, wrap_azimuth
 from .labels import ClipAnnotation
 
@@ -118,6 +119,27 @@ def apply_to_audio(clip: AudioClip, p: RotationPattern) -> AudioClip:
         ]
     )
     return AudioClip(rotated, clip.sample_rate)
+
+
+def apply_to_features(features, p: RotationPattern) -> np.ndarray:
+    """Rotate a (7, frames, n_mels) feature tensor into that of the rotated clip.
+
+    Log-mel W and Z stay and X/Y are permuted; their sign flips drop out
+    of the squared magnitude. The intensity rows 4-6 transform as
+    vectors. The result is a new array equal, value for value, to the
+    features extracted from ``apply_to_audio(clip, p)`` (an all-zero
+    intensity cell may differ in the sign of its zeros).
+    """
+    feats = np.asarray(features, dtype=float)
+    if feats.ndim != 3 or feats.shape[0] != len(FEATURE_CHANNELS):
+        raise ValueError(f"expected a (7, frames, n_mels) tensor, got {feats.shape}")
+    out = np.empty_like(feats)
+    out[0] = feats[0]
+    out[1] = feats[1 + _AXIS[p.x_src]]
+    out[2] = feats[1 + _AXIS[p.y_src]]
+    out[3] = feats[3]
+    out[4:] = np.moveaxis(apply_to_vector(np.moveaxis(feats[4:], 0, -1), p), -1, 0)
+    return out
 
 
 def apply_to_direction(d: Direction, p: RotationPattern) -> Direction:

@@ -28,7 +28,10 @@ def save_tensor(path, array, channel_names=None, config: dict | None = None) -> 
 
 
 def load_tensor(path) -> tuple[np.ndarray, dict]:
-    """Return (array, header). The array comes back as float64."""
+    """Return (array, header). The array comes back as float64.
+
+    A NaN or infinite payload value raises ValueError naming the path.
+    """
     header_path = Path(str(path) + ".json")
     if not header_path.exists():
         raise FileNotFoundError(f"missing tensor header {header_path}")
@@ -38,4 +41,6 @@ def load_tensor(path) -> tuple[np.ndarray, dict]:
     flat = np.fromfile(str(path), dtype=header.get("dtype", "<f4"))
     if flat.size != int(np.prod(dims)):
         raise ValueError(f"{path}: payload has {flat.size} values, header says {dims}")
+    if not np.isfinite(flat).all():
+        raise ValueError(f"{path}: non-finite payload values")
     return flat.reshape(dims).astype(float), header

@@ -1,6 +1,7 @@
 """Clustering-based test-time augmentation.
 
-A predictor is run under all 16 rotation patterns; each prediction is
+A predictor is run under all 16 rotation patterns, on the features of the
+clip extracted once and rotated per pattern; each prediction is
 de-rotated back into the original frame, and every (label frame, class)
 cell pools its active de-rotated vectors into one (n, 3) candidate array.
 A model ensemble is the same mechanism with more predictions: each model
@@ -22,7 +23,7 @@ from .accdoa import MAX_ACTIVITY, DetectedEvent
 from .audio import AudioClip
 from .features import FeatureConfig, extract_features
 from .geometry import unit_to_dir
-from .rotation import all_patterns, apply_to_audio, apply_to_vector, compose, inverse, pattern_by_id
+from .rotation import all_patterns, apply_to_features, apply_to_vector, compose, inverse, pattern_by_id
 
 
 @dataclass(frozen=True)
@@ -36,8 +37,8 @@ class TtaConfig:
     def __post_init__(self):
         if not 0.0 < self.unify_deg < 180.0:
             raise ValueError(f"unify_deg must be in (0, 180), got {self.unify_deg}")
-        if not 1 <= self.min_candidates <= 16:
-            raise ValueError(f"min_candidates must be in [1, 16], got {self.min_candidates}")
+        if self.min_candidates < 1:
+            raise ValueError(f"min_candidates must be >= 1, got {self.min_candidates}")
         if self.min_pts < 1:
             raise ValueError("min_pts must be >= 1")
         if self.max_tracks < 1:
@@ -171,23 +172,32 @@ def run_tta(
 ) -> list[DetectedEvent]:
     """Full TTA: predict under all 16 rotations, de-rotate, cluster, aggregate.
 
-    ``predictor`` follows the predictor contract (see seldkit.predict);
-    ``identity`` names the clip and any rotation already applied to it, so
-    rotation-aware predictors compose correctly. Accepts a sequence of
-    predictors as well (the cross-validation ensemble): each model's 16
-    predictions add rows to the same candidate cells.
+    Features are extracted once; each pattern predicts on its own rotated
+    copy of them (``apply_to_features``), which equals the features of the
+    rotated audio. ``predictor`` follows the predictor contract (see
+    seldkit.predict); ``identity`` names the clip and any rotation already
+    applied to it, so rotation-aware predictors compose correctly. Accepts
+    a sequence of predictors as well (the cross-validation ensemble): each
+    model's 16 predictions add rows to the same candidate cells, so
+    ``min_candidates`` may be at most 16 per model.
     """
     config = config or TtaConfig()
     feature_config = feature_config or FeatureConfig()
     predictors = predictor if isinstance(predictor, (list, tuple)) else [predictor]
+    n_max = len(all_patterns()) * len(predictors)
+    if config.min_candidates > n_max:
+        raise ValueError(
+            f"min_candidates {config.min_candidates} exceeds the {n_max} candidates "
+            f"{len(predictors)} model(s) can give a cell"
+        )
     base_pattern = pattern_by_id(identity.pattern_id)
+    features = extract_features(clip, feature_config)
     predictions = []
     for model_idx, model in enumerate(predictors):
         for p in all_patterns():
-            rotated = apply_to_audio(clip, p)
             ident = identity.with_pattern(compose(p, base_pattern).id)
             try:
-                seq = model.predict(extract_features(rotated, feature_config), ident)
+                seq = model.predict(apply_to_features(features, p), ident)
             except Exception as exc:
                 raise RuntimeError(
                     f"predictor {model_idx} failed on rotation pattern {p.id}: {exc}"

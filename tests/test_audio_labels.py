@@ -69,6 +69,16 @@ class TestWavIO:
         assert sr == 24000
         np.testing.assert_allclose(back, x, atol=1e-7)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_sample_rejected(self, tmp_path, rng, value):
+        samples = rng.standard_normal((4, 500)) * 0.1
+        samples[3, 77] = value
+        samples[1, 300] = value
+        path = tmp_path / "bad.wav"
+        write_wav(path, AudioClip(samples))
+        with pytest.raises(ValueError, match=r"bad\.wav: non-finite sample at channel 1, sample 300"):
+            read_wav(path)
+
     def test_channel_count_mismatch(self, tmp_path, rng):
         write_wav_mono(tmp_path / "m.wav", rng.standard_normal(100), 24000)
         with pytest.raises(ValueError, match="4 FOA channels"):

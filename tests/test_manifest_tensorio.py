@@ -61,3 +61,12 @@ class TestTensorIO:
         (tmp_path / "t.feat.json").write_text(json.dumps(header))
         with pytest.raises(ValueError, match="header says"):
             load_tensor(path)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_payload_rejected(self, tmp_path, value):
+        seq = np.zeros((10, 13, 3))
+        seq[4, 2, 0] = value
+        path = tmp_path / "clip.acc"
+        save_tensor(path, seq)
+        with pytest.raises(ValueError, match=r"clip\.acc: non-finite"):
+            load_tensor(path)

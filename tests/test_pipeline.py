@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from seldkit.audio import AudioClip, write_wav
 from seldkit.augment import AugmentConfig
@@ -16,12 +17,14 @@ from seldkit.predict import (
     ExternalFilePredictor,
     OraclePredictor,
     OraclePredictorConfig,
+    _jitter_vectors,
     make_predictor,
 )
 from seldkit.accdoa import decode, encode
 from seldkit.features import FeatureConfig, extract_features
 from seldkit.tensorio import save_tensor
 from seldkit.labels import ClipAnnotation, EventLabel
+from seldkit.tta import TtaConfig
 
 from conftest import two_event_scene
 
@@ -176,6 +179,35 @@ class TestPredictors:
         b = oracle.predict(feats, ClipIdentity("c", 1))
         assert not np.array_equal(np.abs(a), np.abs(b))
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        jitter_deg=st.floats(min_value=0.001, max_value=89.999),
+        density=st.floats(min_value=0.0, max_value=1.0),
+    )
+    def test_jitter_vectors_match_per_cell_loop(self, seed, jitter_deg, density):
+        def per_cell_loop(seq, jitter_deg, rng):
+            out = seq.copy()
+            frames, classes = np.nonzero(np.linalg.norm(seq, axis=2) > 0)
+            for f, c in zip(frames, classes):
+                axis = rng.standard_normal(3)
+                axis /= np.linalg.norm(axis)
+                angle = np.radians(rng.uniform(0.0, jitter_deg))
+                v = out[f, c]
+                out[f, c] = (
+                    v * np.cos(angle)
+                    + np.cross(axis, v) * np.sin(angle)
+                    + axis * (axis @ v) * (1.0 - np.cos(angle))
+                )
+            return out
+
+        gen = np.random.default_rng(seed)
+        seq = gen.uniform(-1.0, 1.0, (30, 13, 3)) * (gen.random((30, 13, 1)) < density)
+        ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = per_cell_loop(seq, jitter_deg, ref_rng)
+        assert _jitter_vectors(seq, jitter_deg, rng).tobytes() == expected.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state  # same draws consumed
+
     def test_oracle_activity_scaling(self):
         clip, annotation = two_event_scene(seed=6)
         feats = extract_features(clip)
@@ -324,6 +356,37 @@ class TestRunPipeline:
             self.config(manifest_path, augment={"seed": 0})
         with pytest.raises(TypeError, match="unify"):
             self.config(manifest_path, tta={"unify": 10.0})
+
+    def test_min_candidates_above_16_loads(self, small_dataset):
+        _, manifest_path = small_dataset
+        # an ensemble gives up to 16 candidates per model; run_tta checks the bound
+        config = self.config(manifest_path, tta={"min_candidates": 17})
+        assert config.tta == TtaConfig(min_candidates=17)
+        with pytest.raises(ValueError, match="min_candidates must be >= 1"):
+            self.config(manifest_path, tta={"min_candidates": 0})
+
+    def test_non_finite_wav_fails_entry(self, small_dataset, tmp_path):
+        root, manifest_path = small_dataset
+        from seldkit.manifest import load_manifest
+
+        manifest = load_manifest(manifest_path)
+        clip, _ = two_event_scene(seed=100)
+        samples = clip.samples.copy()
+        samples[2, 1234] = np.nan
+        nan_path = tmp_path / "nan.wav"
+        write_wav(nan_path, AudioClip(samples))
+        with_nan = DatasetManifest(
+            manifest.entries[:1]
+            + (ManifestEntry(str(nan_path), manifest.entries[0].label_path, "real"),)
+            + manifest.entries[1:]
+        )
+        nan_manifest = tmp_path / "nan.json"
+        save_manifest(with_nan, nan_manifest)
+        result = run_pipeline(self.config(nan_manifest))
+        assert result["n_scored"] == 3
+        assert result["scores"]["f20"] == 1.0
+        assert [f["clip_path"] for f in result["failures"]] == [str(nan_path)]
+        assert "non-finite sample at channel 2, sample 1234" in result["failures"][0]["error"]
 
     def test_failures_reported_run_continues(self, small_dataset, tmp_path):
         root, manifest_path = small_dataset

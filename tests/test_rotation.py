@@ -10,6 +10,7 @@ from seldkit.rotation import (
     all_patterns,
     apply_to_audio,
     apply_to_direction,
+    apply_to_features,
     apply_to_vector,
     compose,
     inverse,
@@ -17,7 +18,7 @@ from seldkit.rotation import (
     rotate_annotation,
 )
 
-from conftest import plane_wave_clip, random_direction
+from conftest import plane_wave_clip, random_direction, two_event_scene
 
 AZ_MAPS = ("phi", "-phi", "90-phi", "phi+90", "phi-90", "-phi-90", "180-phi", "phi+180")
 
@@ -164,6 +165,44 @@ class TestAudioAction:
             for p in all_patterns():
                 est = doa_from_features(extract_features(apply_to_audio(clip, p), cfg), cfg)
                 assert angular_distance(est, apply_to_direction(d, p)) < 1.0
+
+
+class TestFeatureAction:
+    @pytest.mark.parametrize(
+        "cfg", [FeatureConfig(), FeatureConfig(hop=300, n_mels=32)], ids=["default", "hop300_mels32"]
+    )
+    def test_equals_features_of_rotated_audio_exactly(self, cfg):
+        clip, _ = two_event_scene(seed=23)
+        samples = clip.samples.copy()
+        samples[:, :2400] = 0.0  # a silent stretch exercises the intensity floor
+        clip = AudioClip(samples)
+        features = extract_features(clip, cfg)
+        for p in all_patterns():
+            expected = extract_features(apply_to_audio(clip, p), cfg)
+            assert np.array_equal(apply_to_features(features, p), expected), p.id
+
+    def test_composes_like_the_group(self, rng):
+        features = rng.standard_normal((7, 6, 5))
+        for p in all_patterns():
+            for q in all_patterns():
+                assert np.array_equal(
+                    apply_to_features(apply_to_features(features, q), p),
+                    apply_to_features(features, compose(p, q)),
+                )
+
+    @pytest.mark.parametrize("shape", [(4, 10, 8), (7, 10), (7, 10, 8, 1), (8, 10, 8)])
+    def test_rejects_non_feature_tensor(self, shape):
+        with pytest.raises(ValueError, match=r"\(7, frames, n_mels\)"):
+            apply_to_features(np.zeros(shape), pattern_by_id(3))
+
+    def test_input_unmodified(self, rng):
+        features = rng.standard_normal((7, 20, 16))
+        before = features.copy()
+        for p in all_patterns():
+            out = apply_to_features(features, p)
+            assert not np.shares_memory(out, features)
+            out[:] = 0.0
+        assert np.array_equal(features, before)
 
 
 # (frame, class, track) -> (azimuth, elevation)

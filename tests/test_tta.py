@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
+import seldkit.tta
 from seldkit.accdoa import encode
+from seldkit.features import doa_from_features
 from seldkit.geometry import Direction, angular_distance, dir_to_unit, unit_to_dir
 from seldkit.predict import ClipIdentity, ConstantPredictor, OraclePredictor, OraclePredictorConfig
 from seldkit.rotation import all_patterns, apply_to_audio, apply_to_direction, apply_to_vector, inverse
 from seldkit.tta import CandidateSet, TtaConfig, aggregate, collect_candidates, dbscan_sphere, run_tta
 
-from conftest import random_direction, two_event_scene
+from conftest import plane_wave_clip, random_direction, two_event_scene
 
 
 def dbscan_reference(points, eps_deg, min_pts):
@@ -319,3 +321,53 @@ class TestRunTta:
         events = run_tta(models, clip, ClipIdentity("clip"), TtaConfig(min_candidates=16))
         truth = {(e.frame, e.class_id) for e in annotation.events}
         assert {(e.frame, e.class_id) for e in events} == truth
+
+    def test_ensemble_min_candidates_up_to_16_per_model(self):
+        clip, annotation = two_event_scene(seed=19)
+        models = [
+            OraclePredictor({"clip": annotation}, OraclePredictorConfig(jitter_deg=2.0, seed=s))
+            for s in (1, 2)
+        ]
+        events = run_tta(models, clip, ClipIdentity("clip"), TtaConfig(min_candidates=32))
+        truth = {(e.frame, e.class_id) for e in annotation.events}
+        assert {(e.frame, e.class_id) for e in events} == truth
+        with pytest.raises(ValueError, match="min_candidates 33 exceeds the 32"):
+            run_tta(models, clip, ClipIdentity("clip"), TtaConfig(min_candidates=33))
+        with pytest.raises(ValueError, match="min_candidates 17 exceeds the 16"):
+            run_tta(models[0], clip, ClipIdentity("clip"), TtaConfig(min_candidates=17))
+
+    @pytest.mark.parametrize("n_models", [1, 2])
+    def test_features_extracted_once_per_clip(self, monkeypatch, n_models):
+        clip, annotation = two_event_scene(seed=11)
+        calls = []
+        original = seldkit.tta.extract_features
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(seldkit.tta, "extract_features", counting)
+        models = [OraclePredictor({"clip": annotation}) for _ in range(n_models)]
+        run_tta(models, clip, ClipIdentity("clip"))
+        assert len(calls) == 1
+
+    def test_predictor_mutating_its_features_changes_nothing(self):
+        # a feature-driven model: one class, active everywhere, pointing
+        # along the intensity DOA of the whole clip
+        class IntensityModel:
+            def __init__(self, mutate):
+                self.mutate = mutate
+
+            def predict(self, features, identity):
+                v = dir_to_unit(doa_from_features(features)).as_array()
+                if self.mutate:
+                    features[4:] *= -1.0  # would flip the next prediction if shared
+                return np.tile(v, (features.shape[1] // 4, 1, 1))
+
+        clip = plane_wave_clip(Direction(40.0, 15.0), n_samples=24000)
+        clean = run_tta(IntensityModel(False), clip, ClipIdentity("c"))
+        assert len(clean) == 10 and all(e.class_id == 0 for e in clean)
+        assert run_tta(IntensityModel(True), clip, ClipIdentity("c")) == clean
+        config = TtaConfig(min_candidates=32)
+        clean_pair = run_tta([IntensityModel(False)] * 2, clip, ClipIdentity("c"), config)
+        assert run_tta([IntensityModel(True)] * 2, clip, ClipIdentity("c"), config) == clean_pair
