@@ -196,7 +196,7 @@ def tta_run(models, in_path, config_path, out_path, n_classes, seed):
             )
         else:
             predictors.append(make_predictor(spec, n_classes=n_classes))
-    events = run_tta(predictors, clip, ClipIdentity(in_path), config)
+    events = run_tta(predictors, clip, ClipIdentity(in_path), config, n_classes=n_classes)
     accdoa_mod.write_events(events, out_path)
     click.echo(f"wrote {out_path} ({len(events)} events)")
 

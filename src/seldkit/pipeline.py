@@ -26,7 +26,7 @@ from .features import FeatureConfig, extract_features
 from .labels import ClipAnnotation, read_labels
 from .manifest import DatasetManifest, ManifestEntry, load_manifest
 from .metrics import MetricConfig, class_breakdown, evaluate_stats, finalize, merge_stats
-from .predict import ClipIdentity, make_predictor, seed_material
+from .predict import ClipIdentity, check_prediction, label_frames_of, make_predictor, seed_material
 from .tta import TtaConfig, run_tta
 
 log = logging.getLogger(__name__)
@@ -184,10 +184,16 @@ def _score_entry(entry: ManifestEntry, annotation: ClipAnnotation, config: RunCo
         clip = augment_waveform(clip, config.augment, rng)
     identity = ClipIdentity(entry.clip_path)
     if config.tta is not None:
-        events = run_tta(predictor, clip, identity, config.tta, config.feature)
+        events = run_tta(predictor, clip, identity, config.tta, config.feature, config.n_classes)
     else:
         features = extract_features(clip, config.feature)
         seq = predictor.predict(features, identity)
+        check_prediction(
+            seq,
+            identity,
+            label_frames_of(features, config.feature.frames_per_label),
+            config.n_classes,
+        )
         events = decode(seq, config.decode_threshold)
     return evaluate_stats(events, annotation, config.metric)
 

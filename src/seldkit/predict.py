@@ -19,7 +19,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .accdoa import encode
+from .accdoa import MAX_ACTIVITY, encode
 from .features import FeatureConfig
 from .rotation import pattern_by_id, rotate_annotation
 from .tensorio import load_tensor
@@ -42,6 +42,31 @@ class Predictor(Protocol):
 
 def label_frames_of(features, frames_per_label: int) -> int:
     return int(np.asarray(features).shape[1]) // frames_per_label
+
+
+def check_prediction(seq, identity: ClipIdentity, label_frames: int, n_classes: int | None) -> None:
+    """Enforce the predictor contract on one output, naming the clip and pattern on failure.
+
+    The sequence must be shaped (label_frames, n_classes, 3), with any
+    class count when ``n_classes`` is None, hold only finite values, and
+    have no vector longer than ``MAX_ACTIVITY``. The bound is on the norm,
+    not on each value: a rotated unit vector may exceed 1 in one
+    component by an ulp. Raises ValueError.
+    """
+    arr = np.asarray(seq, dtype=float)
+    where = f"clip {identity.clip_id!r}, rotation pattern {identity.pattern_id}"
+    classes = arr.shape[1] if n_classes is None and arr.ndim == 3 else n_classes
+    if arr.shape != (label_frames, classes, 3):
+        raise ValueError(
+            f"{where}: prediction shape {arr.shape}, expected ({label_frames}, {classes}, 3)"
+        )
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{where}: non-finite prediction values")
+    longest = float(np.linalg.norm(arr, axis=2).max(initial=0.0))
+    if longest > MAX_ACTIVITY:
+        raise ValueError(
+            f"{where}: prediction vector of norm {longest} exceeds sqrt(3) = {MAX_ACTIVITY}"
+        )
 
 
 def seed_material(*parts) -> list[int]:

@@ -6,15 +6,15 @@ de-rotated back into the original frame, and every (label frame, class)
 cell pools its active de-rotated vectors into one (n, 3) candidate array.
 A model ensemble is the same mechanism with more predictions: each model
 adds up to 16 rows per cell. Candidates are clustered per cell with
-DBSCAN under the great-circle metric; outliers are rejected, each cluster
-is averaged into one detection, and detections beyond the track budget of
-a frame are dropped by weight = member count x norm of the cluster mean.
+DBSCAN under the great-circle metric, all cells of one candidate count in
+one stacked array pass; outliers are rejected, each cluster is averaged
+into one detection, and detections beyond the track budget of a frame are
+dropped by weight = member count x norm of the cluster mean.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +23,7 @@ from .accdoa import MAX_ACTIVITY, DetectedEvent
 from .audio import AudioClip
 from .features import FeatureConfig, extract_features
 from .geometry import unit_to_dir
+from .predict import check_prediction, label_frames_of
 from .rotation import all_patterns, apply_to_features, apply_to_vector, compose, inverse, pattern_by_id
 
 
@@ -92,38 +93,47 @@ def collect_candidates(predictions, threshold: float) -> CandidateSet:
 def dbscan_sphere(points, eps_deg: float, min_pts: int) -> np.ndarray:
     """DBSCAN on the sphere: distance = great-circle angle in degrees.
 
-    Returns one label per point, -1 for noise. A point's own membership
-    counts toward min_pts. Labeling is deterministic for a given input
-    order: clusters are grown by core-point expansion in index order, so
-    cluster ids increase with each cluster's smallest core index and a
-    border point between clusters joins the earlier one.
+    ``points`` is one cell of unit vectors, ``(n, 3)``, or a stack of
+    cells of equal size, ``(G, n, 3)``; each cell is clustered on its own
+    and the labels come back as ``(n,)`` or ``(G, n)``, -1 for noise.
+
+    The labels follow from array operations on the Gram matrix of each
+    cell. A point with at least min_pts neighbours (itself included) is
+    core; clusters are the connected components of the core-to-core
+    neighbour graph, numbered in order of their smallest core index; a
+    border point joins the lowest-numbered cluster among its neighbouring
+    cores. These are exactly the labels that growing clusters by core
+    expansion in index order gives (Ester et al., KDD 1996).
     """
     if eps_deg <= 0:
         raise ValueError("eps_deg must be positive")
-    pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    n = pts.shape[0]
-    labels = np.full(n, -1, dtype=int)
-    if n == 0:
-        return labels
+    pts = np.asarray(points, dtype=float)
+    stack = pts if pts.ndim == 3 else pts.reshape(1, -1, 3)
+    if stack.shape[-1] != 3:
+        raise ValueError(f"expected points shaped (n, 3) or (G, n, 3), got {pts.shape}")
+    n = stack.shape[1]
     cos_eps = math.cos(math.radians(eps_deg))
-    adjacency = pts @ pts.T >= cos_eps - 1e-12
-    neighbor_lists = [np.nonzero(adjacency[i])[0] for i in range(n)]
-    is_core = np.array([len(nb) >= min_pts for nb in neighbor_lists])
-    cluster_id = 0
-    for i in range(n):
-        if labels[i] != -1 or not is_core[i]:
-            continue
-        labels[i] = cluster_id
-        queue = deque(neighbor_lists[i])
-        while queue:
-            j = queue.popleft()
-            if labels[j] != -1:
-                continue
-            labels[j] = cluster_id
-            if is_core[j]:
-                queue.extend(neighbor_lists[j])
-        cluster_id += 1
-    return labels
+    adjacency = stack @ stack.transpose(0, 2, 1) >= cos_eps - 1e-12
+    core = adjacency.sum(axis=2) >= min_pts
+    # reach[g, j, i]: core point j has point i within eps
+    reach = adjacency & core[:, :, np.newaxis]
+    # min-label propagation: each core point ends with the smallest core
+    # index of its component, its root; non-core points hold n
+    index = np.arange(n)
+    root = np.where(core, index, n)
+    while True:
+        pulled = np.where(reach, root[:, :, np.newaxis], n).min(axis=1, initial=n)
+        settled = np.where(core, np.minimum(root, pulled), n)
+        if np.array_equal(settled, root):
+            break
+        root = settled
+    # a root's cluster id is the number of roots before it
+    cluster_of = np.cumsum(root == index, axis=1) - 1
+    core_labels = np.take_along_axis(cluster_of, np.minimum(root, n - 1), axis=1)
+    border = np.where(reach, core_labels[:, :, np.newaxis], n).min(axis=1, initial=n)
+    labels = np.where(core, core_labels, border)
+    labels[labels == n] = -1
+    return labels if pts.ndim == 3 else labels[0]
 
 
 def aggregate(candidates: CandidateSet, config: TtaConfig | None = None) -> list[DetectedEvent]:
@@ -135,25 +145,46 @@ def aggregate(candidates: CandidateSet, config: TtaConfig | None = None) -> list
     the arithmetic mean of the member vectors (activity = its norm).
     Frames holding more than max_tracks events keep the top ones by
     weight = member count x norm of the mean.
+
+    Cells of equal candidate count are clustered together: one stacked
+    ``dbscan_sphere`` call per distinct count. A candidate row of zero
+    norm, or with a non-finite value, has no direction and raises
+    ValueError naming its (frame, class) cell.
     """
     config = config or TtaConfig()
+    by_count: dict = {}
+    for cell in sorted(candidates.cells):
+        by_count.setdefault(len(candidates.cells[cell]), []).append(cell)
     weighted: dict = {}
-    for (frame, class_id) in sorted(candidates.cells):
-        vecs = candidates.cells[(frame, class_id)]
-        if len(vecs) < config.min_candidates:
+    for n, cells in sorted(by_count.items()):
+        vecs = np.stack([candidates.cells[cell] for cell in cells])
+        norms = np.linalg.norm(vecs, axis=2)
+        degenerate = ~(np.isfinite(norms) & (norms > 0.0)).all(axis=1)
+        if degenerate.any():
+            raise ValueError(
+                f"zero-norm or non-finite candidate row in cell {cells[np.argmax(degenerate)]}"
+            )
+        if n < config.min_candidates:
             continue
-        norms = np.linalg.norm(vecs, axis=1)
-        units = vecs / norms[:, np.newaxis]
-        labels = dbscan_sphere(units, config.unify_deg, config.min_pts)
-        for cluster in sorted(set(labels) - {-1}):
-            members = vecs[labels == cluster]
-            mean = members.mean(axis=0)
+        labels = dbscan_sphere(vecs / norms[:, :, np.newaxis], config.unify_deg, config.min_pts)
+        n_clusters = int(labels.max(initial=-1)) + 1
+        # member rows summed in index order from -0.0, as members.mean(axis=0)
+        # does, so the means are bit-equal to it; noise goes to a last slot
+        sums = np.full((len(cells), n_clusters + 1, 3), -0.0)
+        slots = np.where(labels < 0, n_clusters, labels)
+        rows = np.arange(len(cells))
+        for i in range(n):
+            sums[rows, slots[:, i]] += vecs[:, i]
+        sizes = (labels[:, :, np.newaxis] == np.arange(n_clusters)).sum(axis=1)
+        for g, cluster in zip(*np.nonzero(sizes)):
+            size = int(sizes[g, cluster])
+            mean = sums[g, cluster] / size
             activity = float(np.linalg.norm(mean))
             if activity == 0.0:
                 continue
+            frame, class_id = cells[g]
             event = DetectedEvent(frame, class_id, unit_to_dir(mean), activity)
-            weight = len(members) * activity
-            weighted.setdefault(frame, []).append((weight, event))
+            weighted.setdefault(frame, []).append((size * activity, event))
     events = []
     for frame in sorted(weighted):
         ranked = sorted(
@@ -169,6 +200,7 @@ def run_tta(
     identity,
     config: TtaConfig | None = None,
     feature_config: FeatureConfig | None = None,
+    n_classes: int | None = None,
 ) -> list[DetectedEvent]:
     """Full TTA: predict under all 16 rotations, de-rotate, cluster, aggregate.
 
@@ -180,6 +212,12 @@ def run_tta(
     a sequence of predictors as well (the cross-validation ensemble): each
     model's 16 predictions add rows to the same candidate cells, so
     ``min_candidates`` may be at most 16 per model.
+
+    Every prediction is checked against the predictor contract
+    (``predict.check_prediction``): ``n_classes`` label classes, or any
+    count when None, one row per label frame of the clip, finite values
+    and no vector longer than sqrt(3). A failure raises ValueError naming
+    the clip and the rotation pattern.
     """
     config = config or TtaConfig()
     feature_config = feature_config or FeatureConfig()
@@ -192,6 +230,7 @@ def run_tta(
         )
     base_pattern = pattern_by_id(identity.pattern_id)
     features = extract_features(clip, feature_config)
+    label_frames = label_frames_of(features, feature_config.frames_per_label)
     predictions = []
     for model_idx, model in enumerate(predictors):
         for p in all_patterns():
@@ -202,5 +241,6 @@ def run_tta(
                 raise RuntimeError(
                     f"predictor {model_idx} failed on rotation pattern {p.id}: {exc}"
                 ) from exc
+            check_prediction(seq, ident, label_frames, n_classes)
             predictions.append((p.id, seq))
     return aggregate(collect_candidates(predictions, config.activity_threshold), config)

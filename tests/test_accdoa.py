@@ -107,6 +107,35 @@ def test_round_trip_collision_free(cells):
         assert got.activity == pytest.approx(1.0)
 
 
+@settings(max_examples=50, deadline=None)
+@given(
+    label_frames=st.integers(1, 40),
+    n_classes=st.integers(1, 13),
+    data=st.data(),
+)
+def test_decode_encode_round_trips_any_grid(label_frames, n_classes, data):
+    # any grid size, and elevations up to the poles
+    cells = data.draw(
+        st.dictionaries(
+            st.tuples(st.integers(0, label_frames - 1), st.integers(0, n_classes - 1)),
+            st.tuples(
+                st.floats(min_value=-180.0, max_value=180.0),
+                st.floats(min_value=-90.0, max_value=90.0),
+            ),
+            max_size=30,
+        )
+    )
+    annotation = annotation_from_cells(
+        [(f, c, az, el) for (f, c), (az, el) in cells.items()], n_classes=n_classes
+    )
+    decoded = decode(encode(annotation, label_frames), 0.5)
+    assert sorted((e.frame, e.class_id) for e in decoded) == sorted(cells)
+    for ev in decoded:
+        az, el = cells[(ev.frame, ev.class_id)]
+        assert angular_distance(ev.direction, Direction(az, el)) < 1e-9
+        assert ev.activity == pytest.approx(1.0, abs=1e-12)
+
+
 def test_round_trip_any_threshold(rng):
     annotation = annotation_from_cells([(0, 1, 40.0, 10.0), (7, 3, -120.0, -45.0)])
     seq = encode(annotation, label_frames=10)

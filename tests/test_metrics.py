@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from seldkit.accdoa import DetectedEvent
 from seldkit.geometry import Direction, angular_distance
@@ -267,3 +268,77 @@ class TestProperties:
         scores = finalize(stats, one_class).to_dict()
         assert scores["f20"] < 1.0 and scores["er20"] > 0.0
         assert {key: entry[key] for key in scores} == scores
+
+
+# One clip: cells (frame, class) holding a reference, a prediction near it,
+# or a prediction alone; at most one of each per cell, so the matching is
+# unique and only the arithmetic can move under a rotation.
+clip_cells = st.dictionaries(
+    st.tuples(st.integers(0, 29), st.integers(0, 3)),
+    st.tuples(
+        st.sampled_from(["ref_only", "matched", "pred_only"]),
+        st.floats(min_value=-180.0, max_value=180.0),
+        st.floats(min_value=-85.0, max_value=85.0),
+        st.floats(min_value=-40.0, max_value=40.0),
+        st.floats(min_value=-20.0, max_value=20.0),
+    ),
+    max_size=40,
+)
+
+
+def clip_events(cells):
+    preds, refs = [], []
+    for (frame, class_id), (kind, az, el, d_az, d_el) in sorted(cells.items()):
+        ref_dir = Direction(az, el)
+        if kind != "pred_only":
+            refs.append(EventLabel(frame, class_id, 0, ref_dir))
+        if kind == "matched":
+            pred_dir = Direction(az + d_az, min(90.0, max(-90.0, el + d_el)))
+            # keep clear of the 20 degree threshold, which rounding could cross
+            assume(abs(angular_distance(pred_dir, ref_dir) - 20.0) > 1e-6)
+            preds.append(DetectedEvent(frame, class_id, pred_dir, 0.9))
+        elif kind == "pred_only":
+            preds.append(DetectedEvent(frame, class_id, Direction(az + d_az, el), 0.7))
+    return preds, ClipAnnotation(tuple(refs), n_classes=4)
+
+
+def stats_fields(st_):
+    return (st_.tp, st_.fp, st_.fn, st_.ref_count, st_.seg_s, st_.seg_d, st_.seg_i,
+            st_.loc_match_count, st_.det_recall_count)
+
+
+class TestMetricInvariants:
+    @settings(max_examples=60, deadline=None)
+    @given(cells=clip_cells, pattern_id=st.integers(0, 15))
+    def test_evaluate_invariant_under_joint_rotation(self, cells, pattern_id):
+        cfg = MetricConfig(n_classes=4)
+        preds, refs = clip_events(cells)
+        assume(refs.events)
+        p = all_patterns()[pattern_id]
+        rot_preds = [
+            DetectedEvent(e.frame, e.class_id, apply_to_direction(e.direction, p), e.activity)
+            for e in preds
+        ]
+        rot_refs = ClipAnnotation(
+            tuple(
+                EventLabel(e.frame, e.class_id, e.track_id, apply_to_direction(e.direction, p))
+                for e in refs.events
+            ),
+            n_classes=4,
+        )
+        base = evaluate(preds, refs, cfg)
+        rotated = evaluate(rot_preds, rot_refs, cfg)
+        for name in ("er20", "f20", "le_cd", "lr_cd"):
+            assert getattr(rotated, name) == pytest.approx(getattr(base, name), abs=1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(clips=st.lists(clip_cells, min_size=1, max_size=5), data=st.data())
+    def test_merge_stats_order_independent(self, clips, data):
+        cfg = MetricConfig(n_classes=4)
+        per_clip = [evaluate_stats(*clip_events(cells), cfg) for cells in clips]
+        order = data.draw(st.permutations(range(len(per_clip))))
+        merged = merge_stats(per_clip)
+        shuffled = merge_stats([per_clip[i] for i in order])
+        for a, b in zip(merged, shuffled):
+            assert stats_fields(a) == stats_fields(b)
+            assert a.loc_error_sum == pytest.approx(b.loc_error_sum, rel=1e-12, abs=1e-12)

@@ -18,6 +18,7 @@ from seldkit.predict import (
     OraclePredictor,
     OraclePredictorConfig,
     _jitter_vectors,
+    check_prediction,
     make_predictor,
 )
 from seldkit.accdoa import decode, encode
@@ -260,6 +261,38 @@ class TestPredictors:
         assert seq.shape[0] == cfg.n_frames(clip.n_samples) // cfg.frames_per_label
 
 
+class TestCheckPrediction:
+    IDENT = ClipIdentity("clips/a.wav", 6)
+
+    def test_contract_shape_passes(self):
+        check_prediction(np.zeros((5, 13, 3)), self.IDENT, 5, 13)
+        check_prediction(np.zeros((5, 2, 3)), self.IDENT, 5, None)  # any class count
+
+    @pytest.mark.parametrize("shape", [(6, 13, 3), (4, 13, 3), (5, 12, 3), (5, 13, 2), (5, 39)])
+    def test_wrong_shape_names_clip_and_pattern(self, shape):
+        with pytest.raises(
+            ValueError,
+            match=r"clip 'clips/a.wav', rotation pattern 6: prediction shape .* expected \(5, 13, 3\)",
+        ):
+            check_prediction(np.zeros(shape), self.IDENT, 5, 13)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_rejected(self, value):
+        seq = np.zeros((5, 13, 3))
+        seq[2, 4, 1] = value
+        with pytest.raises(ValueError, match="rotation pattern 6: non-finite"):
+            check_prediction(seq, self.IDENT, 5, 13)
+
+    def test_norm_bounded_not_components(self):
+        seq = np.zeros((5, 13, 3))
+        seq[0, 0] = [np.nextafter(1.0, 2.0), 0.0, 0.0]  # a unit vector one ulp long
+        seq[1, 0] = [1.0, 1.0, 1.0]  # the longest vector of the [-1, 1] range
+        check_prediction(seq, self.IDENT, 5, 13)
+        seq[1, 0] *= 1.0 + 1e-12
+        with pytest.raises(ValueError, match="norm .* exceeds sqrt\\(3\\)"):
+            check_prediction(seq, self.IDENT, 5, 13)
+
+
 @pytest.fixture(scope="module")
 def small_dataset(tmp_path_factory):
     root = tmp_path_factory.mktemp("dataset")
@@ -426,6 +459,41 @@ class TestRunPipeline:
         assert result["n_scored"] == 2
         assert [f["clip_path"] for f in result["failures"]] == [str(root / "scene1.wav")]
         assert "non-finite" in result["failures"][0]["error"]
+
+    @pytest.mark.parametrize("tta", [None, {}], ids=["direct", "tta"])
+    @pytest.mark.parametrize(
+        "bad",
+        ["more_frames", "fewer_frames", "fewer_classes", "too_long"],
+    )
+    def test_prediction_outside_contract_fails_entry(self, small_dataset, tmp_path, tta, bad):
+        # 5 s clips need (50, 13, 3); scene1's tensors break the contract
+        # under every pattern, so the check names pattern 0, the first read
+        root, manifest_path = small_dataset
+        broken = {
+            "more_frames": np.zeros((87, 13, 3)),
+            "fewer_frames": np.zeros((30, 13, 3)),
+            "fewer_classes": np.zeros((50, 9, 3)),
+            "too_long": np.full((50, 13, 3), 1.0),
+        }[bad]
+        broken[3, 4] = [1.0, 1.0, 1.001]
+        for i in range(3):
+            for pattern_id in range(16):
+                seq = broken if i == 1 else np.zeros((50, 13, 3))
+                name = f"scene{i}.acc" if pattern_id == 0 else f"scene{i}.p{pattern_id:02d}.acc"
+                save_tensor(tmp_path / name, seq)
+        config = self.config(
+            manifest_path, predictor={"kind": "external", "dir": str(tmp_path)}, tta=tta
+        )
+        result = run_pipeline(config)
+        assert result["n_scored"] == 2
+        clip_path = str(root / "scene1.wav")
+        assert [f["clip_path"] for f in result["failures"]] == [clip_path]
+        error = result["failures"][0]["error"]
+        assert error.startswith(f"ValueError: clip {clip_path!r}, rotation pattern 0: ")
+        if bad == "too_long":
+            assert "exceeds sqrt(3)" in error
+        else:
+            assert f"prediction shape {broken.shape}, expected (50, 13, 3)" in error
 
     def test_augment_stage_runs(self, small_dataset):
         _, manifest_path = small_dataset

@@ -1,8 +1,13 @@
+import math
+import warnings
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import seldkit.tta
-from seldkit.accdoa import encode
+from seldkit.accdoa import DetectedEvent
 from seldkit.features import doa_from_features
 from seldkit.geometry import Direction, angular_distance, dir_to_unit, unit_to_dir
 from seldkit.predict import ClipIdentity, ConstantPredictor, OraclePredictor, OraclePredictorConfig
@@ -63,6 +68,66 @@ def dbscan_reference(points, eps_deg, min_pts):
     return labels
 
 
+def dbscan_expansion_reference(points, eps_deg, min_pts):
+    """Per-cell DBSCAN by breadth-first core expansion in index order: the
+    former library implementation, kept as the reference that the stacked
+    array form must reproduce label for label (same adjacency test).
+    """
+    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    n = pts.shape[0]
+    labels = np.full(n, -1, dtype=int)
+    if n == 0:
+        return labels
+    cos_eps = math.cos(math.radians(eps_deg))
+    adjacency = pts @ pts.T >= cos_eps - 1e-12
+    neighbor_lists = [np.nonzero(adjacency[i])[0] for i in range(n)]
+    is_core = np.array([len(nb) >= min_pts for nb in neighbor_lists])
+    cluster_id = 0
+    for i in range(n):
+        if labels[i] != -1 or not is_core[i]:
+            continue
+        labels[i] = cluster_id
+        queue = deque(neighbor_lists[i])
+        while queue:
+            j = queue.popleft()
+            if labels[j] != -1:
+                continue
+            labels[j] = cluster_id
+            if is_core[j]:
+                queue.extend(neighbor_lists[j])
+        cluster_id += 1
+    return labels
+
+
+def aggregate_reference(cells, config):
+    """Cell-by-cell aggregation, the former library implementation: one
+    clustering per cell and ``members.mean(axis=0)`` per cluster.
+    """
+    weighted: dict = {}
+    for (frame, class_id) in sorted(cells):
+        vecs = cells[(frame, class_id)]
+        if len(vecs) < config.min_candidates:
+            continue
+        norms = np.linalg.norm(vecs, axis=1)
+        units = vecs / norms[:, np.newaxis]
+        labels = dbscan_expansion_reference(units, config.unify_deg, config.min_pts)
+        for cluster in sorted(set(labels) - {-1}):
+            members = vecs[labels == cluster]
+            mean = members.mean(axis=0)
+            activity = float(np.linalg.norm(mean))
+            if activity == 0.0:
+                continue
+            event = DetectedEvent(frame, class_id, unit_to_dir(mean), activity)
+            weighted.setdefault(frame, []).append((len(members) * activity, event))
+    events = []
+    for frame in sorted(weighted):
+        ranked = sorted(
+            weighted[frame], key=lambda we: (-we[0], we[1].class_id, we[1].direction.azimuth)
+        )
+        events.extend(ev for _, ev in ranked[: config.max_tracks])
+    return sorted(events, key=lambda e: (e.frame, e.class_id, e.direction.azimuth))
+
+
 def clustered_point_set(rng, n):
     """Random spherical points with planted structure: tight groups plus strays."""
     points = []
@@ -116,6 +181,87 @@ class TestDbscanSphere:
             got = dbscan_sphere(pts, eps, min_pts)
             want = dbscan_reference(pts, eps, min_pts)
             np.testing.assert_array_equal(got, want)
+
+
+def unit(az, el):
+    return dir_to_unit(Direction(az, el)).as_array()
+
+
+def point_stack(seed, kinds, n):
+    """One (n, 3) cell of unit vectors per kind, stacked: tight groups with
+    strays, a few points repeated n times over, or uniform scatter."""
+    rng = np.random.default_rng(seed)
+    cells = []
+    for kind in kinds:
+        if kind == "clustered":
+            cells.append(clustered_point_set(rng, n))
+        elif kind == "duplicates":
+            distinct = clustered_point_set(rng, max(1, n // 6))
+            cells.append(distinct[rng.integers(len(distinct), size=n)])
+        else:
+            v = rng.standard_normal((n, 3))
+            cells.append(v / np.linalg.norm(v, axis=1, keepdims=True))
+    return np.stack(cells)
+
+
+def reference_angles(pts):
+    """The pairwise angles exactly as ``dbscan_reference`` computes them."""
+    return np.degrees(np.arccos(np.clip(pts @ pts.T, -1.0, 1.0)))
+
+
+class TestStackedDbscan:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kinds=st.lists(st.sampled_from(["clustered", "duplicates", "scatter"]), min_size=1, max_size=6),
+        n=st.integers(1, 48),
+        min_pts=st.integers(1, 5),
+        eps_mode=st.sampled_from(["free", "pair", "below_all"]),
+        eps_free=st.floats(min_value=1.0, max_value=60.0),
+        pick=st.integers(0, 2**16),
+    )
+    def test_matches_references_cell_by_cell(self, seed, kinds, n, min_pts, eps_mode, eps_free, pick):
+        stack = point_stack(seed, kinds, n)
+        angles = [reference_angles(cell) for cell in stack]
+        # below 1e-3 deg, arccos cannot tell a repeated point from a distinct one
+        pairs = np.concatenate([a[np.triu_indices(n, 1)] for a in angles])
+        distinct = pairs[pairs > 1e-3]
+        eps = eps_free
+        if eps_mode == "pair":
+            # two points exactly eps apart, under the reference's own arithmetic
+            g, i, j = pick % len(stack), pick % n, (pick // n) % n
+            pair_eps = max(angles[g][i, j], angles[g][j, i])
+            if 1e-3 < pair_eps < 180.0:
+                eps = pair_eps
+        elif eps_mode == "below_all" and len(distinct):
+            # no two distinct points within eps: each cell without repeats is all noise
+            eps = float(distinct.min()) / 2.0
+        labels = dbscan_sphere(stack, eps, min_pts)
+        assert labels.shape == stack.shape[:2]
+        for cell, got in zip(stack, labels):
+            np.testing.assert_array_equal(got, dbscan_reference(cell, eps, min_pts))
+            np.testing.assert_array_equal(got, dbscan_expansion_reference(cell, eps, min_pts))
+            np.testing.assert_array_equal(got, dbscan_sphere(cell, eps, min_pts))
+
+    def test_edge_cells_in_one_stack(self):
+        # b is within eps of the cores a1 and c1 only, which are 18 deg
+        # apart; with min_pts 4 it is a border point of both clusters and
+        # joins the one whose smallest core index comes first
+        a1, a2, a3 = unit(-9, 0), unit(-9, 9), unit(-9, -9)
+        c1, c2, c3 = unit(9, 0), unit(9, 9), unit(9, -9)
+        b = unit(0, 0)
+        spread = np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]] + [unit(45, 45)])
+        stack = np.stack([spread, np.tile(b, (7, 1)), [c1, c2, c3, b, a1, a2, a3], [a1, a2, a3, b, c1, c2, c3]])
+        labels = dbscan_sphere(stack, 10.5, 4)
+        assert labels.tolist() == [[-1] * 7, [0] * 7, [0, 0, 0, 0, 1, 1, 1], [0, 0, 0, 0, 1, 1, 1]]
+        assert dbscan_sphere(stack, 10.5, 1).tolist() == [list(range(7)), [0] * 7, [0] * 7, [0] * 7]
+        assert dbscan_sphere(stack, 5.0, 1).tolist() == [list(range(7)), [0] * 7, list(range(7)), list(range(7))]
+        for eps, min_pts in ((10.5, 4), (10.5, 1), (5.0, 1), (13.0, 3)):
+            for cell, got in zip(stack, dbscan_sphere(stack, eps, min_pts)):
+                np.testing.assert_array_equal(got, dbscan_reference(cell, eps, min_pts))
+
+    def test_empty_stack(self):
+        assert dbscan_sphere(np.zeros((3, 0, 3)), 15.0, 2).shape == (3, 0)
 
 
 class TestCollectCandidates:
@@ -258,6 +404,82 @@ class TestAggregate:
         azimuths = sorted(ev.direction.azimuth for ev in events)
         assert azimuths[0] == pytest.approx(0.0, abs=1e-9)
         assert azimuths[1] == pytest.approx(120.0, abs=1e-9)
+
+
+@st.composite
+def candidate_cells(draw):
+    """Cells of mixed candidate counts (1-48), with repeated rows, mirrored
+    cluster pairs whose weights, classes and azimuths all tie, and copies of
+    a cell into other classes of a frame (weight ties at the track cut)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cells: dict = {}
+    for _ in range(draw(st.integers(1, 14))):
+        frame, class_id = int(rng.integers(0, 3)), int(rng.integers(0, 5))
+        kind = draw(st.sampled_from(["clustered", "mirrored", "copy"]))
+        if kind == "copy" and cells:
+            source = list(cells.values())[int(rng.integers(len(cells)))]
+            cells[(frame, class_id)] = source.copy()
+        elif kind == "mirrored":
+            k = draw(st.integers(1, 24))
+            az, el = float(rng.uniform(-180, 180)), float(rng.uniform(1, 80))
+            activity = float(rng.uniform(0.3, 1.0))
+            rows = [unit(az, el) * activity] * k + [unit(az, -el) * activity] * k
+            cells[(frame, class_id)] = np.array(rows)
+        else:
+            n = draw(st.integers(1, 48))
+            vecs = clustered_point_set(rng, n) * rng.uniform(0.3, 1.0, (n, 1))
+            if rng.random() < 0.5:
+                vecs[rng.integers(n, size=n // 2)] = vecs[0]
+            cells[(frame, class_id)] = vecs
+    return cells
+
+
+class TestStackedAggregate:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        cells=candidate_cells(),
+        unify_deg=st.floats(min_value=2.0, max_value=60.0),
+        min_pts=st.integers(1, 4),
+        min_candidates=st.integers(1, 16),
+        max_tracks=st.integers(1, 3),
+    )
+    def test_events_equal_per_cell_reference(self, cells, unify_deg, min_pts, min_candidates, max_tracks):
+        config = TtaConfig(
+            unify_deg=unify_deg, min_pts=min_pts, min_candidates=min_candidates, max_tracks=max_tracks
+        )
+        got = aggregate(CandidateSet(cells), config)
+        assert repr(got) == repr(aggregate_reference(cells, config))
+
+    def test_one_dbscan_call_per_distinct_count(self, monkeypatch):
+        shapes = []
+        original = seldkit.tta.dbscan_sphere
+
+        def counting(points, eps_deg, min_pts):
+            shapes.append(np.shape(points))
+            return original(points, eps_deg, min_pts)
+
+        monkeypatch.setattr(seldkit.tta, "dbscan_sphere", counting)
+        counts = {(0, 0): 16, (0, 1): 16, (1, 0): 12, (2, 3): 16, (3, 1): 8, (4, 2): 12, (5, 0): 3}
+        cells = {
+            cell: np.tile(unit(30.0 * i, 10.0) * 0.9, (n, 1))
+            for i, (cell, n) in enumerate(counts.items())
+        }
+        config = TtaConfig(min_candidates=8)
+        events = aggregate(CandidateSet(cells), config)
+        assert sorted(shapes) == [(1, 8, 3), (2, 12, 3), (3, 16, 3)]
+        assert len(events) == 6
+        assert repr(events) == repr(aggregate_reference(cells, config))
+
+    @pytest.mark.parametrize("bad", [[0.0, 0.0, 0.0], [np.nan, 0.0, 0.0], [0.0, -np.inf, 0.0]])
+    def test_degenerate_row_rejected_naming_cell(self, bad):
+        cells = {
+            (0, 0): np.tile([0.0, 0.9, 0.0], (10, 1)),
+            (4, 2): np.array([[1.0, 0.0, 0.0]] * 9 + [bad]),
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"zero-norm or non-finite .* cell \(4, 2\)"):
+                aggregate(CandidateSet(cells))
 
 
 class TestRunTta:
