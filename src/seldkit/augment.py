@@ -22,18 +22,12 @@ class AugmentConfig:
     pitch_semitone_range: tuple = (-2.0, 2.0)
     bandpass_lo_range: tuple = (50.0, 500.0)
     bandpass_hi_range: tuple = (2000.0, 11000.0)
-    n_time_masks: int = 2
-    max_time_frames: int = 20
-    n_freq_masks: int = 2
-    max_mel_bins: int = 8
 
     def __post_init__(self):
         for name in ("gain_db_range", "pitch_semitone_range", "bandpass_lo_range", "bandpass_hi_range"):
             lo, hi = getattr(self, name)
             if lo > hi:
                 raise ValueError(f"{name} is not ordered: {(lo, hi)}")
-        if min(self.n_time_masks, self.max_time_frames, self.n_freq_masks, self.max_mel_bins) < 0:
-            raise ValueError("mask counts and sizes must be >= 0")
 
 
 def apply_gain(clip: AudioClip, gain_db: float) -> AudioClip:
@@ -76,24 +70,28 @@ def band_pass(clip: AudioClip, f_lo: float, f_hi: float) -> AudioClip:
     return AudioClip(sosfilt(sos, clip.samples, axis=1), clip.sample_rate)
 
 
-def spec_augment(features, config: AugmentConfig, rng: np.random.Generator) -> np.ndarray:
-    """Mask random time spans and mel bands of a feature tensor.
+def spec_augment(
+    features, rng: np.random.Generator, n_time_masks=2, max_time_frames=20, n_freq_masks=2, max_mel_bins=8
+) -> np.ndarray:
+    """Mask random time spans, then mel bands, of a feature tensor.
 
     Masks sit at identical positions in all channels and are filled with
-    the per-channel mean of the unmasked tensor. Widths are drawn
-    uniformly from [0, max] (0 leaves the tensor untouched).
+    the per-channel mean of the unmasked tensor. Widths are drawn uniformly
+    from [0, max] (0 leaves the tensor untouched); a negative setting raises ValueError.
     """
+    if min(n_time_masks, max_time_frames, n_freq_masks, max_mel_bins) < 0:
+        raise ValueError("mask counts and sizes must be >= 0")
     feats = np.array(features, dtype=float)
     n_ch, n_frames, n_mels = feats.shape
     fill = feats.mean(axis=(1, 2))
-    for _ in range(config.n_time_masks):
-        width = min(int(rng.integers(0, config.max_time_frames + 1)), n_frames)
+    for _ in range(n_time_masks):
+        width = min(int(rng.integers(0, max_time_frames + 1)), n_frames)
         if width == 0:
             continue
         start = int(rng.integers(0, n_frames - width + 1))
         feats[:, start : start + width, :] = fill[:, None, None]
-    for _ in range(config.n_freq_masks):
-        width = min(int(rng.integers(0, config.max_mel_bins + 1)), n_mels)
+    for _ in range(n_freq_masks):
+        width = min(int(rng.integers(0, max_mel_bins + 1)), n_mels)
         if width == 0:
             continue
         start = int(rng.integers(0, n_mels - width + 1))

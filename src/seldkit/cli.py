@@ -40,6 +40,21 @@ def _load_json(path):
         return json.load(f)
 
 
+def parse_model_spec(spec: str, in_path, n_classes: int, seed: int) -> tuple[dict, dict | None]:
+    """Parse ``oracle:<labels.csv>``, ``constant[:<value>]`` or ``external:<dir>`` into a
+    ``make_predictor`` mapping and, for the oracle, the annotations of clip ``in_path``."""
+    kind, _, arg = spec.partition(":")
+    if kind == "oracle" and arg:
+        return {"kind": "oracle", "seed": seed}, {in_path: read_labels(arg, n_classes=n_classes)}
+    if kind == "constant":
+        return ({"kind": "constant", "value": arg} if arg else {"kind": "constant"}), None
+    if kind == "external" and arg:
+        return {"kind": "external", "dir": arg}, None
+    raise click.UsageError(
+        f"--model {spec!r}: expected oracle:<labels.csv>, constant[:<value>] or external:<dir>"
+    )
+
+
 @click.group()
 def main():
     """Spatial-audio SELD toolkit."""
@@ -174,7 +189,7 @@ def tta():
 
 @tta.command("run")
 @click.option("--model", "models", required=True, multiple=True,
-              help="Predictor spec; repeat to ensemble (oracle:<labels.csv>, constant, external:<dir>).")
+              help="Predictor spec; repeat to ensemble (oracle:<labels.csv>, constant[:<value>], external:<dir>).")
 @click.option("--in", "in_path", required=True, type=click.Path(exists=True))
 @click.option("--config", "config_path", type=click.Path(exists=True), help="TtaConfig JSON.")
 @click.option("--out", "out_path", required=True, type=click.Path())
@@ -184,18 +199,7 @@ def tta_run(models, in_path, config_path, out_path, n_classes, seed):
     """Run 16-rotation clustering TTA over one clip."""
     config = TtaConfig(**_load_json(config_path)) if config_path else TtaConfig()
     clip = read_wav(in_path)
-    predictors = []
-    for spec in models:
-        kind, _, arg = spec.partition(":")
-        if kind == "oracle":
-            if not arg:
-                raise click.UsageError("oracle predictor spec is oracle:<labels.csv>")
-            annotations = {in_path: read_labels(arg, n_classes=n_classes)}
-            predictors.append(
-                make_predictor({"kind": "oracle", "seed": seed}, annotations, n_classes)
-            )
-        else:
-            predictors.append(make_predictor(spec, n_classes=n_classes))
+    predictors = [make_predictor(*parse_model_spec(s, in_path, n_classes, seed), n_classes) for s in models]
     events = run_tta(predictors, clip, ClipIdentity(in_path), config, n_classes=n_classes)
     accdoa_mod.write_events(events, out_path)
     click.echo(f"wrote {out_path} ({len(events)} events)")

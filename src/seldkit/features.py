@@ -47,6 +47,12 @@ class FeatureConfig:
             raise ValueError(f"hop {self.hop} exceeds window {self.window}")
         if self.floor_eps <= 0:
             raise ValueError("floor_eps must be positive")
+        label_samples = LABEL_FRAME_S * self.sample_rate
+        if label_samples != int(label_samples) or int(label_samples) % self.hop:
+            raise ValueError(
+                f"hop {self.hop} does not divide one {LABEL_FRAME_S * 1000:g} ms label frame "
+                f"({label_samples:g} samples at {self.sample_rate} Hz)"
+            )
 
     @property
     def n_bins(self) -> int:
@@ -54,9 +60,8 @@ class FeatureConfig:
 
     @property
     def frames_per_label(self) -> int:
-        """STFT frames per 100 ms label frame (4 at the default hop)."""
-        f = round(LABEL_FRAME_S * self.sample_rate / self.hop)
-        return max(1, int(f))
+        """STFT frames per 100 ms label frame (4 at the default hop), an exact quotient."""
+        return int(LABEL_FRAME_S * self.sample_rate) // self.hop
 
     def n_frames(self, n_samples: int) -> int:
         return 1 + n_samples // self.hop

@@ -26,7 +26,7 @@ from .features import FeatureConfig, extract_features
 from .labels import ClipAnnotation, read_labels
 from .manifest import DatasetManifest, ManifestEntry, load_manifest
 from .metrics import MetricConfig, class_breakdown, evaluate_stats, finalize, merge_stats
-from .predict import ClipIdentity, check_prediction, label_frames_of, make_predictor, seed_material
+from .predict import ClipIdentity, check_prediction, make_predictor, seed_material
 from .tta import TtaConfig, run_tta
 
 log = logging.getLogger(__name__)
@@ -130,7 +130,7 @@ class RunConfig:
     seed: int = 0
     n_classes: int = 13
     feature: FeatureConfig = FeatureConfig()
-    metric: MetricConfig = MetricConfig()
+    metric: MetricConfig | None = None  # built from n_classes, the run's only class count
     tta: TtaConfig | None = TtaConfig()
     augment: AugmentConfig | None = None
     decode_threshold: float = 0.5
@@ -139,6 +139,11 @@ class RunConfig:
         ("manifest", "predictor", "seed", "n_classes", "feature", "metric", "tta", "augment",
          "decode_threshold")
     )
+
+    def __post_init__(self):
+        object.__setattr__(self, "metric", self.metric or MetricConfig(n_classes=self.n_classes))
+        if self.metric.n_classes != self.n_classes:
+            raise ValueError(f"metric.n_classes {self.metric.n_classes} differs from the run's {self.n_classes}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
@@ -153,32 +158,41 @@ class RunConfig:
             return config_cls(**doc[key])
 
         n_classes = int(doc.get("n_classes", 13))
-        metric_doc = dict(doc.get("metric") or {})
-        metric_doc.setdefault("n_classes", n_classes)
+        metric_doc = doc.get("metric") or {}
+        if "n_classes" in metric_doc:
+            raise ValueError("metric.n_classes is not a run config key; set the top-level n_classes")
         return cls(
             manifest_path=doc["manifest"],
             predictor=dict(doc["predictor"]),
             seed=int(doc.get("seed", 0)),
             n_classes=n_classes,
             feature=sub(FeatureConfig, "feature", FeatureConfig()),
-            metric=MetricConfig(**metric_doc),
+            metric=MetricConfig(n_classes=n_classes, **metric_doc),
             tta=sub(TtaConfig, "tta", None) if "tta" in doc else TtaConfig(),
             augment=sub(AugmentConfig, "augment", None),
             decode_threshold=float(doc.get("decode_threshold", 0.5)),
         )
 
-    @classmethod
-    def load(cls, path) -> "RunConfig":
-        with open(path) as f:
-            return cls.from_dict(json.load(f))
-
 
 def _worker_count() -> int:
-    return max(1, int(os.environ.get(WORKERS_ENV, "1")))
+    value = os.environ.get(WORKERS_ENV, "1")
+    try:
+        workers = int(value)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"{WORKERS_ENV} must be a positive integer, got {value!r}")
+    return workers
 
 
 def _score_entry(entry: ManifestEntry, annotation: ClipAnnotation, config: RunConfig, predictor):
     clip = read_wav(entry.clip_path)
+    label_frames = config.feature.n_frames(clip.n_samples) // config.feature.frames_per_label
+    if annotation.max_frame >= label_frames:
+        raise ValueError(
+            f"{entry.label_path}: label frame {annotation.max_frame} is past the end of the clip, "
+            f"which has {label_frames} label frames"
+        )
     if config.augment is not None:
         rng = np.random.default_rng(seed_material(config.seed, entry.clip_path))
         clip = augment_waveform(clip, config.augment, rng)
@@ -188,12 +202,7 @@ def _score_entry(entry: ManifestEntry, annotation: ClipAnnotation, config: RunCo
     else:
         features = extract_features(clip, config.feature)
         seq = predictor.predict(features, identity)
-        check_prediction(
-            seq,
-            identity,
-            label_frames_of(features, config.feature.frames_per_label),
-            config.n_classes,
-        )
+        check_prediction(seq, identity, label_frames, config.n_classes)
         events = decode(seq, config.decode_threshold)
     return evaluate_stats(events, annotation, config.metric)
 
@@ -205,7 +214,15 @@ def run_pipeline(config: RunConfig) -> dict:
     merged in manifest order whatever the worker pool does, and it carries
     no timestamps or machine state.
     """
+    workers = _worker_count()
     manifest = load_manifest(config.manifest_path)
+    label_files: dict = {}
+    for e in manifest:
+        first = label_files.setdefault(e.clip_path, e.label_path)
+        if first != e.label_path:
+            raise ValueError(
+                f"clip {e.clip_path!r} is listed with two label files: {first!r} and {e.label_path!r}"
+            )
     labels = [read_labels(e.label_path, n_classes=config.n_classes) for e in manifest]
     annotations = {e.clip_path: a for e, a in zip(manifest, labels)}
     predictor = make_predictor(
@@ -219,7 +236,6 @@ def run_pipeline(config: RunConfig) -> dict:
             log.warning("entry %s failed: %s", entry.clip_path, exc)
             return entry, None, f"{type(exc).__name__}: {exc}"
 
-    workers = _worker_count()
     if workers == 1:
         results = [job(e, a) for e, a in zip(manifest, labels)]
     else:

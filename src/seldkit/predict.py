@@ -198,42 +198,38 @@ class ExternalFilePredictor:
         )
 
 
+_PREDICTOR_KEYS = {"oracle": {"jitter_deg", "activity", "seed"}, "constant": {"value"}, "external": {"dir"}}
+
+
 def make_predictor(
-    spec,
+    spec: dict,
     annotations: dict | None = None,
     n_classes: int = 13,
     feature: FeatureConfig = FeatureConfig(),
 ):
-    """Build a predictor from a config mapping or a spec string.
+    """Build a predictor from its config mapping (the CLI parses ``--model`` strings into one).
 
-    Mappings: {"kind": "oracle", "jitter_deg": 3, "activity": 1, "seed": 0},
-    {"kind": "constant", "value": 0}, {"kind": "external", "dir": "preds/"}.
-    Strings: ``oracle``, ``constant``, ``constant:<value>``, ``external:<dir>``;
-    oracle jitter is set through the mapping form. The oracle and constant
+    {"kind": "oracle", "jitter_deg": 3, "activity": 1, "seed": 0} (needs
+    ``annotations``), {"kind": "constant", "value": 0} or
+    {"kind": "external", "dir": "preds/"}. An unknown kind, or a key the
+    kind does not read, raises ValueError. The oracle and constant
     predictors emit on the label grid of ``feature``, the run's feature config.
     """
-    if isinstance(spec, str):
-        kind, _, arg = spec.partition(":")
-        key = {"constant": "value", "external": "dir"}.get(kind)
-        if arg and key is None:
-            raise ValueError(
-                f"predictor spec {spec!r}: only constant:<value> and external:<dir> take an argument"
-            )
-        spec = {"kind": kind, key: arg} if arg else {"kind": kind}
+    if not isinstance(spec, dict):
+        raise TypeError(f"predictor spec must be a mapping, got {spec!r}")
     kind = spec.get("kind")
+    if kind not in _PREDICTOR_KEYS:
+        raise ValueError(f"unknown predictor kind {kind!r}")
+    unknown = sorted(set(spec) - {"kind"} - _PREDICTOR_KEYS[kind])
+    if unknown:
+        raise ValueError(f"{kind} predictor does not read {', '.join(unknown)}")
     if kind == "oracle":
         if annotations is None:
             raise ValueError("oracle predictor needs clip annotations")
-        config = OraclePredictorConfig(
-            jitter_deg=float(spec.get("jitter_deg", 0.0)),
-            activity=float(spec.get("activity", 1.0)),
-            seed=int(spec.get("seed", 0)),
-        )
+        config = OraclePredictorConfig(**{k: v for k, v in spec.items() if k != "kind"})
         return OraclePredictor(annotations, config, feature)
     if kind == "constant":
         return ConstantPredictor(n_classes, float(spec.get("value", 0.0)), feature)
-    if kind == "external":
-        if "dir" not in spec:
-            raise ValueError("external predictor needs a directory")
-        return ExternalFilePredictor(spec["dir"])
-    raise ValueError(f"unknown predictor kind {kind!r}")
+    if "dir" not in spec:
+        raise ValueError("external predictor needs a directory")
+    return ExternalFilePredictor(spec["dir"])

@@ -217,7 +217,7 @@ def run_tta(
     (``predict.check_prediction``): ``n_classes`` label classes, or any
     count when None, one row per label frame of the clip, finite values
     and no vector longer than sqrt(3). A failure raises ValueError naming
-    the clip and the rotation pattern.
+    the predictor's index, the clip and the rotation pattern.
     """
     config = config or TtaConfig()
     feature_config = feature_config or FeatureConfig()
@@ -241,6 +241,9 @@ def run_tta(
                 raise RuntimeError(
                     f"predictor {model_idx} failed on rotation pattern {p.id}: {exc}"
                 ) from exc
-            check_prediction(seq, ident, label_frames, n_classes)
+            try:
+                check_prediction(seq, ident, label_frames, n_classes)
+            except ValueError as exc:
+                raise ValueError(f"{exc} (predictor {model_idx})") from exc
             predictions.append((p.id, seq))
     return aggregate(collect_candidates(predictions, config.activity_threshold), config)

@@ -1,14 +1,16 @@
 import json
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from seldkit.accdoa import encode, read_events
 from seldkit.audio import read_wav, write_wav, write_wav_mono
-from seldkit.cli import main
+from seldkit.cli import main, parse_model_spec
 from seldkit.labels import read_labels, write_labels
 from seldkit.manifest import DatasetManifest, ManifestEntry, load_manifest, save_manifest
+from seldkit.predict import ConstantPredictor, ExternalFilePredictor, OraclePredictorConfig, make_predictor
 from seldkit.tensorio import load_tensor, save_tensor
 
 from conftest import two_event_scene
@@ -68,6 +70,18 @@ class TestAugmentCli:
         run_ok(runner, ["augment", "--in", str(wav), "--out", str(out1), "--seed", "9"])
         run_ok(runner, ["augment", "--in", str(wav), "--out", str(out2), "--seed", "9"])
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_mask_field_is_an_unknown_config_field(self, runner, scene_files, tmp_path):
+        # spectrogram masks are spec_augment arguments, not waveform settings
+        wav, _, _ = scene_files
+        config = tmp_path / "aug.json"
+        config.write_text(json.dumps({"n_time_masks": 50}))
+        result = runner.invoke(
+            main, ["augment", "--config", str(config), "--in", str(wav), "--out", str(tmp_path / "a.wav")]
+        )
+        assert result.exit_code != 0
+        assert isinstance(result.exception, TypeError)
+        assert "n_time_masks" in str(result.exception)
 
 
 class TestEmulateCli:
@@ -150,6 +164,31 @@ class TestAccdoaCli:
         )
         events = read_events(out)
         assert len(events) == len(annotation.events)
+
+
+class TestModelSpec:
+    def parse(self, spec, seed=0):
+        return parse_model_spec(spec, "scene.wav", 13, seed)
+
+    def test_strings_parse_to_make_predictor_mappings(self, scene_files, tmp_path):
+        _, csv, annotation = scene_files
+        assert self.parse(f"oracle:{csv}", seed=4) == (
+            {"kind": "oracle", "seed": 4},
+            {"scene.wav": annotation},
+        )
+        assert self.parse("constant") == ({"kind": "constant"}, None)
+        assert self.parse("constant:0.25") == ({"kind": "constant", "value": "0.25"}, None)
+        assert self.parse(f"external:{tmp_path}") == ({"kind": "external", "dir": str(tmp_path)}, None)
+        assert make_predictor(*self.parse("constant:0.25")).value == 0.25
+        assert isinstance(make_predictor(*self.parse("constant")), ConstantPredictor)
+        assert isinstance(make_predictor(*self.parse(f"external:{tmp_path}")), ExternalFilePredictor)
+        oracle = make_predictor(*self.parse(f"oracle:{csv}", seed=4))
+        assert oracle.config == OraclePredictorConfig(seed=4)
+
+    @pytest.mark.parametrize("spec", ["oracle", "oracle:", "external", "warp-drive", "warp:x"])
+    def test_malformed_rejected(self, spec):
+        with pytest.raises(click.UsageError, match="expected oracle:<labels.csv>"):
+            self.parse(spec)
 
 
 class TestTtaCli:

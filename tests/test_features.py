@@ -42,6 +42,18 @@ def expected_mel_bin(freq_hz: float, config: FeatureConfig) -> int:
     return min(range(config.n_mels), key=lambda i: abs(centers[i] - freq_hz))
 
 
+class TestLabelGrid:
+    @pytest.mark.parametrize("hop", [700, 128, 1000])
+    def test_hop_must_divide_label_frame(self, hop):
+        # hop 700 would make one "label frame" 3 x 700 samples = 87.5 ms
+        with pytest.raises(ValueError, match=f"hop {hop} does not divide one 100 ms label frame"):
+            FeatureConfig(hop=hop)
+
+    def test_label_frame_must_be_whole_samples(self):
+        with pytest.raises(ValueError, match="1600.1 samples at 16001 Hz"):
+            FeatureConfig(sample_rate=16001, hop=100)
+
+
 class TestStft:
     def test_zero_input(self):
         spec = stft(np.zeros(6000), CFG)
@@ -97,7 +109,7 @@ class TestMelFilterbank:
 
     def test_too_many_mels_rejected(self):
         with pytest.raises(ValueError, match="too large"):
-            mel_filterbank(FeatureConfig(nfft=256, window=256, hop=128, n_mels=200))
+            mel_filterbank(FeatureConfig(nfft=256, window=256, hop=120, n_mels=200))
 
     def test_1khz_bin_matches_mel_inversion(self):
         fb = mel_filterbank(CFG)

@@ -10,6 +10,7 @@ from seldkit.augment import AugmentConfig
 from seldkit.geometry import Direction, angular_distance
 from seldkit.labels import write_labels
 from seldkit.manifest import DatasetManifest, ManifestEntry, save_manifest
+from seldkit.metrics import MetricConfig
 from seldkit.pipeline import RunConfig, kfold_split, run_pipeline, segment_clip, write_scores
 from seldkit.predict import (
     ClipIdentity,
@@ -237,17 +238,33 @@ class TestPredictors:
             pred.predict(np.zeros((7, 24, 4)), ClipIdentity("clipA.wav", 4))
 
     def test_make_predictor_specs(self, tmp_path):
-        assert isinstance(make_predictor("constant"), ConstantPredictor)
-        assert isinstance(make_predictor("external:" + str(tmp_path)), ExternalFilePredictor)
+        assert isinstance(make_predictor({"kind": "constant"}), ConstantPredictor)
+        external = make_predictor({"kind": "external", "dir": str(tmp_path)})
+        assert isinstance(external, ExternalFilePredictor)
         oracle = make_predictor({"kind": "oracle", "jitter_deg": 2.0}, annotations={})
         assert isinstance(oracle, OraclePredictor)
         assert oracle.config.jitter_deg == 2.0
         with pytest.raises(ValueError):
-            make_predictor("warp-drive")
+            make_predictor({"kind": "warp-drive"})
         with pytest.raises(ValueError):
             make_predictor({"kind": "oracle"})
-        with pytest.raises(ValueError, match="take an argument"):
+        # the --model strings are parsed by the CLI (test_cli.py::TestModelSpec)
+        with pytest.raises(TypeError, match="mapping"):
             make_predictor("oracle:2.0", annotations={})
+
+    @pytest.mark.parametrize(
+        "spec, unread",
+        [
+            ({"kind": "oracle", "jiter_deg": 30}, "jiter_deg"),
+            ({"kind": "oracle", "value": 0.5}, "value"),
+            ({"kind": "constant", "dir": "preds"}, "dir"),
+            ({"kind": "constant", "value": 0.0, "seed": 1, "activity": 1.0}, "activity, seed"),
+            ({"kind": "external", "dir": "preds", "jitter_deg": 3}, "jitter_deg"),
+        ],
+    )
+    def test_key_the_kind_does_not_read_rejected(self, spec, unread):
+        with pytest.raises(ValueError, match=f"{spec['kind']} predictor does not read {unread}$"):
+            make_predictor(spec, annotations={})
 
     @pytest.mark.parametrize("kind", ["oracle", "constant"])
     def test_label_frames_follow_feature_config(self, kind):
@@ -389,6 +406,78 @@ class TestRunPipeline:
             self.config(manifest_path, augment={"seed": 0})
         with pytest.raises(TypeError, match="unify"):
             self.config(manifest_path, tta={"unify": 10.0})
+
+    @pytest.mark.parametrize("field", ["n_time_masks", "max_time_frames", "n_freq_masks", "max_mel_bins"])
+    def test_augment_mask_field_is_unknown(self, small_dataset, field):
+        # no run masks spectrograms, so a mask setting is not a run setting
+        _, manifest_path = small_dataset
+        with pytest.raises(TypeError, match=field):
+            self.config(manifest_path, augment={field: 50})
+
+    def test_metric_n_classes_is_the_run_n_classes(self, small_dataset):
+        _, manifest_path = small_dataset
+        with pytest.raises(ValueError, match="metric.n_classes"):
+            self.config(manifest_path, metric={"n_classes": 10})
+        with pytest.raises(ValueError, match="metric.n_classes 10 differs from the run's 13"):
+            RunConfig(str(manifest_path), {"kind": "oracle"}, metric=MetricConfig(n_classes=10))
+        assert RunConfig(str(manifest_path), {"kind": "oracle"}, n_classes=7).metric == MetricConfig(
+            n_classes=7
+        )
+
+    def test_unread_predictor_key_fails_the_run(self, small_dataset):
+        _, manifest_path = small_dataset
+        config = self.config(manifest_path, predictor={"kind": "oracle", "jiter_deg": 30})
+        with pytest.raises(ValueError, match="oracle predictor does not read jiter_deg"):
+            run_pipeline(config)
+
+    @pytest.mark.parametrize("value", ["0", "-1", "abc"])
+    def test_workers_must_be_a_positive_integer(self, small_dataset, monkeypatch, value):
+        _, manifest_path = small_dataset
+        monkeypatch.setenv("SELDKIT_WORKERS", value)
+        with pytest.raises(ValueError, match=f"SELDKIT_WORKERS must be a positive integer, got '{value}'"):
+            run_pipeline(self.config(manifest_path))
+
+    def test_clip_with_two_label_files_rejected(self, small_dataset, tmp_path):
+        root, manifest_path = small_dataset
+        from seldkit.manifest import load_manifest
+
+        first, second = load_manifest(manifest_path).entries[:2]
+        entries = (first, ManifestEntry(first.clip_path, second.label_path, "emulated"))
+        save_manifest(DatasetManifest(entries), tmp_path / "m.json")
+        with pytest.raises(
+            ValueError,
+            match=f"clip {first.clip_path!r} is listed with two label files: "
+            f"{first.label_path!r} and {second.label_path!r}",
+        ):
+            run_pipeline(self.config(tmp_path / "m.json"))
+        # an entry repeated as it stands (an epoch drawn with replacement) still runs
+        save_manifest(DatasetManifest((first, first)), tmp_path / "twice.json")
+        assert run_pipeline(self.config(tmp_path / "twice.json"))["n_scored"] == 2
+
+    @pytest.mark.parametrize("tta", [None, {}], ids=["direct", "tta"])
+    @pytest.mark.parametrize("predictor", ["constant", "oracle"])
+    def test_label_past_clip_end_fails_entry(self, small_dataset, tmp_path, predictor, tta):
+        # a 2 s clip has 20 label frames (0-19); its label sits in frame 45
+        root, manifest_path = small_dataset
+        from seldkit.manifest import load_manifest
+
+        clip, annotation = two_event_scene(seed=7)
+        short = AudioClip(clip.samples[:, :48000], clip.sample_rate)
+        ev = annotation.events[0]
+        late = ClipAnnotation((EventLabel(45, ev.class_id, 0, ev.direction),))
+        write_wav(tmp_path / "short.wav", short)
+        write_labels(late, tmp_path / "short.csv")
+        entries = load_manifest(manifest_path).entries + (
+            ManifestEntry(str(tmp_path / "short.wav"), str(tmp_path / "short.csv"), "real"),
+        )
+        save_manifest(DatasetManifest(entries), tmp_path / "m.json")
+        result = run_pipeline(self.config(tmp_path / "m.json", predictor={"kind": predictor}, tta=tta))
+        assert result["n_scored"] == 3
+        assert [f["clip_path"] for f in result["failures"]] == [str(tmp_path / "short.wav")]
+        assert result["failures"][0]["error"] == (
+            f"ValueError: {tmp_path / 'short.csv'}: label frame 45 is past the end of the clip, "
+            "which has 20 label frames"
+        )
 
     def test_min_candidates_above_16_loads(self, small_dataset):
         _, manifest_path = small_dataset

@@ -506,6 +506,16 @@ class TestRunTta:
         with pytest.raises(RuntimeError, match="rotation pattern 0"):
             run_tta(Broken(), clip, ClipIdentity("x"))
 
+    def test_contract_failure_names_ensemble_member(self):
+        clip, _ = two_event_scene(seed=11)
+        models = [ConstantPredictor(13), ConstantPredictor(9)]
+        with pytest.raises(
+            ValueError,
+            match=r"clip 'c.wav', rotation pattern 0: prediction shape \(50, 9, 3\), "
+            r"expected \(50, 13, 3\) \(predictor 1\)",
+        ):
+            run_tta(models, clip, ClipIdentity("c.wav"), n_classes=13)
+
     def test_jitter_aggregate_no_worse_than_worst_candidate(self):
         clip, annotation = two_event_scene(seed=13)
         jitter = 3.0
