@@ -35,27 +35,65 @@ class DetectedEvent:
             raise ValueError(f"activity must be positive, got {self.activity}")
 
 
-def encode(annotation: ClipAnnotation, label_frames: int) -> np.ndarray:
-    """Encode ground truth as an ACCDOA sequence.
+class EncodingIndex:
+    """An annotation's event cells and distinct directions, ready to encode under any direction map.
 
-    A single-track sequence holds one vector per (frame, class), so two
-    same-class tracks in one frame cannot be represented and raise; the
-    clustering TTA stage is the mechanism that emits same-class multiples.
+    Index a clip once; each ``encode`` call then converts every distinct
+    direction once and scatters the unit vectors into the events' cells.
+    Directions are distinct by their exact float bits, not by ``==``:
+    elevations 0.0 and -0.0 compare equal but encode to z = 0.0 and -0.0.
     """
-    seq = np.zeros((label_frames, annotation.n_classes, 3))
-    occupied = set()
-    for ev in annotation.events:
-        if ev.frame >= label_frames:
-            raise ValueError(f"event frame {ev.frame} outside sequence of {label_frames} frames")
-        cell = (ev.frame, ev.class_id)
-        if cell in occupied:
+
+    def __init__(self, annotation: ClipAnnotation):
+        events = annotation.events  # sorted by (frame, class, track)
+        self.n_classes = annotation.n_classes
+        self.frames = np.fromiter((ev.frame for ev in events), dtype=np.intp, count=len(events))
+        self.classes = np.fromiter((ev.class_id for ev in events), dtype=np.intp, count=len(events))
+        # an event sharing its (frame, class) cell with the event before it
+        self.repeats = np.zeros(len(events), dtype=bool)
+        self.repeats[1:] = (self.frames[1:] == self.frames[:-1]) & (self.classes[1:] == self.classes[:-1])
+        slots: dict = {}
+        self.directions: list[Direction] = []
+        self.inverse = np.empty(len(events), dtype=np.intp)
+        for i, ev in enumerate(events):
+            key = (ev.direction.azimuth.hex(), ev.direction.elevation.hex())
+            if key not in slots:
+                slots[key] = len(self.directions)
+                self.directions.append(ev.direction)
+            self.inverse[i] = slots[key]
+
+    def encode(self, label_frames: int, transform=None) -> np.ndarray:
+        """The sequence of the events with each direction ``d`` mapped to ``transform(d)``.
+
+        Raises ValueError at the first event, in (frame, class, track)
+        order, that lies past the sequence or shares its cell with another.
+        """
+        bad = self.repeats | (self.frames >= label_frames)
+        if bad.any():
+            i = int(bad.argmax())
+            frame, class_id = int(self.frames[i]), int(self.classes[i])
+            if frame >= label_frames:
+                raise ValueError(f"event frame {frame} outside sequence of {label_frames} frames")
             raise ValueError(
-                f"cannot encode two class-{ev.class_id} events in frame {ev.frame}: "
+                f"cannot encode two class-{class_id} events in frame {frame}: "
                 "single-track sequences hold one vector per class"
             )
-        occupied.add(cell)
-        seq[ev.frame, ev.class_id] = dir_to_unit(ev.direction).as_array()
-    return seq
+        mapped = self.directions if transform is None else map(transform, self.directions)
+        units = np.array([dir_to_unit(d).as_array() for d in mapped]).reshape(-1, 3)
+        seq = np.zeros((label_frames, self.n_classes, 3))
+        seq[self.frames, self.classes] = units[self.inverse]
+        return seq
+
+
+def encode(annotation: ClipAnnotation, label_frames: int) -> np.ndarray:
+    """Encode ground truth as an ACCDOA sequence (see ``EncodingIndex``).
+
+    A single-track sequence holds one vector per (frame, class), so two
+    same-class tracks in one frame cannot be represented and raise
+    ValueError, as does an event past ``label_frames``; the clustering
+    TTA stage is the mechanism that emits same-class multiples.
+    """
+    return EncodingIndex(annotation).encode(label_frames)
 
 
 def decode(seq, threshold: float = 0.5) -> list[DetectedEvent]:

@@ -30,6 +30,8 @@ class Direction:
     elevation: float
 
     def __post_init__(self):
+        if not math.isfinite(float(self.azimuth)):
+            raise ValueError(f"azimuth must be finite, got {self.azimuth}")
         el = float(self.elevation)
         if not math.isfinite(el) or el < -90.0 or el > 90.0:
             raise ValueError(f"elevation must be in [-90, 90], got {self.elevation}")

@@ -133,44 +133,105 @@ def accumulate(stats: ClassStats, matching, config: MetricConfig) -> tuple[int, 
     return fp, fn
 
 
+def _unit_vectors(events) -> np.ndarray:
+    units = [dir_to_unit(ev.direction) for ev in events]
+    return np.array([(u.x, u.y, u.z) for u in units], dtype=float).reshape(-1, 3)
+
+
 def evaluate_stats(pred_events, ref_annotation, config: MetricConfig | None = None) -> list[ClassStats]:
     """Score one clip's detections against its annotation, returning raw stats.
 
     Stats from several clips may be summed class-wise before finalizing.
+    The result equals a walk over class x segment x frame that folds
+    ``match_frame`` into ``accumulate`` for every non-empty (frame, class)
+    cell, floats included, computed in array form:
+
+    * events are grouped into cells, each class's cells in frame order;
+    * the cells holding one prediction and one reference are matched in
+      one ``angle_between`` call, and ``match_frame`` runs only on cells
+      with two or more predictions or references on both sides;
+    * per cell, a pair within the spatial threshold is a TP and one beyond
+      it an FP plus an FN; each class sums its counts, its segment
+      bookkeeping and, left to right in frame order, its pair distances.
+
+    Predictions in a negative frame or class are not scored, as the walk
+    never reaches them.
     """
     config = config or MetricConfig()
-    preds_by_cell: dict = {}
+    n_classes = config.n_classes
     for ev in pred_events:
-        if ev.class_id >= config.n_classes:
+        if ev.class_id >= n_classes:
             raise ValueError(
-                f"prediction class {ev.class_id} out of range for n_classes={config.n_classes}"
+                f"prediction class {ev.class_id} out of range for n_classes={n_classes}"
             )
-        preds_by_cell.setdefault((ev.frame, ev.class_id), []).append(ev)
-    refs_by_cell: dict = {}
-    for ev in ref_annotation.events:
-        refs_by_cell.setdefault((ev.frame, ev.class_id), []).append(ev)
+    preds = [ev for ev in pred_events if ev.frame >= 0 and ev.class_id >= 0]
+    refs = [ev for ev in ref_annotation.events if ev.class_id < n_classes]
+    if not preds and not refs:
+        return [ClassStats() for _ in range(n_classes)]
 
-    last_frame = max(
-        [f for f, _ in preds_by_cell] + [f for f, _ in refs_by_cell], default=-1
+    # cell key class * span + frame: sorted keys give each class's cells in frame order
+    span = 1 + max(ev.frame for ev in preds + refs)
+    p_key = np.fromiter((ev.class_id * span + ev.frame for ev in preds), np.int64, len(preds))
+    r_key = np.fromiter((ev.class_id * span + ev.frame for ev in refs), np.int64, len(refs))
+    p_order = np.argsort(p_key, kind="stable")  # events of a cell keep their input order
+    r_order = np.argsort(r_key, kind="stable")
+    cells = np.union1d(p_key, r_key)
+    n_pred = np.bincount(np.searchsorted(cells, p_key), minlength=len(cells))
+    n_ref = np.bincount(np.searchsorted(cells, r_key), minlength=len(cells))
+    p_first = np.cumsum(n_pred) - n_pred
+    r_first = np.cumsum(n_ref) - n_ref
+    n_pairs = np.minimum(n_pred, n_ref)
+    pair_first = np.cumsum(n_pairs) - n_pairs
+
+    # matched distances, per cell in match_frame's pair order
+    dist = np.empty(int(n_pairs.sum()))
+    one = (n_pred == 1) & (n_ref == 1)
+    dist[pair_first[one]] = angle_between(
+        _unit_vectors([preds[i] for i in p_order[p_first[one]]]),
+        _unit_vectors([refs[i] for i in r_order[r_first[one]]]),
     )
-    stats = [ClassStats() for _ in range(config.n_classes)]
-    seg = config.segment_frames
-    n_segments = (last_frame + seg) // seg if last_frame >= 0 else 0
-    for class_id in range(config.n_classes):
-        st = stats[class_id]
-        for segment in range(n_segments):
-            seg_fp = seg_fn = 0
-            for frame in range(segment * seg, (segment + 1) * seg):
-                preds = preds_by_cell.get((frame, class_id), [])
-                refs = refs_by_cell.get((frame, class_id), [])
-                if not preds and not refs:
-                    continue
-                fp, fn = accumulate(st, match_frame(preds, refs), config)
-                seg_fp += fp
-                seg_fn += fn
-            st.seg_s += min(seg_fp, seg_fn)
-            st.seg_d += max(0, seg_fn - seg_fp)
-            st.seg_i += max(0, seg_fp - seg_fn)
+    for cell in np.flatnonzero((n_pairs > 0) & ~one):
+        pairs, _, _ = match_frame(
+            [preds[i] for i in p_order[p_first[cell] : p_first[cell] + n_pred[cell]]],
+            [refs[i] for i in r_order[r_first[cell] : r_first[cell] + n_ref[cell]]],
+        )
+        dist[pair_first[cell] : pair_first[cell] + n_pairs[cell]] = [d for _, _, d in pairs]
+
+    pair_cell = np.repeat(np.arange(len(cells)), n_pairs)
+    tp = np.bincount(pair_cell[dist <= config.spatial_threshold_deg], minlength=len(cells))
+    fp = n_pred - tp  # unmatched predictions plus pairs beyond the threshold
+    fn = n_ref - tp
+    cell_class = cells // span
+    segment = cell_class * span + cells % span // config.segment_frames
+    seg_start = np.flatnonzero(np.r_[True, segment[1:] != segment[:-1]])
+    seg_fp = np.add.reduceat(fp, seg_start)
+    seg_fn = np.add.reduceat(fn, seg_start)
+
+    def per_class(values, classes=cell_class):
+        total = np.zeros(n_classes, dtype=np.int64)
+        np.add.at(total, classes, values)
+        return total.tolist()
+
+    seg_class = cell_class[seg_start]
+    columns = zip(
+        per_class(tp),
+        per_class(fp),
+        per_class(fn),
+        per_class(n_pairs),
+        per_class(n_ref),
+        per_class(np.minimum(seg_fp, seg_fn), seg_class),
+        per_class(np.maximum(0, seg_fn - seg_fp), seg_class),
+        per_class(np.maximum(0, seg_fp - seg_fn), seg_class),
+    )
+    pair_bounds = np.searchsorted(cell_class[pair_cell], np.arange(n_classes + 1))
+    stats = []
+    for class_id, (c_tp, c_fp, c_fn, c_pairs, c_refs, seg_s, seg_d, seg_i) in enumerate(columns):
+        lo, hi = pair_bounds[class_id], pair_bounds[class_id + 1]
+        # a left-to-right running sum, as accumulate adds distances one by one
+        loc_error_sum = float(np.cumsum(dist[lo:hi])[-1]) if hi > lo else 0.0
+        stats.append(
+            ClassStats(c_tp, c_fp, c_fn, loc_error_sum, c_pairs, c_pairs, c_refs, seg_s, seg_d, seg_i)
+        )
     return stats
 
 

@@ -147,7 +147,12 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
-        """Parse a run document; unknown keys raise ValueError, unknown sub-config fields TypeError."""
+        """Parse a run document; unknown keys raise ValueError, unknown sub-config fields TypeError.
+
+        ``decode_threshold`` thresholds direct predictions only, so a
+        document that sets it with TTA on raises ValueError: TTA reads
+        ``tta.activity_threshold``.
+        """
         unknown = sorted(set(doc) - cls.KEYS)
         if unknown:
             raise ValueError(f"unknown run config keys: {', '.join(unknown)}")
@@ -161,6 +166,12 @@ class RunConfig:
         metric_doc = doc.get("metric") or {}
         if "n_classes" in metric_doc:
             raise ValueError("metric.n_classes is not a run config key; set the top-level n_classes")
+        tta = sub(TtaConfig, "tta", None) if "tta" in doc else TtaConfig()
+        if tta is not None and "decode_threshold" in doc:
+            raise ValueError(
+                "decode_threshold is read only with \"tta\": null; "
+                "TTA thresholds its events with tta.activity_threshold"
+            )
         return cls(
             manifest_path=doc["manifest"],
             predictor=dict(doc["predictor"]),
@@ -168,7 +179,7 @@ class RunConfig:
             n_classes=n_classes,
             feature=sub(FeatureConfig, "feature", FeatureConfig()),
             metric=MetricConfig(n_classes=n_classes, **metric_doc),
-            tta=sub(TtaConfig, "tta", None) if "tta" in doc else TtaConfig(),
+            tta=tta,
             augment=sub(AugmentConfig, "augment", None),
             decode_threshold=float(doc.get("decode_threshold", 0.5)),
         )

@@ -12,16 +12,18 @@ TTA identities exactly testable).
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import Protocol
 
 import numpy as np
 
-from .accdoa import MAX_ACTIVITY, encode
+from .accdoa import MAX_ACTIVITY, EncodingIndex
 from .features import FeatureConfig
-from .rotation import pattern_by_id, rotate_annotation
+from .rotation import apply_to_direction, pattern_by_id
 from .tensorio import load_tensor
 
 
@@ -97,21 +99,27 @@ def _jitter_vectors(seq: np.ndarray, jitter_deg: float, rng: np.random.Generator
     """Rotate each active vector by a random axis-angle of magnitude <= jitter_deg.
 
     The draws (axis, then angle) and the axis-vector dot stay per cell, in
-    cell order, so the RNG stream and every bit match a per-cell loop; the
-    Rodrigues rotation itself runs over all cells at once.
+    cell order, so the RNG stream and every bit match a per-cell loop of
+    ``rng.standard_normal(3)``, ``np.linalg.norm`` and
+    ``rng.uniform(0, jitter_deg)``; the Rodrigues rotation itself runs over
+    all cells at once. The loop holds only the draws and the dot:
+    ``math.sqrt(axis.dot(axis))`` is the value ``np.linalg.norm`` returns,
+    and ``uniform(0, j)`` is ``0 + j * random()``, so the angles are scaled
+    after the loop.
     """
     frames, classes = np.nonzero(np.linalg.norm(seq, axis=2) > 0)
     v = seq[frames, classes]
     axes = np.empty_like(v)
-    angles = np.empty(len(v))
+    draws = np.empty(len(v))
     dots = np.empty(len(v))
-    for i in range(len(v)):
-        axis = rng.standard_normal(3)
-        axis /= np.linalg.norm(axis)
-        angles[i] = rng.uniform(0.0, jitter_deg)
+    normal, random = rng.standard_normal, rng.random
+    for i, row in enumerate(v):
+        axis = normal(3)
+        axis /= math.sqrt(axis.dot(axis))
+        draws[i] = random()
         axes[i] = axis
-        dots[i] = axis @ v[i]  # per row: a batched dot rounds differently
-    angle = np.radians(angles)[:, np.newaxis]
+        dots[i] = axis.dot(row)  # per row: a batched dot rounds differently
+    angle = np.radians(jitter_deg * draws)[:, np.newaxis]
     out = seq.copy()
     # Rodrigues rotation about the random axes
     out[frames, classes] = (
@@ -130,6 +138,12 @@ class OraclePredictor:
     its output matches what a perfect model would produce on the rotated
     audio. Optional direction jitter (seeded per clip and pattern) and a
     fixed emitted activity roughen it into a controllable imperfect model.
+
+    Each clip is indexed once (``accdoa.EncodingIndex``), so a prediction
+    rotates and converts only the clip's distinct directions. The output
+    equals ``encode(rotate_annotation(annotation, pattern), frames)``
+    bit for bit, and encoding errors (two same-class events in a frame,
+    an event past the clip) raise from ``predict`` with encode's messages.
     """
 
     def __init__(
@@ -138,17 +152,17 @@ class OraclePredictor:
         config: OraclePredictorConfig | None = None,
         feature: FeatureConfig = FeatureConfig(),
     ):
-        self.annotations = dict(annotations)
+        self.indexes = {clip_id: EncodingIndex(a) for clip_id, a in annotations.items()}
         self.config = config or OraclePredictorConfig()
         self.frames_per_label = feature.frames_per_label
 
     def predict(self, features: np.ndarray, identity: ClipIdentity) -> np.ndarray:
-        if identity.clip_id not in self.annotations:
+        if identity.clip_id not in self.indexes:
             raise ValueError(f"unknown clip identity {identity.clip_id!r}")
-        rotated = rotate_annotation(
-            self.annotations[identity.clip_id], pattern_by_id(identity.pattern_id)
+        rotate = partial(apply_to_direction, p=pattern_by_id(identity.pattern_id))
+        seq = self.indexes[identity.clip_id].encode(
+            label_frames_of(features, self.frames_per_label), rotate
         )
-        seq = encode(rotated, label_frames_of(features, self.frames_per_label))
         if self.config.jitter_deg > 0:
             rng = np.random.default_rng(
                 seed_material(self.config.seed, identity.clip_id, identity.pattern_id)

@@ -163,3 +163,10 @@ class TestLabelCSV:
         path.write_text("0,1,0,10,95\n")
         with pytest.raises(ValueError, match=r"el\.csv:1"):
             read_labels(path)
+
+    @pytest.mark.parametrize("bad_az", ["nan", "inf", "-inf"])
+    def test_non_finite_azimuth_rejected(self, tmp_path, bad_az):
+        path = tmp_path / "az.csv"
+        path.write_text(f"2,1,0,10.0,5.0\n3,1,0,{bad_az},10.0\n")
+        with pytest.raises(ValueError, match=r"az\.csv:2: azimuth must be finite"):
+            read_labels(path)

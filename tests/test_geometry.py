@@ -30,6 +30,11 @@ class TestDirection:
         with pytest.raises(ValueError):
             Direction(0.0, bad_el)
 
+    @pytest.mark.parametrize("bad_az", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_azimuth_rejected(self, bad_az):
+        with pytest.raises(ValueError, match="azimuth must be finite"):
+            Direction(bad_az, 0.0)
+
     def test_unit_vec_norm_enforced(self):
         with pytest.raises(ValueError):
             UnitVec3(1.0, 1.0, 0.0)

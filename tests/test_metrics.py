@@ -342,3 +342,134 @@ class TestMetricInvariants:
         for a, b in zip(merged, shuffled):
             assert stats_fields(a) == stats_fields(b)
             assert a.loc_error_sum == pytest.approx(b.loc_error_sum, rel=1e-12, abs=1e-12)
+
+
+def evaluate_stats_reference(pred_events, ref_annotation, config):
+    """The per-cell walk that ``evaluate_stats`` replaced: class x segment x frame,
+    ``match_frame`` folded into ``accumulate`` for every non-empty cell."""
+    preds_by_cell: dict = {}
+    for ev in pred_events:
+        if ev.class_id >= config.n_classes:
+            raise ValueError(
+                f"prediction class {ev.class_id} out of range for n_classes={config.n_classes}"
+            )
+        preds_by_cell.setdefault((ev.frame, ev.class_id), []).append(ev)
+    refs_by_cell: dict = {}
+    for ev in ref_annotation.events:
+        refs_by_cell.setdefault((ev.frame, ev.class_id), []).append(ev)
+
+    last_frame = max([f for f, _ in preds_by_cell] + [f for f, _ in refs_by_cell], default=-1)
+    stats = [ClassStats() for _ in range(config.n_classes)]
+    seg = config.segment_frames
+    n_segments = (last_frame + seg) // seg if last_frame >= 0 else 0
+    for class_id in range(config.n_classes):
+        st_ = stats[class_id]
+        for segment in range(n_segments):
+            seg_fp = seg_fn = 0
+            for frame in range(segment * seg, (segment + 1) * seg):
+                preds = preds_by_cell.get((frame, class_id), [])
+                refs = refs_by_cell.get((frame, class_id), [])
+                if not preds and not refs:
+                    continue
+                fp, fn = accumulate(st_, match_frame(preds, refs), config)
+                seg_fp += fp
+                seg_fn += fn
+            st_.seg_s += min(seg_fp, seg_fn)
+            st_.seg_d += max(0, seg_fn - seg_fp)
+            st_.seg_i += max(0, seg_fp - seg_fn)
+    return stats
+
+
+# A small pool makes cells share directions, pairs sit exactly 20 degrees
+# apart and elevations 0.0 and -0.0 both occur; the rest fall anywhere.
+scoring_directions = st.one_of(
+    st.sampled_from(
+        [Direction(0.0, 0.0), Direction(0.0, -0.0), Direction(20.0, 0.0),
+         Direction(90.0, 45.0), Direction(-170.0, -30.0), Direction(180.0, 90.0)]
+    ),
+    st.builds(Direction, st.floats(-180.0, 180.0), st.floats(-90.0, 90.0)),
+)
+
+
+@st.composite
+def scored_clips(draw):
+    """(predictions, annotation, config) with multi-event cells of both kinds."""
+    n_classes = draw(st.integers(1, 5))
+    last = draw(st.integers(0, 25))  # a short clip crowds many events into few cells
+    refs = draw(st.lists(st.tuples(st.integers(0, last), st.integers(0, 5), scoring_directions), max_size=40))
+    # distinct track ids keep cells with two or more references legal; classes
+    # at or above the config's n_classes are never reached by the walk
+    annotation = ClipAnnotation(
+        tuple(EventLabel(f, c, track, d) for track, (f, c, d) in enumerate(refs)), n_classes=6
+    )
+    preds = draw(
+        st.lists(
+            st.builds(
+                DetectedEvent,
+                st.integers(-2, last + 3),
+                st.integers(-1, n_classes - 1),
+                scoring_directions,
+                st.floats(0.1, 1.7),
+            ),
+            max_size=40,
+        )
+    )
+    config = MetricConfig(
+        spatial_threshold_deg=draw(st.one_of(st.just(20.0), st.floats(0.001, 179.999))),
+        segment_frames=draw(st.integers(1, 12)),
+        n_classes=n_classes,
+    )
+    return preds, annotation, config
+
+
+class TestArrayFormScoring:
+    @settings(max_examples=200, deadline=None)
+    @given(clip=scored_clips())
+    def test_equals_per_cell_walk_exactly(self, clip):
+        preds, annotation, config = clip
+        # dataclass equality: every count and the float error sums bit for bit
+        assert evaluate_stats(preds, annotation, config) == evaluate_stats_reference(*clip)
+
+    def test_long_clip_equals_per_cell_walk_exactly(self, rng):
+        # hundreds of pairs per class: a pairwise or reordered error sum would
+        # differ from the walk's one-by-one sum in the last bits
+        refs, preds = [], []
+        for frame in range(600):
+            for class_id in rng.choice(13, size=rng.integers(0, 4), replace=False):
+                d = random_direction(rng)
+                refs.append(EventLabel(frame, int(class_id), 0, d))
+                if rng.random() < 0.1:
+                    refs.append(EventLabel(frame, int(class_id), 1, random_direction(rng)))
+                for _ in range(rng.choice(3, p=[0.1, 0.8, 0.1])):
+                    preds.append(DetectedEvent(frame, int(class_id), random_direction(rng), 0.8))
+            if rng.random() < 0.2:
+                preds.append(DetectedEvent(frame, int(rng.integers(13)), random_direction(rng), 0.6))
+        annotation = ClipAnnotation(tuple(refs))
+        config = MetricConfig()
+        assert evaluate_stats(preds, annotation, config) == evaluate_stats_reference(preds, annotation, config)
+
+    def test_match_frame_only_for_multi_event_cells(self, monkeypatch):
+        import seldkit.metrics as metrics_module
+
+        calls = []
+
+        def counting_match_frame(preds, refs):
+            calls.append((len(preds), len(refs)))
+            return match_frame(preds, refs)
+
+        monkeypatch.setattr(metrics_module, "match_frame", counting_match_frame)
+        preds = [pred(0, 0, 10, 0), pred(1, 1, 50, 0), pred(2, 0, 0, 0),  # one-to-one cells
+                 pred(3, 0, 0, 0),  # prediction only
+                 pred(5, 1, 0, 0), pred(5, 1, 90, 0),  # two predictions, one reference
+                 pred(6, 0, 0, 0)]  # one prediction, two references
+        refs = ClipAnnotation(
+            (ref(0, 0, 15, 0), ref(1, 1, 90, 0), ref(2, 0, 0, 0), ref(4, 1, 0, 0),
+             ref(5, 1, 80, 0), ref(6, 0, 5, 0), ref(6, 0, 170, 0, track=1)),
+            n_classes=2,
+        )
+        stats = evaluate_stats(preds, refs, CFG2)
+        assert sorted(calls) == [(1, 2), (2, 1)]
+        assert stats == evaluate_stats_reference(preds, refs, CFG2)
+        assert (stats[0].tp, stats[0].fp, stats[0].fn, stats[1].tp, stats[1].fp, stats[1].fn) == (
+            3, 1, 1, 1, 2, 2
+        )

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,11 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from seldkit.audio import AudioClip, write_wav
 from seldkit.augment import AugmentConfig
-from seldkit.geometry import Direction, angular_distance
+from seldkit.geometry import Direction, angular_distance, dir_to_unit
 from seldkit.labels import write_labels
 from seldkit.manifest import DatasetManifest, ManifestEntry, save_manifest
 from seldkit.metrics import MetricConfig
 from seldkit.pipeline import RunConfig, kfold_split, run_pipeline, segment_clip, write_scores
+from seldkit import predict as predict_module
 from seldkit.predict import (
     ClipIdentity,
     ConstantPredictor,
@@ -21,7 +23,9 @@ from seldkit.predict import (
     _jitter_vectors,
     check_prediction,
     make_predictor,
+    seed_material,
 )
+from seldkit.rotation import pattern_by_id, rotate_annotation
 from seldkit.accdoa import decode, encode
 from seldkit.features import FeatureConfig, extract_features
 from seldkit.tensorio import save_tensor
@@ -278,6 +282,153 @@ class TestPredictors:
         assert seq.shape[0] == cfg.n_frames(clip.n_samples) // cfg.frames_per_label
 
 
+def encode_reference(annotation, label_frames):
+    """``encode`` as the per-event loop that ``EncodingIndex`` replaced."""
+    seq = np.zeros((label_frames, annotation.n_classes, 3))
+    occupied = set()
+    for ev in annotation.events:
+        if ev.frame >= label_frames:
+            raise ValueError(f"event frame {ev.frame} outside sequence of {label_frames} frames")
+        cell = (ev.frame, ev.class_id)
+        if cell in occupied:
+            raise ValueError(
+                f"cannot encode two class-{ev.class_id} events in frame {ev.frame}: "
+                "single-track sequences hold one vector per class"
+            )
+        occupied.add(cell)
+        seq[ev.frame, ev.class_id] = dir_to_unit(ev.direction).as_array()
+    return seq
+
+
+def jitter_per_cell_reference(seq, jitter_deg, rng):
+    out = seq.copy()
+    frames, classes = np.nonzero(np.linalg.norm(seq, axis=2) > 0)
+    for f, c in zip(frames, classes):
+        axis = rng.standard_normal(3)
+        axis /= np.linalg.norm(axis)
+        angle = np.radians(rng.uniform(0.0, jitter_deg))
+        v = out[f, c]
+        out[f, c] = (
+            v * np.cos(angle)
+            + np.cross(axis, v) * np.sin(angle)
+            + axis * (axis @ v) * (1.0 - np.cos(angle))
+        )
+    return out
+
+
+def oracle_reference(annotation, label_frames, identity, config):
+    """The oracle before indexing: rotate every event, encode, jitter cell by cell."""
+    rotated = rotate_annotation(annotation, pattern_by_id(identity.pattern_id))
+    seq = encode_reference(rotated, label_frames)
+    rng = np.random.default_rng(seed_material(config.seed, identity.clip_id, identity.pattern_id))
+    if config.jitter_deg > 0:
+        seq = jitter_per_cell_reference(seq, config.jitter_deg, rng)
+    return seq * config.activity, rng
+
+
+# A small pool repeats directions and holds elevations of exactly 0.0 and
+# -0.0, which compare equal but encode to z of either sign.
+oracle_directions = st.one_of(
+    st.sampled_from(
+        [Direction(0.0, 0.0), Direction(0.0, -0.0), Direction(45.0, -0.0), Direction(180.0, 0.0),
+         Direction(-90.0, 90.0), Direction(30.0, -60.0)]
+    ),
+    st.builds(Direction, st.floats(-180.0, 180.0), st.floats(-90.0, 90.0)),
+)
+oracle_configs = st.builds(
+    OraclePredictorConfig,
+    jitter_deg=st.one_of(st.just(0.0), st.floats(0.001, 89.999)),
+    activity=st.one_of(st.just(1.0), st.floats(0.01, 1.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+class TestOracleArrayForm:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        cells=st.dictionaries(
+            st.tuples(st.integers(0, 29), st.integers(0, 12)), oracle_directions, max_size=60
+        ),
+        config=oracle_configs,
+        extra_frames=st.integers(0, 3),
+    )
+    def test_bytes_and_draws_equal_reference_for_all_patterns(self, cells, config, extra_frames):
+        annotation = ClipAnnotation(
+            tuple(EventLabel(f, c, 0, d) for (f, c), d in cells.items())
+        )
+        label_frames = annotation.max_frame + 1 + extra_frames
+        features = np.zeros((7, 4 * label_frames, 2))
+        oracle = OraclePredictor({"c.wav": annotation}, config)
+        for pattern_id in range(16):
+            identity = ClipIdentity("c.wav", pattern_id)
+            expected, ref_rng = oracle_reference(annotation, label_frames, identity, config)
+            with mock.patch.object(predict_module, "_jitter_vectors", wraps=_jitter_vectors) as spy:
+                seq = oracle.predict(features, identity)
+            assert seq.tobytes() == expected.tobytes()
+            assert spy.called == (config.jitter_deg > 0)
+            if spy.called:
+                assert spy.call_args.args[2].bit_generator.state == ref_rng.bit_generator.state
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        events=st.lists(
+            st.tuples(st.integers(0, 12), st.integers(0, 2), oracle_directions), max_size=12
+        ),
+        label_frames=st.integers(1, 12),
+        pattern_id=st.integers(0, 15),
+    )
+    def test_encoding_errors_equal_reference(self, events, label_frames, pattern_id):
+        # two same-class events in a frame, frames past the sequence, or both:
+        # the first bad event in (frame, class, track) order names the error
+        annotation = ClipAnnotation(
+            tuple(EventLabel(f, c, track, d) for track, (f, c, d) in enumerate(events)), n_classes=3
+        )
+        identity = ClipIdentity("c.wav", pattern_id)
+        config = OraclePredictorConfig()
+        try:
+            expected, _ = oracle_reference(annotation, label_frames, identity, config)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                OraclePredictor({"c.wav": annotation}).predict(
+                    np.zeros((7, 4 * label_frames, 2)), identity
+                )
+            assert str(raised.value) == str(exc)
+        else:
+            seq = OraclePredictor({"c.wav": annotation}).predict(
+                np.zeros((7, 4 * label_frames, 2)), identity
+            )
+            assert seq.tobytes() == expected.tobytes()
+
+    def test_zero_elevations_of_both_signs_stay_apart(self):
+        # Direction(0, 0.0) == Direction(0, -0.0), but their unit vectors differ in z's sign
+        annotation = ClipAnnotation(
+            (EventLabel(0, 0, 0, Direction(0.0, 0.0)), EventLabel(1, 0, 0, Direction(0.0, -0.0)))
+        )
+        oracle = OraclePredictor({"c": annotation})
+        seq = oracle.predict(np.zeros((7, 8, 2)), ClipIdentity("c"))
+        assert np.signbit(seq[:, 0, 2]).tolist() == [False, True]
+        assert len(oracle.indexes["c"].directions) == 2
+
+    @pytest.mark.parametrize("pattern_id", [0, 7, 12])
+    def test_two_same_class_events_in_a_frame_raise_encode_message(self, pattern_id):
+        annotation = ClipAnnotation(
+            (EventLabel(5, 2, 0, Direction(10.0, 0.0)), EventLabel(5, 2, 1, Direction(80.0, 0.0)))
+        )
+        oracle = OraclePredictor({"c": annotation})
+        with pytest.raises(
+            ValueError,
+            match=r"^cannot encode two class-2 events in frame 5: single-track sequences hold one vector per class$",
+        ):
+            oracle.predict(np.zeros((7, 40, 2)), ClipIdentity("c", pattern_id))
+
+    @pytest.mark.parametrize("pattern_id", [0, 9])
+    def test_frame_past_sequence_raises_encode_message(self, pattern_id):
+        annotation = ClipAnnotation((EventLabel(12, 0, 0, Direction(10.0, 0.0)),))
+        oracle = OraclePredictor({"c": annotation})
+        with pytest.raises(ValueError, match=r"^event frame 12 outside sequence of 10 frames$"):
+            oracle.predict(np.zeros((7, 40, 2)), ClipIdentity("c", pattern_id))
+
+
 class TestCheckPrediction:
     IDENT = ClipIdentity("clips/a.wav", 6)
 
@@ -423,6 +574,42 @@ class TestRunPipeline:
         assert RunConfig(str(manifest_path), {"kind": "oracle"}, n_classes=7).metric == MetricConfig(
             n_classes=7
         )
+
+    @pytest.mark.parametrize("tta", [{}, {"activity_threshold": 0.6}, "default"])
+    def test_decode_threshold_with_tta_rejected(self, small_dataset, tta):
+        # TTA thresholds with tta.activity_threshold; decode_threshold would be ignored
+        _, manifest_path = small_dataset
+        overrides = {"decode_threshold": 0.9} if tta == "default" else {"tta": tta, "decode_threshold": 0.9}
+        with pytest.raises(ValueError, match=r"decode_threshold .*tta\.activity_threshold"):
+            self.config(manifest_path, **overrides)
+        config = self.config(manifest_path, tta=None, decode_threshold=0.9)
+        assert config.decode_threshold == 0.9
+
+    @pytest.mark.parametrize("tta", [None, {}], ids=["direct", "tta"])
+    def test_two_same_class_events_in_a_frame_fail_entry(self, small_dataset, tmp_path, tta):
+        # the oracle cannot encode the clip; its entry fails with encode's message
+        root, manifest_path = small_dataset
+        from seldkit.manifest import load_manifest
+
+        clip, annotation = two_event_scene(seed=8)
+        ev = annotation.events[0]
+        doubled = ClipAnnotation(
+            annotation.events + (EventLabel(ev.frame, ev.class_id, 1, Direction(-60.0, 10.0)),)
+        )
+        write_wav(tmp_path / "double.wav", clip)
+        write_labels(doubled, tmp_path / "double.csv")
+        entries = load_manifest(manifest_path).entries + (
+            ManifestEntry(str(tmp_path / "double.wav"), str(tmp_path / "double.csv"), "real"),
+        )
+        save_manifest(DatasetManifest(entries), tmp_path / "m.json")
+        result = run_pipeline(self.config(tmp_path / "m.json", tta=tta))
+        assert result["n_scored"] == 3
+        assert result["scores"]["f20"] == 1.0
+        assert [f["clip_path"] for f in result["failures"]] == [str(tmp_path / "double.wav")]
+        assert (
+            f"cannot encode two class-{ev.class_id} events in frame {ev.frame}: "
+            "single-track sequences hold one vector per class"
+        ) in result["failures"][0]["error"]
 
     def test_unread_predictor_key_fails_the_run(self, small_dataset):
         _, manifest_path = small_dataset

@@ -23,3 +23,41 @@ def test_library_example_prints_perfect_scores():
     printed = out.getvalue()
     assert "er20=0.0," in printed
     assert "f20=1.0," in printed
+
+
+def run_document_table() -> list[tuple[list[str], str]]:
+    """The rows of the run-document key table: (backticked keys, fields cell)."""
+    section = README.read_text().split("| key | fields |", 1)[1]
+    rows = []
+    for line in section.splitlines()[1:]:
+        if not line.startswith("|"):
+            break
+        keys, fields = line.strip("|").split("|", 1)
+        rows.append((re.findall(r"`([^`]+)`", keys), fields))
+    return rows
+
+
+def test_run_document_table_lists_every_key():
+    from seldkit.pipeline import RunConfig
+
+    keys = [key for row_keys, _ in run_document_table() for key in row_keys]
+    assert sorted(keys) == sorted(RunConfig.KEYS)
+
+
+def test_run_document_table_lists_every_sub_config_field():
+    import dataclasses
+
+    from seldkit.augment import AugmentConfig
+    from seldkit.features import FeatureConfig
+    from seldkit.metrics import MetricConfig
+    from seldkit.tta import TtaConfig
+
+    sub_configs = {"feature": FeatureConfig, "tta": TtaConfig, "augment": AugmentConfig, "metric": MetricConfig}
+    listed = {
+        keys[0]: set(re.findall(r"`([^`]+)`", re.sub(r"\(.*?\)", "", fields)))
+        for keys, fields in run_document_table()
+        if keys and keys[0] in sub_configs
+    }
+    expected = {key: {f.name for f in dataclasses.fields(cls)} for key, cls in sub_configs.items()}
+    expected["metric"].discard("n_classes")  # the run's top-level n_classes is its only class count
+    assert listed == expected
