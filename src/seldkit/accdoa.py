@@ -137,6 +137,13 @@ def write_events(events, path) -> None:
 
 
 def read_events(path) -> list[DetectedEvent]:
+    """Read detections from CSV rows frame,class_id,azimuth,elevation,activity.
+
+    Blank lines are skipped. A row with the wrong column count, a negative
+    frame or class, an invalid direction or a non-positive activity raises
+    ValueError naming the file and line: scoring has no cell for a
+    negative frame or class, so such a row would otherwise vanish.
+    """
     events = []
     with open(path, newline="") as f:
         for lineno, row in enumerate(csv.reader(f), start=1):
@@ -147,12 +154,12 @@ def read_events(path) -> list[DetectedEvent]:
                     f"{path}:{lineno}: expected {len(EVENT_COLUMNS)} columns, got {len(row)}"
                 )
             try:
+                frame, class_id = int(row[0]), int(row[1])
+                if frame < 0 or class_id < 0:
+                    raise ValueError(f"frame and class_id must be non-negative, got {frame}, {class_id}")
                 events.append(
                     DetectedEvent(
-                        int(row[0]),
-                        int(row[1]),
-                        Direction(float(row[2]), float(row[3])),
-                        float(row[4]),
+                        frame, class_id, Direction(float(row[2]), float(row[3])), float(row[4])
                     )
                 )
             except ValueError as exc:

@@ -66,6 +66,10 @@ class FeatureConfig:
     def n_frames(self, n_samples: int) -> int:
         return 1 + n_samples // self.hop
 
+    def label_frames(self, n_samples: int) -> int:
+        """Label frames (100 ms) of a clip of ``n_samples`` samples: whole ones of its STFT grid."""
+        return self.n_frames(n_samples) // self.frames_per_label
+
 
 def stft(samples, config: FeatureConfig) -> np.ndarray:
     """Hann-windowed STFT of one channel, shaped (frames, nfft//2 + 1).

@@ -198,7 +198,7 @@ def _worker_count() -> int:
 
 def _score_entry(entry: ManifestEntry, annotation: ClipAnnotation, config: RunConfig, predictor):
     clip = read_wav(entry.clip_path)
-    label_frames = config.feature.n_frames(clip.n_samples) // config.feature.frames_per_label
+    label_frames = config.feature.label_frames(clip.n_samples)
     if annotation.max_frame >= label_frames:
         raise ValueError(
             f"{entry.label_path}: label frame {annotation.max_frame} is past the end of the clip, "
@@ -212,7 +212,7 @@ def _score_entry(entry: ManifestEntry, annotation: ClipAnnotation, config: RunCo
         events = run_tta(predictor, clip, identity, config.tta, config.feature, config.n_classes)
     else:
         features = extract_features(clip, config.feature)
-        seq = predictor.predict(features, identity)
+        seq = predictor.predict(features, identity, label_frames)
         check_prediction(seq, identity, label_frames, config.n_classes)
         events = decode(seq, config.decode_threshold)
     return evaluate_stats(events, annotation, config.metric)
@@ -236,9 +236,7 @@ def run_pipeline(config: RunConfig) -> dict:
             )
     labels = [read_labels(e.label_path, n_classes=config.n_classes) for e in manifest]
     annotations = {e.clip_path: a for e, a in zip(manifest, labels)}
-    predictor = make_predictor(
-        config.predictor, annotations, n_classes=config.n_classes, feature=config.feature
-    )
+    predictor = make_predictor(config.predictor, annotations, n_classes=config.n_classes)
 
     def job(entry, annotation):
         try:

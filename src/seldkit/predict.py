@@ -1,13 +1,13 @@
 """The predictor contract plus test-double and file-backed implementations.
 
-A predictor maps a feature tensor (7, T, M) to an ACCDOA sequence
-(T // frames_per_label, n_classes, 3) with values in [-1, 1], the ratio
-being the run's ``FeatureConfig.frames_per_label`` (4 at the default hop).
-Predictors also receive a
-ClipIdentity naming the clip and the rotation pattern already applied to
-its audio; feature-driven models may ignore it, while the oracle uses it
-to stay consistent with rotated inputs (which is what makes end-to-end
-TTA identities exactly testable).
+A predictor maps a feature tensor (7, T, M), a ClipIdentity and the
+clip's label-frame count to an ACCDOA sequence (label_frames, n_classes, 3)
+with vector norms of at most sqrt(3). The caller owns the label grid: it
+computes the count with ``FeatureConfig.label_frames`` and checks every
+output against it (``check_prediction``). The identity names the clip and
+the rotation pattern already applied to its audio; feature-driven models
+may ignore it, while the oracle uses it to stay consistent with rotated
+inputs (which is what makes end-to-end TTA identities exactly testable).
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from typing import Protocol
 import numpy as np
 
 from .accdoa import MAX_ACTIVITY, EncodingIndex
-from .features import FeatureConfig
 from .rotation import apply_to_direction, pattern_by_id
 from .tensorio import load_tensor
 
@@ -39,11 +38,14 @@ class ClipIdentity:
 
 
 class Predictor(Protocol):
-    def predict(self, features: np.ndarray, identity: ClipIdentity) -> np.ndarray: ...
+    """Emits one ACCDOA row per label frame: ``(label_frames, n_classes, 3)``.
 
+    ``label_frames`` is the clip's count on the run's label grid, given by
+    the caller; the features are the clip's (7, T, M) tensor, rotated by
+    the identity's pattern.
+    """
 
-def label_frames_of(features, frames_per_label: int) -> int:
-    return int(np.asarray(features).shape[1]) // frames_per_label
+    def predict(self, features: np.ndarray, identity: ClipIdentity, label_frames: int) -> np.ndarray: ...
 
 
 def check_prediction(seq, identity: ClipIdentity, label_frames: int, n_classes: int | None) -> None:
@@ -146,23 +148,15 @@ class OraclePredictor:
     an event past the clip) raise from ``predict`` with encode's messages.
     """
 
-    def __init__(
-        self,
-        annotations: dict,
-        config: OraclePredictorConfig | None = None,
-        feature: FeatureConfig = FeatureConfig(),
-    ):
+    def __init__(self, annotations: dict, config: OraclePredictorConfig | None = None):
         self.indexes = {clip_id: EncodingIndex(a) for clip_id, a in annotations.items()}
         self.config = config or OraclePredictorConfig()
-        self.frames_per_label = feature.frames_per_label
 
-    def predict(self, features: np.ndarray, identity: ClipIdentity) -> np.ndarray:
+    def predict(self, features: np.ndarray, identity: ClipIdentity, label_frames: int) -> np.ndarray:
         if identity.clip_id not in self.indexes:
             raise ValueError(f"unknown clip identity {identity.clip_id!r}")
         rotate = partial(apply_to_direction, p=pattern_by_id(identity.pattern_id))
-        seq = self.indexes[identity.clip_id].encode(
-            label_frames_of(features, self.frames_per_label), rotate
-        )
+        seq = self.indexes[identity.clip_id].encode(label_frames, rotate)
         if self.config.jitter_deg > 0:
             rng = np.random.default_rng(
                 seed_material(self.config.seed, identity.clip_id, identity.pattern_id)
@@ -174,30 +168,30 @@ class OraclePredictor:
 class ConstantPredictor:
     """Emits the same vector everywhere; value 0 predicts silence."""
 
-    def __init__(self, n_classes: int = 13, value: float = 0.0, feature: FeatureConfig = FeatureConfig()):
+    def __init__(self, n_classes: int = 13, value: float = 0.0):
         if abs(value) > 1.0:
             raise ValueError("constant value must be within the tanh range [-1, 1]")
         self.n_classes = n_classes
         self.value = value
-        self.frames_per_label = feature.frames_per_label
 
-    def predict(self, features: np.ndarray, identity: ClipIdentity) -> np.ndarray:
-        frames = label_frames_of(features, self.frames_per_label)
-        return np.full((frames, self.n_classes, 3), self.value)
+    def predict(self, features: np.ndarray, identity: ClipIdentity, label_frames: int) -> np.ndarray:
+        return np.full((label_frames, self.n_classes, 3), self.value)
 
 
 class ExternalFilePredictor:
     """Serves precomputed ACCDOA tensors produced by an external model.
 
-    Files live in one directory, named ``<clip_id>.p<pattern>.acc`` (with
-    the usual JSON sidecar); ``<clip_id>.acc`` is accepted for the
-    identity pattern so non-TTA runs need no suffix.
+    Files live in one directory, named ``<stem>.p<pattern>.acc`` after the
+    file stem of the clip id (with the usual JSON sidecar); ``<stem>.acc``
+    is accepted for the identity pattern so non-TTA runs need no suffix.
+    The tensor is returned as stored, whatever ``label_frames`` says;
+    the caller's ``check_prediction`` holds it to the clip's grid.
     """
 
     def __init__(self, directory):
         self.directory = Path(directory)
 
-    def predict(self, features: np.ndarray, identity: ClipIdentity) -> np.ndarray:
+    def predict(self, features: np.ndarray, identity: ClipIdentity, label_frames: int) -> np.ndarray:
         stem = Path(identity.clip_id).stem
         candidates = [self.directory / f"{stem}.p{identity.pattern_id:02d}.acc"]
         if identity.pattern_id == 0:
@@ -215,19 +209,16 @@ class ExternalFilePredictor:
 _PREDICTOR_KEYS = {"oracle": {"jitter_deg", "activity", "seed"}, "constant": {"value"}, "external": {"dir"}}
 
 
-def make_predictor(
-    spec: dict,
-    annotations: dict | None = None,
-    n_classes: int = 13,
-    feature: FeatureConfig = FeatureConfig(),
-):
+def make_predictor(spec: dict, annotations: dict | None = None, n_classes: int = 13):
     """Build a predictor from its config mapping (the CLI parses ``--model`` strings into one).
 
     {"kind": "oracle", "jitter_deg": 3, "activity": 1, "seed": 0} (needs
     ``annotations``), {"kind": "constant", "value": 0} or
     {"kind": "external", "dir": "preds/"}. An unknown kind, or a key the
-    kind does not read, raises ValueError. The oracle and constant
-    predictors emit on the label grid of ``feature``, the run's feature config.
+    kind does not read, raises ValueError. ``annotations`` maps the run's
+    clip ids to their labels; an external predictor finds files by clip
+    stem, so two of those clips sharing a stem raise ValueError. No
+    predictor holds a label grid: each call is given its clip's count.
     """
     if not isinstance(spec, dict):
         raise TypeError(f"predictor spec must be a mapping, got {spec!r}")
@@ -241,9 +232,18 @@ def make_predictor(
         if annotations is None:
             raise ValueError("oracle predictor needs clip annotations")
         config = OraclePredictorConfig(**{k: v for k, v in spec.items() if k != "kind"})
-        return OraclePredictor(annotations, config, feature)
+        return OraclePredictor(annotations, config)
     if kind == "constant":
-        return ConstantPredictor(n_classes, float(spec.get("value", 0.0)), feature)
+        return ConstantPredictor(n_classes, float(spec.get("value", 0.0)))
     if "dir" not in spec:
         raise ValueError("external predictor needs a directory")
+    clip_of_stem: dict = {}
+    for clip_id in annotations or ():
+        stem = Path(clip_id).stem
+        first = clip_of_stem.setdefault(stem, clip_id)
+        if first != clip_id:
+            raise ValueError(
+                f"clips {first!r} and {clip_id!r} share the file stem {stem!r}, "
+                "so an external predictor would read the same prediction files for both"
+            )
     return ExternalFilePredictor(spec["dir"])

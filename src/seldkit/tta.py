@@ -23,7 +23,7 @@ from .accdoa import MAX_ACTIVITY, DetectedEvent
 from .audio import AudioClip
 from .features import FeatureConfig, extract_features
 from .geometry import unit_to_dir
-from .predict import check_prediction, label_frames_of
+from .predict import check_prediction
 from .rotation import all_patterns, apply_to_features, apply_to_vector, compose, inverse, pattern_by_id
 
 
@@ -207,15 +207,17 @@ def run_tta(
     Features are extracted once; each pattern predicts on its own rotated
     copy of them (``apply_to_features``), which equals the features of the
     rotated audio. ``predictor`` follows the predictor contract (see
-    seldkit.predict); ``identity`` names the clip and any rotation already
-    applied to it, so rotation-aware predictors compose correctly. Accepts
-    a sequence of predictors as well (the cross-validation ensemble): each
-    model's 16 predictions add rows to the same candidate cells, so
-    ``min_candidates`` may be at most 16 per model.
+    seldkit.predict) and is given the clip's label-frame count,
+    ``feature_config.label_frames(clip.n_samples)``; ``identity`` names the
+    clip and any rotation already applied to it, so rotation-aware
+    predictors compose correctly. Accepts a sequence of predictors as well
+    (the cross-validation ensemble): each model's 16 predictions add rows
+    to the same candidate cells, so ``min_candidates`` may be at most 16
+    per model.
 
     Every prediction is checked against the predictor contract
     (``predict.check_prediction``): ``n_classes`` label classes, or any
-    count when None, one row per label frame of the clip, finite values
+    count when None, exactly that many label-frame rows, finite values
     and no vector longer than sqrt(3). A failure raises ValueError naming
     the predictor's index, the clip and the rotation pattern.
     """
@@ -230,13 +232,13 @@ def run_tta(
         )
     base_pattern = pattern_by_id(identity.pattern_id)
     features = extract_features(clip, feature_config)
-    label_frames = label_frames_of(features, feature_config.frames_per_label)
+    label_frames = feature_config.label_frames(clip.n_samples)
     predictions = []
     for model_idx, model in enumerate(predictors):
         for p in all_patterns():
             ident = identity.with_pattern(compose(p, base_pattern).id)
             try:
-                seq = model.predict(apply_to_features(features, p), ident)
+                seq = model.predict(apply_to_features(features, p), ident, label_frames)
             except Exception as exc:
                 raise RuntimeError(
                     f"predictor {model_idx} failed on rotation pattern {p.id}: {exc}"

@@ -222,6 +222,22 @@ class TestEvalCli:
         assert "ER20" in result.output
 
 
+    @pytest.mark.parametrize("row", ["-1,0,10.0,0.0,0.9", "5,-2,10.0,0.0,0.9"])
+    def test_negative_frame_or_class_rejected(self, runner, scene_files, tmp_path, row):
+        # scoring has no cell for such a row, so it used to vanish without a word
+        _, csv, _ = scene_files
+        events_csv = tmp_path / "pred.csv"
+        events_csv.write_text(f"5,0,10.0,0.0,0.9\n{row}\n")
+        out = tmp_path / "scores.json"
+        result = runner.invoke(
+            main, ["eval", "--pred", str(events_csv), "--ref", str(csv), "--out", str(out)]
+        )
+        assert result.exit_code != 0
+        assert isinstance(result.exception, ValueError)
+        assert str(result.exception).startswith(f"{events_csv}:2: frame and class_id must be non-negative")
+        assert not out.exists()
+
+
 class TestPipelineCli:
     def test_run_byte_identical(self, runner, tmp_path):
         from seldkit.audio import write_wav

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from seldkit.audio import AudioClip
 from seldkit.emulate import foa_encode_gains
@@ -52,6 +53,14 @@ class TestLabelGrid:
     def test_label_frame_must_be_whole_samples(self):
         with pytest.raises(ValueError, match="1600.1 samples at 16001 Hz"):
             FeatureConfig(sample_rate=16001, hop=100)
+
+    @pytest.mark.parametrize("hop", [300, 400, 480, 600, 800, 1200])
+    @settings(max_examples=25, deadline=None)
+    @given(n_samples=st.integers(1, 30000))
+    def test_label_frames_are_whole_label_frames_of_the_feature_grid(self, hop, n_samples):
+        cfg = FeatureConfig(hop=hop)
+        features = extract_features(AudioClip(np.zeros((4, n_samples))), cfg)
+        assert cfg.label_frames(n_samples) == features.shape[1] // cfg.frames_per_label
 
 
 class TestStft:

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import re
+import shutil
 from unittest import mock
 
 import numpy as np
@@ -159,19 +161,20 @@ class TestPredictors:
         clip, annotation = two_event_scene(seed=3)
         oracle = OraclePredictor({"c": annotation})
         feats = extract_features(clip)
-        seq = oracle.predict(feats, ClipIdentity("c"))
+        seq = oracle.predict(feats, ClipIdentity("c"), FeatureConfig().label_frames(clip.n_samples))
         np.testing.assert_array_equal(seq, encode(annotation, seq.shape[0]))
 
     def test_oracle_unknown_clip(self):
         oracle = OraclePredictor({})
         with pytest.raises(ValueError, match="unknown clip identity"):
-            oracle.predict(np.zeros((7, 8, 4)), ClipIdentity("nope"))
+            oracle.predict(np.zeros((7, 8, 4)), ClipIdentity("nope"), 2)
 
     def test_oracle_jitter_bounded(self):
         clip, annotation = two_event_scene(seed=4)
         feats = extract_features(clip)
         oracle = OraclePredictor({"c": annotation}, OraclePredictorConfig(jitter_deg=5.0, seed=1))
-        events = decode(oracle.predict(feats, ClipIdentity("c")), 0.5)
+        label_frames = FeatureConfig().label_frames(clip.n_samples)
+        events = decode(oracle.predict(feats, ClipIdentity("c"), label_frames), 0.5)
         truth = {(e.frame, e.class_id): e.direction for e in annotation.events}
         assert len(events) == len(truth)
         for ev in events:
@@ -181,8 +184,9 @@ class TestPredictors:
         clip, annotation = two_event_scene(seed=5)
         feats = extract_features(clip)
         oracle = OraclePredictor({"c": annotation}, OraclePredictorConfig(jitter_deg=5.0, seed=1))
-        a = oracle.predict(feats, ClipIdentity("c", 0))
-        b = oracle.predict(feats, ClipIdentity("c", 1))
+        label_frames = FeatureConfig().label_frames(clip.n_samples)
+        a = oracle.predict(feats, ClipIdentity("c", 0), label_frames)
+        b = oracle.predict(feats, ClipIdentity("c", 1), label_frames)
         assert not np.array_equal(np.abs(a), np.abs(b))
 
     @settings(max_examples=40, deadline=None)
@@ -218,13 +222,13 @@ class TestPredictors:
         clip, annotation = two_event_scene(seed=6)
         feats = extract_features(clip)
         oracle = OraclePredictor({"c": annotation}, OraclePredictorConfig(activity=0.7))
-        seq = oracle.predict(feats, ClipIdentity("c"))
+        seq = oracle.predict(feats, ClipIdentity("c"), FeatureConfig().label_frames(clip.n_samples))
         norms = np.linalg.norm(seq, axis=2)
         assert norms.max() == pytest.approx(0.7, abs=1e-12)
 
     def test_constant_predictor_shape(self):
         pred = ConstantPredictor(n_classes=5)
-        out = pred.predict(np.zeros((7, 43, 8)), ClipIdentity("x"))
+        out = pred.predict(np.zeros((7, 43, 8)), ClipIdentity("x"), 10)
         assert out.shape == (10, 5, 3)
         assert np.all(out == 0)
 
@@ -234,12 +238,12 @@ class TestPredictors:
         save_tensor(tmp_path / "clipA.p03.acc", seq)
         save_tensor(tmp_path / "clipB.acc", seq)
         pred = ExternalFilePredictor(tmp_path)
-        got = pred.predict(np.zeros((7, 24, 4)), ClipIdentity("clipA.wav", 3))
+        got = pred.predict(np.zeros((7, 24, 4)), ClipIdentity("clipA.wav", 3), 6)
         np.testing.assert_allclose(got, seq, atol=1e-7)
-        got_b = pred.predict(np.zeros((7, 24, 4)), ClipIdentity("clipB.wav", 0))
+        got_b = pred.predict(np.zeros((7, 24, 4)), ClipIdentity("clipB.wav", 0), 6)
         np.testing.assert_allclose(got_b, seq, atol=1e-7)
         with pytest.raises(FileNotFoundError):
-            pred.predict(np.zeros((7, 24, 4)), ClipIdentity("clipA.wav", 4))
+            pred.predict(np.zeros((7, 24, 4)), ClipIdentity("clipA.wav", 4), 6)
 
     def test_make_predictor_specs(self, tmp_path):
         assert isinstance(make_predictor({"kind": "constant"}), ConstantPredictor)
@@ -255,6 +259,13 @@ class TestPredictors:
         # the --model strings are parsed by the CLI (test_cli.py::TestModelSpec)
         with pytest.raises(TypeError, match="mapping"):
             make_predictor("oracle:2.0", annotations={})
+
+    def test_external_clips_sharing_a_stem_rejected(self, tmp_path):
+        spec = {"kind": "external", "dir": str(tmp_path)}
+        clips = dict.fromkeys(["a/x.wav", "b/y.wav"], ClipAnnotation(()))
+        assert isinstance(make_predictor(spec, clips), ExternalFilePredictor)
+        with pytest.raises(ValueError, match=r"^clips 'a/x.wav' and 'b/x.wav' share the file stem 'x'"):
+            make_predictor(spec, {**clips, "b/x.wav": ClipAnnotation(())})
 
     @pytest.mark.parametrize(
         "spec, unread",
@@ -276,8 +287,8 @@ class TestPredictors:
         cfg = FeatureConfig(hop=300)
         clip, annotation = two_event_scene(seed=7)
         features = extract_features(clip, cfg)
-        predictor = make_predictor({"kind": kind}, annotations={"c": annotation}, feature=cfg)
-        seq = predictor.predict(features, ClipIdentity("c"))
+        predictor = make_predictor({"kind": kind}, annotations={"c": annotation})
+        seq = predictor.predict(features, ClipIdentity("c"), cfg.label_frames(clip.n_samples))
         assert cfg.frames_per_label == 8
         assert seq.shape[0] == cfg.n_frames(clip.n_samples) // cfg.frames_per_label
 
@@ -363,7 +374,7 @@ class TestOracleArrayForm:
             identity = ClipIdentity("c.wav", pattern_id)
             expected, ref_rng = oracle_reference(annotation, label_frames, identity, config)
             with mock.patch.object(predict_module, "_jitter_vectors", wraps=_jitter_vectors) as spy:
-                seq = oracle.predict(features, identity)
+                seq = oracle.predict(features, identity, label_frames)
             assert seq.tobytes() == expected.tobytes()
             assert spy.called == (config.jitter_deg > 0)
             if spy.called:
@@ -390,12 +401,12 @@ class TestOracleArrayForm:
         except ValueError as exc:
             with pytest.raises(ValueError) as raised:
                 OraclePredictor({"c.wav": annotation}).predict(
-                    np.zeros((7, 4 * label_frames, 2)), identity
+                    np.zeros((7, 4 * label_frames, 2)), identity, label_frames
                 )
             assert str(raised.value) == str(exc)
         else:
             seq = OraclePredictor({"c.wav": annotation}).predict(
-                np.zeros((7, 4 * label_frames, 2)), identity
+                np.zeros((7, 4 * label_frames, 2)), identity, label_frames
             )
             assert seq.tobytes() == expected.tobytes()
 
@@ -405,7 +416,7 @@ class TestOracleArrayForm:
             (EventLabel(0, 0, 0, Direction(0.0, 0.0)), EventLabel(1, 0, 0, Direction(0.0, -0.0)))
         )
         oracle = OraclePredictor({"c": annotation})
-        seq = oracle.predict(np.zeros((7, 8, 2)), ClipIdentity("c"))
+        seq = oracle.predict(np.zeros((7, 8, 2)), ClipIdentity("c"), 2)
         assert np.signbit(seq[:, 0, 2]).tolist() == [False, True]
         assert len(oracle.indexes["c"].directions) == 2
 
@@ -419,14 +430,14 @@ class TestOracleArrayForm:
             ValueError,
             match=r"^cannot encode two class-2 events in frame 5: single-track sequences hold one vector per class$",
         ):
-            oracle.predict(np.zeros((7, 40, 2)), ClipIdentity("c", pattern_id))
+            oracle.predict(np.zeros((7, 40, 2)), ClipIdentity("c", pattern_id), 10)
 
     @pytest.mark.parametrize("pattern_id", [0, 9])
     def test_frame_past_sequence_raises_encode_message(self, pattern_id):
         annotation = ClipAnnotation((EventLabel(12, 0, 0, Direction(10.0, 0.0)),))
         oracle = OraclePredictor({"c": annotation})
         with pytest.raises(ValueError, match=r"^event frame 12 outside sequence of 10 frames$"):
-            oracle.predict(np.zeros((7, 40, 2)), ClipIdentity("c", pattern_id))
+            oracle.predict(np.zeros((7, 40, 2)), ClipIdentity("c", pattern_id), 10)
 
 
 class TestCheckPrediction:
@@ -640,6 +651,29 @@ class TestRunPipeline:
         # an entry repeated as it stands (an epoch drawn with replacement) still runs
         save_manifest(DatasetManifest((first, first)), tmp_path / "twice.json")
         assert run_pipeline(self.config(tmp_path / "twice.json"))["n_scored"] == 2
+
+    def test_external_clips_sharing_a_stem_fail_the_run(self, small_dataset, tmp_path):
+        # a/x.wav and b/x.wav would both be scored against preds/x.acc
+        _, manifest_path = small_dataset
+        from seldkit.manifest import load_manifest
+
+        entries = []
+        for folder, entry in zip("ab", load_manifest(manifest_path).entries):
+            (tmp_path / folder).mkdir()
+            clip_path = str(tmp_path / folder / "x.wav")
+            shutil.copy(entry.clip_path, clip_path)
+            entries.append(ManifestEntry(clip_path, entry.label_path, "real"))
+        (tmp_path / "preds").mkdir()
+        save_tensor(tmp_path / "preds" / "x.acc", np.zeros((50, 13, 3)))
+        predictor = {"kind": "external", "dir": str(tmp_path / "preds")}
+        save_manifest(DatasetManifest(tuple(entries)), tmp_path / "m.json")
+        a, b = (e.clip_path for e in entries)
+        with pytest.raises(ValueError, match=re.escape(f"clips {a!r} and {b!r} share the file stem 'x'")):
+            run_pipeline(self.config(tmp_path / "m.json", predictor=predictor, tta=None))
+        # an entry repeated as it stands still runs
+        save_manifest(DatasetManifest((entries[0], entries[0])), tmp_path / "twice.json")
+        result = run_pipeline(self.config(tmp_path / "twice.json", predictor=predictor, tta=None))
+        assert result["n_scored"] == 2
 
     @pytest.mark.parametrize("tta", [None, {}], ids=["direct", "tta"])
     @pytest.mark.parametrize("predictor", ["constant", "oracle"])

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import seldkit.tta
 from seldkit.accdoa import DetectedEvent
-from seldkit.features import doa_from_features
+from seldkit.features import FeatureConfig, doa_from_features
 from seldkit.geometry import Direction, angular_distance, dir_to_unit, unit_to_dir
 from seldkit.predict import ClipIdentity, ConstantPredictor, OraclePredictor, OraclePredictorConfig
 from seldkit.rotation import all_patterns, apply_to_audio, apply_to_direction, apply_to_vector, inverse
@@ -496,11 +496,23 @@ class TestRunTta:
         clip, _ = two_event_scene(seed=11)
         assert run_tta(ConstantPredictor(), clip, ClipIdentity("x")) == []
 
+    def test_predictors_emit_on_the_run_label_grid(self):
+        # hop 300: 8 STFT frames per label frame; no predictor is told the feature config
+        clip, annotation = two_event_scene(seed=11)
+        feature = FeatureConfig(hop=300)
+        oracle = OraclePredictor({"clip": annotation})
+        events = run_tta(oracle, clip, ClipIdentity("clip"), TtaConfig(), feature, 13)
+        truth = {(e.frame, e.class_id): e.direction for e in annotation.events}
+        assert {(e.frame, e.class_id) for e in events} == set(truth)
+        for ev in events:
+            assert angular_distance(ev.direction, truth[(ev.frame, ev.class_id)]) < 1e-6
+        assert run_tta(ConstantPredictor(), clip, ClipIdentity("x"), TtaConfig(), feature, 13) == []
+
     def test_predictor_failure_names_pattern(self):
         clip, _ = two_event_scene(seed=11)
 
         class Broken:
-            def predict(self, features, identity):
+            def predict(self, features, identity, label_frames):
                 raise RuntimeError("boom")
 
         with pytest.raises(RuntimeError, match="rotation pattern 0"):
@@ -590,11 +602,11 @@ class TestRunTta:
             def __init__(self, mutate):
                 self.mutate = mutate
 
-            def predict(self, features, identity):
+            def predict(self, features, identity, label_frames):
                 v = dir_to_unit(doa_from_features(features)).as_array()
                 if self.mutate:
                     features[4:] *= -1.0  # would flip the next prediction if shared
-                return np.tile(v, (features.shape[1] // 4, 1, 1))
+                return np.tile(v, (label_frames, 1, 1))
 
         clip = plane_wave_clip(Direction(40.0, 15.0), n_samples=24000)
         clean = run_tta(IntensityModel(False), clip, ClipIdentity("c"))
