@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Direction, dir_to_unit, unit_to_dir
+from .geometry import Direction, unit_to_dir, unit_vectors
 from .labels import ClipAnnotation
 
 MAX_ACTIVITY = math.sqrt(3.0)
@@ -79,9 +79,8 @@ class EncodingIndex:
                 "single-track sequences hold one vector per class"
             )
         mapped = self.directions if transform is None else map(transform, self.directions)
-        units = np.array([dir_to_unit(d).as_array() for d in mapped]).reshape(-1, 3)
         seq = np.zeros((label_frames, self.n_classes, 3))
-        seq[self.frames, self.classes] = units[self.inverse]
+        seq[self.frames, self.classes] = unit_vectors(mapped)[self.inverse]
         return seq
 
 

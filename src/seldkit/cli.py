@@ -25,7 +25,7 @@ from .augment import AugmentConfig, augment_waveform
 from .features import FEATURE_CHANNELS, FeatureConfig, extract_features
 from .labels import read_labels, write_labels
 from .manifest import load_manifest, save_manifest
-from .metrics import MetricConfig, class_breakdown, evaluate_stats, finalize
+from .metrics import MetricConfig, evaluate_stats, score_report
 from .pipeline import RunConfig, kfold_split, run_pipeline, write_scores
 from .predict import ClipIdentity, make_predictor
 from .rotation import apply_to_audio, pattern_by_id, rotate_annotation
@@ -38,6 +38,11 @@ _seed_option = click.option("--seed", type=int, default=0, show_default=True, he
 def _load_json(path):
     with open(path) as f:
         return json.load(f)
+
+
+def _summary_line(scores: dict) -> str:
+    """The four scores of a scores document on one line, for ``eval`` and ``pipeline run``."""
+    return "  ".join(f"{name.upper()} {scores[name]:.4f}" for name in ("er20", "f20", "le_cd", "lr_cd"))
 
 
 def parse_model_spec(spec: str, in_path, n_classes: int, seed: int) -> tuple[dict, dict | None]:
@@ -220,14 +225,9 @@ def eval_cmd(pred_path, ref_path, out_path, threshold, segment_frames, n_classes
     )
     preds = accdoa_mod.read_events(pred_path)
     refs = read_labels(ref_path, n_classes=n_classes)
-    stats = evaluate_stats(preds, refs, config)
-    scores = finalize(stats, config)
-    doc = {"scores": scores.to_dict(), "per_class": class_breakdown(stats)}
-    write_scores(doc, out_path)
-    click.echo(
-        f"ER20 {scores.er20:.4f}  F20 {scores.f20:.4f}  "
-        f"LE_CD {scores.le_cd:.4f}  LR_CD {scores.lr_cd:.4f}"
-    )
+    report = score_report(evaluate_stats(preds, refs, config))
+    write_scores(report, out_path)
+    click.echo(_summary_line(report["scores"]))
 
 
 @main.group()
@@ -255,10 +255,7 @@ def pipeline_run(config_path, out_path, seed):
         for failure in result["failures"]:
             click.echo(f"  {failure['clip_path']}: {failure['error']}", err=True)
     if "scores" in result:
-        s = result["scores"]
-        click.echo(
-            f"ER20 {s['er20']:.4f}  F20 {s['f20']:.4f}  LE_CD {s['le_cd']:.4f}  LR_CD {s['lr_cd']:.4f}"
-        )
+        click.echo(_summary_line(result["scores"]))
     else:
         click.echo("no entries scored", err=True)
         sys.exit(1)

@@ -287,8 +287,25 @@ def load_library(path) -> SampleLibrary:
     return SampleLibrary(samples)
 
 
+SCENE_KEYS = frozenset(("duration_s", "snr_db", "seed", "events"))
+EVENT_KEYS = frozenset(("class_id", "sample_id", "onset_s", "azimuth", "elevation"))
+
+
+def _reject_unknown_keys(doc: dict, keys: frozenset, where: str) -> None:
+    unknown = sorted(set(doc) - keys)
+    if unknown:
+        raise ValueError(f"unknown {where} keys: {', '.join(unknown)}")
+
+
 def scene_spec_from_json(doc: dict) -> SceneSpec:
-    """Build a SceneSpec from its JSON document form."""
+    """Build a SceneSpec from its JSON document form.
+
+    A key the spec does not read raises ValueError naming it, and the
+    event's index for an event key.
+    """
+    _reject_unknown_keys(doc, SCENE_KEYS, "scene spec")
+    for i, e in enumerate(doc.get("events", ())):
+        _reject_unknown_keys(e, EVENT_KEYS, f"scene spec event {i}")
     events = tuple(
         SceneEvent(
             int(e["class_id"]),

@@ -4,6 +4,10 @@ Convention used throughout the toolkit: x points to the front, y to the
 left, z up. Azimuth is measured counterclockwise from the front axis and
 normalized into (-180, 180]; elevation is measured up from the horizontal
 plane and must lie in [-90, 90]. All public interfaces are in degrees.
+
+A direction becomes Cartesian in one place: ``dir_to_unit`` gives one
+validated ``UnitVec3`` and ``unit_vectors`` an ``(n, 3)`` array of many,
+both from the same expressions, so the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -56,15 +60,23 @@ class UnitVec3:
         return np.array([self.x, self.y, self.z], dtype=float)
 
 
-def dir_to_unit(d: Direction) -> UnitVec3:
-    """Convert a direction to its unit vector (x front, y left, z up)."""
+def _cartesian(d: Direction) -> tuple[float, float, float]:
     az = math.radians(d.azimuth)
     el = math.radians(d.elevation)
-    return UnitVec3(
-        math.cos(az) * math.cos(el),
-        math.sin(az) * math.cos(el),
-        math.sin(el),
-    )
+    return math.cos(az) * math.cos(el), math.sin(az) * math.cos(el), math.sin(el)
+
+
+def dir_to_unit(d: Direction) -> UnitVec3:
+    """Convert a direction to its unit vector (x front, y left, z up)."""
+    return UnitVec3(*_cartesian(d))
+
+
+def unit_vectors(directions) -> np.ndarray:
+    """The unit vectors of many directions as one array shaped (n, 3); (0, 3) when empty.
+
+    Row ``i`` holds the bits of ``dir_to_unit(directions[i]).as_array()``.
+    """
+    return np.array([_cartesian(d) for d in directions], dtype=float).reshape(-1, 3)
 
 
 def unit_to_dir(v) -> Direction:
@@ -105,4 +117,4 @@ def angle_between(u, v) -> np.ndarray:
 
 def angular_distance(a: Direction, b: Direction) -> float:
     """Great-circle distance between two directions, in [0, 180] degrees."""
-    return float(angle_between(dir_to_unit(a).as_array(), dir_to_unit(b).as_array()))
+    return float(angle_between(*unit_vectors((a, b))))

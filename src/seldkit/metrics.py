@@ -17,12 +17,12 @@ minimum-total-angular-distance assignment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .geometry import angle_between, dir_to_unit
+from .geometry import angle_between, unit_vectors
 
 
 @dataclass(frozen=True)
@@ -42,32 +42,25 @@ class MetricConfig:
 
 @dataclass
 class ClassStats:
-    """Per-class accumulators; addition merges stats from concurrent scoring."""
+    """Per-class accumulators; addition merges stats from concurrent scoring.
+
+    ``loc_match_count`` counts the class-matched prediction/reference
+    pairs: LE_CD averages ``loc_error_sum`` over them and LR_CD counts them
+    against ``ref_count``.
+    """
 
     tp: int = 0
     fp: int = 0
     fn: int = 0
     loc_error_sum: float = 0.0
     loc_match_count: int = 0
-    det_recall_count: int = 0
     ref_count: int = 0
     seg_s: int = 0
     seg_d: int = 0
     seg_i: int = 0
 
     def __add__(self, other: "ClassStats") -> "ClassStats":
-        return ClassStats(
-            self.tp + other.tp,
-            self.fp + other.fp,
-            self.fn + other.fn,
-            self.loc_error_sum + other.loc_error_sum,
-            self.loc_match_count + other.loc_match_count,
-            self.det_recall_count + other.det_recall_count,
-            self.ref_count + other.ref_count,
-            self.seg_s + other.seg_s,
-            self.seg_d + other.seg_d,
-            self.seg_i + other.seg_i,
-        )
+        return ClassStats(*(a + b for a, b in zip(astuple(self), astuple(other))))
 
 
 @dataclass(frozen=True)
@@ -96,8 +89,8 @@ def match_frame(preds, refs):
     """
     if not preds or not refs:
         return [], list(range(len(preds))), list(range(len(refs)))
-    pred_vecs = np.array([dir_to_unit(p.direction).as_array() for p in preds])
-    ref_vecs = np.array([dir_to_unit(r.direction).as_array() for r in refs])
+    pred_vecs = unit_vectors([p.direction for p in preds])
+    ref_vecs = unit_vectors([r.direction for r in refs])
     cost = angle_between(pred_vecs[:, np.newaxis, :], ref_vecs[np.newaxis, :, :])
     rows, cols = linear_sum_assignment(cost)
     pairs = [(int(i), int(j), float(cost[i, j])) for i, j in zip(rows, cols)]
@@ -121,7 +114,6 @@ def accumulate(stats: ClassStats, matching, config: MetricConfig) -> tuple[int, 
     for _, _, dist in pairs:
         stats.loc_error_sum += dist
         stats.loc_match_count += 1
-        stats.det_recall_count += 1
         if dist <= config.spatial_threshold_deg:
             stats.tp += 1
         else:
@@ -131,11 +123,6 @@ def accumulate(stats: ClassStats, matching, config: MetricConfig) -> tuple[int, 
     stats.fp += fp
     stats.fn += fn
     return fp, fn
-
-
-def _unit_vectors(events) -> np.ndarray:
-    units = [dir_to_unit(ev.direction) for ev in events]
-    return np.array([(u.x, u.y, u.z) for u in units], dtype=float).reshape(-1, 3)
 
 
 def evaluate_stats(pred_events, ref_annotation, config: MetricConfig | None = None) -> list[ClassStats]:
@@ -155,17 +142,17 @@ def evaluate_stats(pred_events, ref_annotation, config: MetricConfig | None = No
       bookkeeping and, left to right in frame order, its pair distances.
 
     Predictions in a negative frame or class are not scored, as the walk
-    never reaches them.
+    never reaches them. A prediction or reference of class ``n_classes``
+    or above raises ValueError.
     """
     config = config or MetricConfig()
     n_classes = config.n_classes
-    for ev in pred_events:
-        if ev.class_id >= n_classes:
-            raise ValueError(
-                f"prediction class {ev.class_id} out of range for n_classes={n_classes}"
-            )
+    refs = list(ref_annotation.events)
+    for kind, events in (("prediction", pred_events), ("reference", refs)):
+        for ev in events:
+            if ev.class_id >= n_classes:
+                raise ValueError(f"{kind} class {ev.class_id} out of range for n_classes={n_classes}")
     preds = [ev for ev in pred_events if ev.frame >= 0 and ev.class_id >= 0]
-    refs = [ev for ev in ref_annotation.events if ev.class_id < n_classes]
     if not preds and not refs:
         return [ClassStats() for _ in range(n_classes)]
 
@@ -187,8 +174,8 @@ def evaluate_stats(pred_events, ref_annotation, config: MetricConfig | None = No
     dist = np.empty(int(n_pairs.sum()))
     one = (n_pred == 1) & (n_ref == 1)
     dist[pair_first[one]] = angle_between(
-        _unit_vectors([preds[i] for i in p_order[p_first[one]]]),
-        _unit_vectors([refs[i] for i in r_order[r_first[one]]]),
+        unit_vectors([preds[i].direction for i in p_order[p_first[one]]]),
+        unit_vectors([refs[i].direction for i in r_order[r_first[one]]]),
     )
     for cell in np.flatnonzero((n_pairs > 0) & ~one):
         pairs, _, _ = match_frame(
@@ -230,7 +217,7 @@ def evaluate_stats(pred_events, ref_annotation, config: MetricConfig | None = No
         # a left-to-right running sum, as accumulate adds distances one by one
         loc_error_sum = float(np.cumsum(dist[lo:hi])[-1]) if hi > lo else 0.0
         stats.append(
-            ClassStats(c_tp, c_fp, c_fn, loc_error_sum, c_pairs, c_pairs, c_refs, seg_s, seg_d, seg_i)
+            ClassStats(c_tp, c_fp, c_fn, loc_error_sum, c_pairs, c_refs, seg_s, seg_d, seg_i)
         )
     return stats
 
@@ -242,17 +229,18 @@ def class_scores(st: ClassStats) -> dict:
         "er20": (st.seg_s + st.seg_d + st.seg_i) / st.ref_count if st.ref_count else None,
         "f20": 2 * st.tp / f_denominator if f_denominator else None,
         "le_cd": st.loc_error_sum / st.loc_match_count if st.loc_match_count else None,
-        "lr_cd": st.det_recall_count / st.ref_count if st.ref_count else None,
+        "lr_cd": st.loc_match_count / st.ref_count if st.ref_count else None,
     }
 
 
-def finalize(stats, config: MetricConfig | None = None) -> SeldScores:
-    """Macro-average per-class scores (see ``class_scores``) into the four scores.
+def finalize(stats) -> SeldScores:
+    """Macro-average per-class stats (see ``class_scores``) into the four scores.
 
-    Classes without references are excluded; F20 counts 0 for a class
-    with no TP, FP or FN, and the localization error averages over
-    classes with matched pairs and degrades to 180 degrees when no class
-    has any.
+    The threshold and segment length were applied when the stats were
+    counted, so nothing here reads a ``MetricConfig``. Classes without
+    references are excluded; F20 counts 0 for a class with no TP, FP or
+    FN, and the localization error averages over classes with matched
+    pairs and degrades to 180 degrees when no class has any.
     """
     scored = [class_scores(st) for st in stats if st.ref_count > 0]
     if not scored:
@@ -280,10 +268,14 @@ def class_breakdown(stats) -> dict:
     }
 
 
+def score_report(stats) -> dict:
+    """The scored part of a scores document: the four scores and the per-class breakdown."""
+    return {"scores": finalize(stats).to_dict(), "per_class": class_breakdown(stats)}
+
+
 def evaluate(pred_events, ref_annotation, config: MetricConfig | None = None) -> SeldScores:
     """Score detections against ground truth (see module docstring for the recipe)."""
-    config = config or MetricConfig()
-    return finalize(evaluate_stats(pred_events, ref_annotation, config), config)
+    return finalize(evaluate_stats(pred_events, ref_annotation, config))
 
 
 def merge_stats(per_clip_stats) -> list[ClassStats]:

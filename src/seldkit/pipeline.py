@@ -25,7 +25,7 @@ from .augment import AugmentConfig, augment_waveform
 from .features import FeatureConfig, extract_features
 from .labels import ClipAnnotation, read_labels
 from .manifest import DatasetManifest, ManifestEntry, load_manifest
-from .metrics import MetricConfig, class_breakdown, evaluate_stats, finalize, merge_stats
+from .metrics import MetricConfig, evaluate_stats, merge_stats, score_report
 from .predict import ClipIdentity, check_prediction, make_predictor, seed_material
 from .tta import TtaConfig, run_tta
 
@@ -234,22 +234,21 @@ def run_pipeline(config: RunConfig) -> dict:
             raise ValueError(
                 f"clip {e.clip_path!r} is listed with two label files: {first!r} and {e.label_path!r}"
             )
-    labels = [read_labels(e.label_path, n_classes=config.n_classes) for e in manifest]
-    annotations = {e.clip_path: a for e, a in zip(manifest, labels)}
+    annotations = {clip: read_labels(path, n_classes=config.n_classes) for clip, path in label_files.items()}
     predictor = make_predictor(config.predictor, annotations, n_classes=config.n_classes)
 
-    def job(entry, annotation):
+    def job(entry):
         try:
-            return entry, _score_entry(entry, annotation, config, predictor), None
+            return entry, _score_entry(entry, annotations[entry.clip_path], config, predictor), None
         except Exception as exc:  # reported per entry, run continues
             log.warning("entry %s failed: %s", entry.clip_path, exc)
             return entry, None, f"{type(exc).__name__}: {exc}"
 
     if workers == 1:
-        results = [job(e, a) for e, a in zip(manifest, labels)]
+        results = [job(e) for e in manifest]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(job, manifest.entries, labels))
+            results = list(pool.map(job, manifest.entries))
 
     per_entry = [stats for _, stats, err in results if err is None]
     failures = [
@@ -261,10 +260,7 @@ def run_pipeline(config: RunConfig) -> dict:
         "failures": failures,
     }
     if per_entry:
-        stats = merge_stats(per_entry)
-        scores = finalize(stats, config.metric)
-        doc["scores"] = scores.to_dict()
-        doc["per_class"] = class_breakdown(stats)
+        doc.update(score_report(merge_stats(per_entry)))
     return doc
 
 

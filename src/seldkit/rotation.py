@@ -45,8 +45,8 @@ class RotationPattern:
     ``x_src``/``y_src`` name which of the original X/Y channels feeds each
     rotated channel; ``sign_*`` are the channel sign inversions. The
     azimuth map is ``az_scale * phi + az_offset`` (degrees) and the
-    elevation map is ``elevation_sign * theta``; ``sign_z`` equals
-    ``elevation_sign`` since the Z channel carries sin(elevation).
+    elevation map is ``sign_z * theta``, since the Z channel carries
+    sin(elevation).
     """
 
     id: int
@@ -58,10 +58,6 @@ class RotationPattern:
     y_src: str
     sign_y: int
     sign_z: int
-
-    @property
-    def elevation_sign(self) -> int:
-        return self.sign_z
 
     def matrix(self) -> np.ndarray:
         """The pattern as a signed permutation of (x, y, z)."""

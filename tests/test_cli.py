@@ -110,6 +110,32 @@ class TestEmulateCli:
         labels = read_labels(f"{prefix}.csv")
         assert {e.class_id for e in labels.events} == {3}
 
+    @pytest.mark.parametrize(
+        "scene_keys, event_keys, message",
+        [
+            ({"seeed": 3}, {}, "unknown scene spec keys: seeed"),
+            ({"snr": 5, "seed": 2}, {}, "unknown scene spec keys: snr"),
+            ({}, {"elevaton": 40.0}, "unknown scene spec event 1 keys: elevaton"),
+        ],
+    )
+    def test_unknown_spec_key_rejected(self, runner, tmp_path, scene_keys, event_keys, message):
+        # ignoring the key would render the scene with the default seed, SNR or elevation
+        write_wav_mono(tmp_path / "s0.wav", np.random.default_rng(0).standard_normal(24000) * 0.2, 24000)
+        library = {"samples": [{"sample_id": "s0", "class_id": 3, "path": "s0.wav"}]}
+        (tmp_path / "lib.json").write_text(json.dumps(library))
+        event = {"class_id": 3, "sample_id": "s0", "onset_s": 0.5, "azimuth": 45.0, "elevation": 10.0}
+        spec = {"duration_s": 2.0, "events": [event, {**event, **event_keys}], **scene_keys}
+        (tmp_path / "scene.json").write_text(json.dumps(spec))
+        result = runner.invoke(
+            main,
+            ["emulate", "--spec", str(tmp_path / "scene.json"), "--library", str(tmp_path / "lib.json"),
+             "--out-prefix", str(tmp_path / "emu")],
+        )
+        assert result.exit_code != 0
+        assert isinstance(result.exception, ValueError)
+        assert str(result.exception) == message
+        assert not (tmp_path / "emu.wav").exists()
+
 
 class TestDatasetCli:
     def manifests(self, tmp_path):
@@ -268,6 +294,36 @@ class TestPipelineCli:
         assert outs[0] == outs[1]
         doc = json.loads(outs[0])
         assert doc["n_scored"] == 2
+
+    def test_summary_line_same_as_eval(self, runner, tmp_path):
+        # one clip's saved outputs, scored by a run and by eval of their decoded events
+        clip, annotation = two_event_scene(seed=61)
+        write_wav(tmp_path / "clip.wav", clip)
+        write_labels(annotation, tmp_path / "clip.csv")
+        seq = 0.9 * encode(annotation, 50)
+        seq[::3] = seq[::3, :, [1, 0, 2]]  # a localization error every third frame
+        seq[20:24, 7] = [0.0, 0.8, 0.0]  # a spurious class
+        (tmp_path / "preds").mkdir()
+        save_tensor(tmp_path / "preds" / "clip.acc", seq)
+        save_manifest(
+            DatasetManifest((ManifestEntry(str(tmp_path / "clip.wav"), str(tmp_path / "clip.csv"), "real"),)),
+            tmp_path / "m.json",
+        )
+        predictor = {"kind": "external", "dir": str(tmp_path / "preds")}
+        (tmp_path / "run.json").write_text(json.dumps({"manifest": "m.json", "predictor": predictor, "tta": None}))
+        piped = run_ok(runner, ["pipeline", "run", "--config", str(tmp_path / "run.json"),
+                                "--out", str(tmp_path / "run_scores.json")])
+        run_ok(runner, ["accdoa", "decode", "--in", str(tmp_path / "preds" / "clip.acc"),
+                        "--out", str(tmp_path / "events.csv")])
+        evaluated = run_ok(runner, ["eval", "--pred", str(tmp_path / "events.csv"), "--ref",
+                                    str(tmp_path / "clip.csv"), "--out", str(tmp_path / "eval_scores.json")])
+        run_doc = json.loads((tmp_path / "run_scores.json").read_text())
+        eval_doc = json.loads((tmp_path / "eval_scores.json").read_text())
+        assert {key: run_doc[key] for key in ("scores", "per_class")} == eval_doc
+        assert 0.0 < eval_doc["scores"]["f20"] < 1.0
+        s = eval_doc["scores"]
+        line = f"ER20 {s['er20']:.4f}  F20 {s['f20']:.4f}  LE_CD {s['le_cd']:.4f}  LR_CD {s['lr_cd']:.4f}\n"
+        assert piped.output == evaluated.output == line
 
 
 def test_help_lists_all_verbs(runner):

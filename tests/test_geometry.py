@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from seldkit.geometry import (
     Direction,
@@ -11,11 +11,17 @@ from seldkit.geometry import (
     angular_distance,
     dir_to_unit,
     unit_to_dir,
+    unit_vectors,
     wrap_azimuth,
 )
 
 azimuths = st.floats(min_value=-720.0, max_value=720.0, allow_nan=False)
 elevations = st.floats(min_value=-90.0, max_value=90.0, allow_nan=False)
+# signed zero elevations, the poles and both ends of the azimuth range
+edge_directions = [
+    Direction(0.0, 0.0), Direction(0.0, -0.0), Direction(-30.0, -0.0), Direction(0.0, 90.0),
+    Direction(75.0, -90.0), Direction(180.0, 0.0), Direction(-180.0, -0.0), Direction(-180.0, 45.0),
+]
 
 
 class TestDirection:
@@ -77,6 +83,15 @@ class TestDirUnitConversion:
         back = unit_to_dir(dir_to_unit(d))
         assert abs(back.azimuth - d.azimuth) < 1e-9 or abs(abs(back.azimuth - d.azimuth) - 360) < 1e-9
         assert abs(back.elevation - d.elevation) < 1e-9
+
+    @example([])
+    @example(edge_directions)
+    @given(st.lists(st.sampled_from(edge_directions) | st.builds(Direction, azimuths, elevations), max_size=12))
+    def test_unit_vectors_bits_equal_dir_to_unit(self, ds):
+        expected = np.array([dir_to_unit(d).as_array() for d in ds], dtype=float).reshape(-1, 3)
+        got = unit_vectors(ds)
+        assert got.shape == (len(ds), 3) and got.dtype == np.float64
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestAngularDistance:

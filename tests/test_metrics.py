@@ -19,6 +19,7 @@ from seldkit.metrics import (
     finalize,
     match_frame,
     merge_stats,
+    score_report,
 )
 from seldkit.rotation import all_patterns, apply_to_direction
 
@@ -84,7 +85,7 @@ class TestAccumulate:
         assert (fp, fn) == (0, 0)
         assert (st.tp, st.fp, st.fn) == (1, 0, 0)
         assert st.loc_error_sum == pytest.approx(0.0, abs=1e-9)
-        assert (st.loc_match_count, st.det_recall_count, st.ref_count) == (1, 1, 1)
+        assert (st.loc_match_count, st.ref_count) == (1, 1)
 
     def test_match_beyond_threshold(self):
         st = ClassStats()
@@ -92,7 +93,7 @@ class TestAccumulate:
         assert (fp, fn) == (1, 1)
         assert (st.tp, st.fp, st.fn) == (0, 1, 1)
         assert st.loc_error_sum == pytest.approx(30.0, abs=1e-9)
-        assert st.det_recall_count == 1
+        assert st.loc_match_count == 1
 
     def test_spurious_prediction(self):
         st = ClassStats()
@@ -139,6 +140,13 @@ class TestFinalize:
         refs = ClipAnnotation((ref(0, 0, 0, 0),), n_classes=2)
         with pytest.raises(ValueError, match="out of range"):
             evaluate([pred(0, 5, 0, 0)], refs, CFG2)
+
+    def test_out_of_range_reference_class_rejected(self):
+        # dropping the class-4 references would score this clip as perfect
+        refs = ClipAnnotation((ref(0, 0, 0, 0), ref(0, 4, 0, 0), ref(1, 4, 30, 0)))
+        with pytest.raises(ValueError, match=r"^reference class 4 out of range for n_classes=3$"):
+            evaluate([pred(0, 0, 0, 0)], refs, MetricConfig(n_classes=3))
+        assert evaluate([pred(0, 0, 0, 0)], refs, MetricConfig()).er20 == 0.5
 
     def test_segment_shift_blows_up_er(self):
         refs = ClipAnnotation(tuple(ref(f, 0, 0, 0) for f in range(10)), n_classes=2)
@@ -247,7 +255,7 @@ class TestProperties:
         for a, b in zip(merged, joint):
             assert (a.tp, a.fp, a.fn, a.ref_count) == (b.tp, b.fp, b.fn, b.ref_count)
             assert (a.seg_s, a.seg_d, a.seg_i) == (b.seg_s, b.seg_d, b.seg_i)
-            assert (a.loc_match_count, a.det_recall_count) == (b.loc_match_count, b.det_recall_count)
+            assert a.loc_match_count == b.loc_match_count
             assert a.loc_error_sum == pytest.approx(b.loc_error_sum, rel=1e-12)
 
     def test_class_breakdown_shape(self, rng):
@@ -265,9 +273,15 @@ class TestProperties:
         )
         stats = evaluate_stats(preds, refs, one_class)
         entry = class_breakdown(stats)["0"]
-        scores = finalize(stats, one_class).to_dict()
+        scores = finalize(stats).to_dict()
         assert scores["f20"] < 1.0 and scores["er20"] > 0.0
         assert {key: entry[key] for key in scores} == scores
+
+    def test_score_report_is_scores_and_breakdown(self, rng):
+        preds, refs = self._random_case(rng)
+        stats = evaluate_stats(preds, refs, MetricConfig(n_classes=4))
+        expected = {"scores": finalize(stats).to_dict(), "per_class": class_breakdown(stats)}
+        assert score_report(stats) == expected
 
 
 # One clip: cells (frame, class) holding a reference, a prediction near it,
@@ -304,7 +318,7 @@ def clip_events(cells):
 
 def stats_fields(st_):
     return (st_.tp, st_.fp, st_.fn, st_.ref_count, st_.seg_s, st_.seg_d, st_.seg_i,
-            st_.loc_match_count, st_.det_recall_count)
+            st_.loc_match_count)
 
 
 class TestMetricInvariants:
@@ -396,9 +410,9 @@ def scored_clips(draw):
     """(predictions, annotation, config) with multi-event cells of both kinds."""
     n_classes = draw(st.integers(1, 5))
     last = draw(st.integers(0, 25))  # a short clip crowds many events into few cells
-    refs = draw(st.lists(st.tuples(st.integers(0, last), st.integers(0, 5), scoring_directions), max_size=40))
-    # distinct track ids keep cells with two or more references legal; classes
-    # at or above the config's n_classes are never reached by the walk
+    ref_cells = st.tuples(st.integers(0, last), st.integers(0, n_classes - 1), scoring_directions)
+    refs = draw(st.lists(ref_cells, max_size=40))
+    # distinct track ids keep cells with two or more references legal
     annotation = ClipAnnotation(
         tuple(EventLabel(f, c, track, d) for track, (f, c, d) in enumerate(refs)), n_classes=6
     )

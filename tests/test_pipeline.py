@@ -652,6 +652,28 @@ class TestRunPipeline:
         save_manifest(DatasetManifest((first, first)), tmp_path / "twice.json")
         assert run_pipeline(self.config(tmp_path / "twice.json"))["n_scored"] == 2
 
+    def test_repeated_entry_reads_its_labels_once(self, small_dataset, tmp_path, monkeypatch):
+        # sample_epoch draws with replacement, so an epoch may list a clip twice
+        import seldkit.pipeline as pipeline_module
+        from seldkit.manifest import load_manifest
+
+        first = load_manifest(small_dataset[1]).entries[0]
+        save_manifest(DatasetManifest((first,)), tmp_path / "once.json")
+        save_manifest(DatasetManifest((first, first)), tmp_path / "twice.json")
+        once = run_pipeline(self.config(tmp_path / "once.json"))
+        calls = []
+        read_labels = pipeline_module.read_labels
+        monkeypatch.setattr(
+            pipeline_module, "read_labels", lambda path, **kw: calls.append(path) or read_labels(path, **kw)
+        )
+        twice = run_pipeline(self.config(tmp_path / "twice.json"))
+        assert calls == [first.label_path]
+        # both repeats are scored: every count doubles
+        assert twice["n_scored"] == 2
+        assert {c: (v["tp"], v["ref_count"]) for c, v in twice["per_class"].items()} == {
+            c: (2 * v["tp"], 2 * v["ref_count"]) for c, v in once["per_class"].items()
+        }
+
     def test_external_clips_sharing_a_stem_fail_the_run(self, small_dataset, tmp_path):
         # a/x.wav and b/x.wav would both be scored against preds/x.acc
         _, manifest_path = small_dataset
