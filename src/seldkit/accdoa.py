@@ -7,14 +7,13 @@ activity; inactive cells are zero. Decoding thresholds the vector norm.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import Direction, unit_to_dir, unit_vectors
-from .labels import ClipAnnotation
+from .labels import ClipAnnotation, read_table, write_table
 
 MAX_ACTIVITY = math.sqrt(3.0)
 
@@ -31,6 +30,7 @@ class DetectedEvent:
     activity: float
 
     def __post_init__(self):
+        object.__setattr__(self, "activity", float(self.activity))
         if self.activity <= 0:
             raise ValueError(f"activity must be positive, got {self.activity}")
 
@@ -121,18 +121,15 @@ def decode(seq, threshold: float = 0.5) -> list[DetectedEvent]:
 def write_events(events, path) -> None:
     """Write detections as CSV rows frame,class_id,azimuth,elevation,activity."""
     ordered = sorted(events, key=lambda e: (e.frame, e.class_id, e.direction.azimuth))
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        for ev in ordered:
-            writer.writerow(
-                [
-                    ev.frame,
-                    ev.class_id,
-                    repr(ev.direction.azimuth),
-                    repr(ev.direction.elevation),
-                    repr(ev.activity),
-                ]
-            )
+    rows = ((ev.frame, ev.class_id, ev.direction.azimuth, ev.direction.elevation, ev.activity) for ev in ordered)
+    write_table(rows, path)
+
+
+def _parse_event(row) -> DetectedEvent:
+    frame, class_id = int(row[0]), int(row[1])
+    if frame < 0 or class_id < 0:
+        raise ValueError(f"frame and class_id must be non-negative, got {frame}, {class_id}")
+    return DetectedEvent(frame, class_id, Direction(float(row[2]), float(row[3])), float(row[4]))
 
 
 def read_events(path) -> list[DetectedEvent]:
@@ -143,24 +140,4 @@ def read_events(path) -> list[DetectedEvent]:
     ValueError naming the file and line: scoring has no cell for a
     negative frame or class, so such a row would otherwise vanish.
     """
-    events = []
-    with open(path, newline="") as f:
-        for lineno, row in enumerate(csv.reader(f), start=1):
-            if not row:
-                continue
-            if len(row) != len(EVENT_COLUMNS):
-                raise ValueError(
-                    f"{path}:{lineno}: expected {len(EVENT_COLUMNS)} columns, got {len(row)}"
-                )
-            try:
-                frame, class_id = int(row[0]), int(row[1])
-                if frame < 0 or class_id < 0:
-                    raise ValueError(f"frame and class_id must be non-negative, got {frame}, {class_id}")
-                events.append(
-                    DetectedEvent(
-                        frame, class_id, Direction(float(row[2]), float(row[3])), float(row[4])
-                    )
-                )
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-    return events
+    return read_table(path, EVENT_COLUMNS, _parse_event)

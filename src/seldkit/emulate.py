@@ -270,13 +270,17 @@ def sample_epoch(real: DatasetManifest, emulated: DatasetManifest, seed: int = 0
 def load_library(path) -> SampleLibrary:
     """Load a sample library JSON: {"samples": [{sample_id, class_id, path}]}.
 
-    WAV paths are resolved relative to the JSON file's directory.
+    WAV paths are resolved relative to the JSON file's directory. A key
+    the library does not read raises ValueError naming it, and the
+    sample's index for a sample key.
     """
     base = Path(path).parent
     with open(path) as f:
         doc = json.load(f)
+    _reject_unknown_keys(doc, LIBRARY_KEYS, "sample library")
     samples = {}
-    for item in doc["samples"]:
+    for i, item in enumerate(doc["samples"]):
+        _reject_unknown_keys(item, SAMPLE_KEYS, f"sample library sample {i}")
         wav_path = Path(item["path"])
         if not wav_path.is_absolute():
             wav_path = base / wav_path
@@ -287,6 +291,8 @@ def load_library(path) -> SampleLibrary:
     return SampleLibrary(samples)
 
 
+LIBRARY_KEYS = frozenset(("samples",))
+SAMPLE_KEYS = frozenset(("sample_id", "class_id", "path"))
 SCENE_KEYS = frozenset(("duration_s", "snr_db", "seed", "events"))
 EVENT_KEYS = frozenset(("class_id", "sample_id", "onset_s", "azimuth", "elevation"))
 

@@ -1,10 +1,10 @@
-"""Frame-level event annotations and their CSV format.
+"""Frame-level event annotations and the headerless CSV table format.
 
-One CSV row per active (frame, class, track) triple:
+``read_table``/``write_table`` are the one CSV format: label files here
+and event files in ``accdoa`` share it. A label file holds one row per
+active (frame, class, track) triple:
 ``frame,class_id,track_id,azimuth,elevation`` with the frame index on the
-100 ms label grid. No header. Azimuth/elevation are degrees; writing uses
-the shortest lossless float representation, so write(read(f)) is
-byte-identical for files this module produced.
+100 ms label grid. Azimuth/elevation are degrees.
 """
 
 from __future__ import annotations
@@ -63,28 +63,45 @@ class ClipAnnotation:
         return self.events[-1].frame if self.events else -1
 
 
-def _fmt_angle(value: float) -> str:
-    return repr(float(value))
+def read_table(path, columns: tuple, parse) -> list:
+    """Read a headerless CSV table, one ``parse(row)`` record per row.
 
-
-def read_labels(path, n_classes: int = 13) -> ClipAnnotation:
-    """Parse a label CSV file. Malformed rows report their line number."""
-    events = []
+    Blank rows are skipped. A row without one value per column, or one
+    ``parse`` rejects with ValueError, raises ValueError naming the file
+    and line.
+    """
+    records = []
     with open(path, newline="") as f:
         for lineno, row in enumerate(csv.reader(f), start=1):
             if not row:
                 continue
-            if len(row) != len(LABEL_COLUMNS):
-                raise ValueError(
-                    f"{path}:{lineno}: expected {len(LABEL_COLUMNS)} columns "
-                    f"({','.join(LABEL_COLUMNS)}), got {len(row)}"
-                )
             try:
-                frame, class_id, track_id = int(row[0]), int(row[1]), int(row[2])
-                az, el = float(row[3]), float(row[4])
-                events.append(EventLabel(frame, class_id, track_id, Direction(az, el)))
+                if len(row) != len(columns):
+                    raise ValueError(f"expected {len(columns)} columns ({','.join(columns)}), got {len(row)}")
+                records.append(parse(row))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
+    return records
+
+
+def write_table(rows, path) -> None:
+    """Write rows as a headerless CSV table with ``\\r\\n`` row ends.
+
+    csv writes a float as its ``repr``, the shortest form that reads back
+    to the same value, so write(read(f)) is byte-identical for a file
+    written here.
+    """
+    with open(path, "w", newline="") as f:
+        csv.writer(f).writerows(rows)
+
+
+def _parse_label(row) -> EventLabel:
+    return EventLabel(int(row[0]), int(row[1]), int(row[2]), Direction(float(row[3]), float(row[4])))
+
+
+def read_labels(path, n_classes: int = 13) -> ClipAnnotation:
+    """Parse a label CSV file. Malformed rows report their line number."""
+    events = read_table(path, LABEL_COLUMNS, _parse_label)
     try:
         return ClipAnnotation(tuple(events), n_classes=n_classes)
     except ValueError as exc:
@@ -93,15 +110,8 @@ def read_labels(path, n_classes: int = 13) -> ClipAnnotation:
 
 def write_labels(annotation: ClipAnnotation, path) -> None:
     """Write an annotation in the canonical CSV form."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        for ev in annotation.events:
-            writer.writerow(
-                [
-                    ev.frame,
-                    ev.class_id,
-                    ev.track_id,
-                    _fmt_angle(ev.direction.azimuth),
-                    _fmt_angle(ev.direction.elevation),
-                ]
-            )
+    rows = (
+        (ev.frame, ev.class_id, ev.track_id, ev.direction.azimuth, ev.direction.elevation)
+        for ev in annotation.events
+    )
+    write_table(rows, path)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 
+from .tensorio import write_json
+
 ORIGINS = ("real", "emulated")
 
 
@@ -45,7 +47,4 @@ def load_manifest(path) -> DatasetManifest:
 
 
 def save_manifest(manifest: DatasetManifest, path) -> None:
-    doc = {"entries": [asdict(e) for e in manifest.entries]}
-    with open(path, "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json({"entries": [asdict(e) for e in manifest.entries]}, path)

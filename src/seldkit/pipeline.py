@@ -11,7 +11,6 @@ itself keeps going.
 from __future__ import annotations
 
 import dataclasses
-import json
 import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -27,6 +26,7 @@ from .labels import ClipAnnotation, read_labels
 from .manifest import DatasetManifest, ManifestEntry, load_manifest
 from .metrics import MetricConfig, evaluate_stats, merge_stats, score_report
 from .predict import ClipIdentity, check_prediction, make_predictor, seed_material
+from .tensorio import write_json
 from .tta import TtaConfig, run_tta
 
 log = logging.getLogger(__name__)
@@ -266,6 +266,4 @@ def run_pipeline(config: RunConfig) -> dict:
 
 def write_scores(doc: dict, path) -> None:
     """Write a scores document as canonical JSON (stable key order)."""
-    with open(path, "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(doc, path)

@@ -5,14 +5,17 @@ inversion, and Z sign inversion that maps a valid FOA field to a valid FOA
 field. On source angles this realizes the eight azimuth transforms
 {phi, -phi, 90-phi, phi+90, phi-90, -phi-90, 180-phi, phi+180} crossed
 with an elevation sign flip: the dihedral group of the square acting on
-azimuth times the up/down reflection. Patterns act identically on audio
-channels, feature tensors, Cartesian DOA vectors, (azimuth, elevation)
-pairs and whole label annotations.
+azimuth times the up/down reflection. Each pattern is written down once,
+as its azimuth map and elevation sign; the channel permutation and signs
+follow from them. Patterns act identically on audio channels, feature
+tensors, Cartesian DOA vectors, (azimuth, elevation) pairs and whole
+label annotations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -21,20 +24,16 @@ from .features import FEATURE_CHANNELS
 from .geometry import Direction, wrap_azimuth
 from .labels import ClipAnnotation
 
-_AXIS = {"x": 0, "y": 1}
-
-# (azimuth_map, az_scale, az_offset, x_src, sign_x, y_src, sign_y):
-# rotated X = sign_x * source channel x_src, likewise for Y. Derivation:
-# cos(s*phi + o) and sin(s*phi + o) expand to +-cos(phi)/+-sin(phi).
+# (azimuth_map, az_scale, az_offset): the azimuth map az_scale * phi + az_offset.
 _AZ_TABLE = (
-    ("phi", 1, 0, "x", 1, "y", 1),
-    ("-phi", -1, 0, "x", 1, "y", -1),
-    ("90-phi", -1, 90, "y", 1, "x", 1),
-    ("phi+90", 1, 90, "y", -1, "x", 1),
-    ("phi-90", 1, -90, "y", 1, "x", -1),
-    ("-phi-90", -1, -90, "y", -1, "x", -1),
-    ("180-phi", -1, 180, "x", -1, "y", 1),
-    ("phi+180", 1, 180, "x", -1, "y", -1),
+    ("phi", 1, 0),
+    ("-phi", -1, 0),
+    ("90-phi", -1, 90),
+    ("phi+90", 1, 90),
+    ("phi-90", 1, -90),
+    ("-phi-90", -1, -90),
+    ("180-phi", -1, 180),
+    ("phi+180", 1, 180),
 )
 
 
@@ -42,50 +41,47 @@ _AZ_TABLE = (
 class RotationPattern:
     """One member of the 16-element FOA rotation group.
 
-    ``x_src``/``y_src`` name which of the original X/Y channels feeds each
-    rotated channel; ``sign_*`` are the channel sign inversions. The
-    azimuth map is ``az_scale * phi + az_offset`` (degrees) and the
+    The azimuth map is ``az_scale * phi + az_offset`` (degrees) and the
     elevation map is ``sign_z * theta``, since the Z channel carries
-    sin(elevation).
+    sin(elevation). ``src`` and ``signs`` are the same action as a signed
+    permutation of (x, y, z), derived from those numbers: rotated axis
+    ``i`` is ``signs[i]`` times source axis ``src[i]``.
     """
 
     id: int
     azimuth_map: str
     az_scale: int
     az_offset: int
-    x_src: str
-    sign_x: int
-    y_src: str
-    sign_y: int
     sign_z: int
+    src: tuple = field(init=False)
+    signs: tuple = field(init=False)
+
+    def __post_init__(self):
+        # x = cos(phi), y = sin(phi) (times cos(theta)); with c = cos(o), s = sin(o):
+        # cos(k*phi + o) = c*cos(phi) - k*s*sin(phi), sin(k*phi + o) = k*c*sin(phi) + s*cos(phi)
+        k = self.az_scale
+        c = round(math.cos(math.radians(self.az_offset)))
+        s = round(math.sin(math.radians(self.az_offset)))
+        if c:
+            src, signs = (0, 1, 2), (c, k * c, self.sign_z)
+        else:
+            src, signs = (1, 0, 2), (-k * s, s, self.sign_z)
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "signs", signs)
 
     def matrix(self) -> np.ndarray:
         """The pattern as a signed permutation of (x, y, z)."""
         m = np.zeros((3, 3), dtype=int)
-        m[0, _AXIS[self.x_src]] = self.sign_x
-        m[1, _AXIS[self.y_src]] = self.sign_y
-        m[2, 2] = self.sign_z
+        m[(0, 1, 2), self.src] = self.signs
         return m
 
 
 def _build_patterns() -> tuple[RotationPattern, ...]:
-    patterns = []
-    for az_idx, (name, scale, offset, x_src, sgn_x, y_src, sgn_y) in enumerate(_AZ_TABLE):
-        for elev_idx, sign_z in enumerate((1, -1)):
-            patterns.append(
-                RotationPattern(
-                    id=az_idx * 2 + elev_idx,
-                    azimuth_map=name,
-                    az_scale=scale,
-                    az_offset=offset,
-                    x_src=x_src,
-                    sign_x=sgn_x,
-                    y_src=y_src,
-                    sign_y=sgn_y,
-                    sign_z=sign_z,
-                )
-            )
-    return tuple(patterns)
+    return tuple(
+        RotationPattern(az_idx * 2 + elev_idx, name, scale, offset, sign_z)
+        for az_idx, (name, scale, offset) in enumerate(_AZ_TABLE)
+        for elev_idx, sign_z in enumerate((1, -1))
+    )
 
 
 _PATTERNS = _build_patterns()
@@ -105,15 +101,8 @@ def pattern_by_id(pattern_id: int) -> RotationPattern:
 
 def apply_to_audio(clip: AudioClip, p: RotationPattern) -> AudioClip:
     """Rotate an FOA clip: W untouched, X/Y/Z permuted and sign-flipped."""
-    src = {"x": clip.samples[1], "y": clip.samples[2]}
-    rotated = np.stack(
-        [
-            clip.samples[0],
-            p.sign_x * src[p.x_src],
-            p.sign_y * src[p.y_src],
-            p.sign_z * clip.samples[3],
-        ]
-    )
+    xyz = clip.samples[1:]
+    rotated = np.stack([clip.samples[0], *(sign * xyz[k] for k, sign in zip(p.src, p.signs))])
     return AudioClip(rotated, clip.sample_rate)
 
 
@@ -131,10 +120,9 @@ def apply_to_features(features, p: RotationPattern) -> np.ndarray:
         raise ValueError(f"expected a (7, frames, n_mels) tensor, got {feats.shape}")
     out = np.empty_like(feats)
     out[0] = feats[0]
-    out[1] = feats[1 + _AXIS[p.x_src]]
-    out[2] = feats[1 + _AXIS[p.y_src]]
-    out[3] = feats[3]
-    out[4:] = np.moveaxis(apply_to_vector(np.moveaxis(feats[4:], 0, -1), p), -1, 0)
+    for i, (k, sign) in enumerate(zip(p.src, p.signs)):
+        out[1 + i] = feats[1 + k]
+        np.multiply(feats[4 + k], sign, out=out[4 + i])
     return out
 
 
@@ -156,12 +144,7 @@ def rotate_annotation(annotation: ClipAnnotation, p: RotationPattern) -> ClipAnn
 
 def apply_to_vector(vec, p: RotationPattern) -> np.ndarray:
     """Rotate Cartesian vectors (last axis length 3); norm-preserving."""
-    v = np.asarray(vec, dtype=float)
-    out = np.empty_like(v)
-    out[..., 0] = p.sign_x * v[..., _AXIS[p.x_src]]
-    out[..., 1] = p.sign_y * v[..., _AXIS[p.y_src]]
-    out[..., 2] = p.sign_z * v[..., 2]
-    return out
+    return np.asarray(vec, dtype=float)[..., p.src] * p.signs
 
 
 def compose(p: RotationPattern, q: RotationPattern) -> RotationPattern:

@@ -3,6 +3,7 @@
 The binary file holds little-endian 32-bit floats in C order; the header
 at ``<path>.json`` records dims, channel names and the producing config.
 Used for feature tensors (``.feat``) and ACCDOA sequences (``.acc``).
+``write_json`` is the one canonical JSON form of every file seldkit writes.
 """
 
 from __future__ import annotations
@@ -11,6 +12,13 @@ import json
 from pathlib import Path
 
 import numpy as np
+
+
+def write_json(doc, path) -> None:
+    """Write ``doc`` as canonical JSON: indent 2, sorted keys, trailing newline."""
+    with open(path, "w") as f:
+        json.dump(doc, f, indent=2, sort_keys=True)
+        f.write("\n")
 
 
 def save_tensor(path, array, channel_names=None, config: dict | None = None) -> None:
@@ -22,9 +30,7 @@ def save_tensor(path, array, channel_names=None, config: dict | None = None) -> 
         "channel_names": list(channel_names) if channel_names is not None else None,
         "config": config,
     }
-    with open(str(path) + ".json", "w") as f:
-        json.dump(header, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(header, str(path) + ".json")
 
 
 def load_tensor(path) -> tuple[np.ndarray, dict]:

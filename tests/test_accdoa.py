@@ -157,6 +157,15 @@ class TestEventCSV:
         assert back[1].direction.azimuth == 12.5
         assert back[1].activity == 0.75
 
+    def test_numpy_activity_round_trip(self, tmp_path):
+        # an activity computed in numpy is stored and written as a plain float
+        event = DetectedEvent(0, 1, Direction(10, 5), np.float64(0.8))
+        assert type(event.activity) is float
+        path = tmp_path / "ev.csv"
+        write_events([event], path)
+        assert path.read_text() == "0,1,10.0,5.0,0.8\n"
+        assert read_events(path) == [event]
+
     def test_malformed_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1,2,0.0\n")

@@ -136,6 +136,35 @@ class TestEmulateCli:
         assert str(result.exception) == message
         assert not (tmp_path / "emu.wav").exists()
 
+    @pytest.mark.parametrize(
+        "library_keys, sample_keys, message",
+        [
+            ({"sample_rate": 48000}, {}, "unknown sample library keys: sample_rate"),
+            ({}, {"gain_db": -12}, "unknown sample library sample 1 keys: gain_db"),
+        ],
+    )
+    def test_unknown_library_key_rejected(self, runner, tmp_path, library_keys, sample_keys, message):
+        # ignoring the key would mix the sample at its file's gain or rate
+        rng = np.random.default_rng(0)
+        for name in ("s0", "s1"):
+            write_wav_mono(tmp_path / f"{name}.wav", rng.standard_normal(24000) * 0.2, 24000)
+        samples = [
+            {"sample_id": "s0", "class_id": 3, "path": "s0.wav"},
+            {"sample_id": "s1", "class_id": 4, "path": "s1.wav", **sample_keys},
+        ]
+        (tmp_path / "lib.json").write_text(json.dumps({"samples": samples, **library_keys}))
+        event = {"class_id": 3, "sample_id": "s0", "onset_s": 0.5, "azimuth": 45.0, "elevation": 10.0}
+        (tmp_path / "scene.json").write_text(json.dumps({"duration_s": 2.0, "events": [event]}))
+        result = runner.invoke(
+            main,
+            ["emulate", "--spec", str(tmp_path / "scene.json"), "--library", str(tmp_path / "lib.json"),
+             "--out-prefix", str(tmp_path / "emu")],
+        )
+        assert result.exit_code != 0
+        assert isinstance(result.exception, ValueError)
+        assert str(result.exception) == message
+        assert not (tmp_path / "emu.wav").exists()
+
 
 class TestDatasetCli:
     def manifests(self, tmp_path):

@@ -33,14 +33,28 @@ class TestPatternTable:
         assert len(patterns) == 16
         assert [p.id for p in patterns] == list(range(16))
         identity = patterns[0]
-        assert (identity.azimuth_map, identity.sign_x, identity.sign_y, identity.sign_z) == (
-            "phi",
-            1,
-            1,
-            1,
-        )
-        assert (identity.x_src, identity.y_src) == ("x", "y")
+        assert (identity.azimuth_map, identity.signs) == ("phi", (1, 1, 1))
+        assert identity.src == (0, 1, 2)
         assert len({tuple(p.matrix().ravel()) for p in patterns}) == 16
+
+    def test_derived_channels_match_hand_table(self):
+        # rotated X = sign_x * source x_src, rotated Y = sign_y * source y_src,
+        # as the table of each azimuth map was written out by hand
+        hand = {
+            "phi": ("x", 1, "y", 1),
+            "-phi": ("x", 1, "y", -1),
+            "90-phi": ("y", 1, "x", 1),
+            "phi+90": ("y", -1, "x", 1),
+            "phi-90": ("y", 1, "x", -1),
+            "-phi-90": ("y", -1, "x", -1),
+            "180-phi": ("x", -1, "y", 1),
+            "phi+180": ("x", -1, "y", -1),
+        }
+        axis = {"x": 0, "y": 1}
+        for p in all_patterns():
+            x_src, sign_x, y_src, sign_y = hand[p.azimuth_map]
+            assert p.src == (axis[x_src], axis[y_src], 2)
+            assert p.signs == (sign_x, sign_y, p.sign_z)
 
     def test_all_azimuth_maps_twice(self):
         maps = [p.azimuth_map for p in all_patterns()]
@@ -51,7 +65,7 @@ class TestPatternTable:
         # brute-force: swapping the encode gains cos(az)cos(el) / sin(az)cos(el)
         # must equal encoding at 90 - az
         p = by_map("90-phi")
-        assert (p.x_src, p.y_src, p.sign_x, p.sign_y) == ("y", "x", 1, 1)
+        assert (p.src, p.signs) == ((1, 0, 2), (1, 1, 1))
         rng = np.random.default_rng(3)
         for _ in range(50):
             d = random_direction(rng)
