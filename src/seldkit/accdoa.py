@@ -31,8 +31,8 @@ class DetectedEvent:
 
     def __post_init__(self):
         object.__setattr__(self, "activity", float(self.activity))
-        if self.activity <= 0:
-            raise ValueError(f"activity must be positive, got {self.activity}")
+        if not (math.isfinite(self.activity) and self.activity > 0):
+            raise ValueError(f"activity must be positive and finite, got {self.activity}")
 
 
 class EncodingIndex:
@@ -136,8 +136,9 @@ def read_events(path) -> list[DetectedEvent]:
     """Read detections from CSV rows frame,class_id,azimuth,elevation,activity.
 
     Blank lines are skipped. A row with the wrong column count, a negative
-    frame or class, an invalid direction or a non-positive activity raises
-    ValueError naming the file and line: scoring has no cell for a
-    negative frame or class, so such a row would otherwise vanish.
+    frame or class, an invalid direction or an activity that is not
+    positive and finite raises ValueError naming the file and line:
+    scoring has no cell for a negative frame or class, so such a row
+    would otherwise vanish.
     """
     return read_table(path, EVENT_COLUMNS, _parse_event)

@@ -7,6 +7,7 @@ is preserved.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,6 +27,8 @@ class AugmentConfig:
     def __post_init__(self):
         for name in ("gain_db_range", "pitch_semitone_range", "bandpass_lo_range", "bandpass_hi_range"):
             lo, hi = getattr(self, name)
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(f"{name} must be finite: {(lo, hi)}")
             if lo > hi:
                 raise ValueError(f"{name} is not ordered: {(lo, hi)}")
 

@@ -11,7 +11,6 @@ variable (default 1). ``tta run --model`` takes ``oracle:<labels.csv>``
 from __future__ import annotations
 
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
@@ -29,15 +28,10 @@ from .metrics import MetricConfig, evaluate_stats, score_report
 from .pipeline import RunConfig, kfold_split, run_pipeline, write_scores
 from .predict import ClipIdentity, make_predictor
 from .rotation import apply_to_audio, pattern_by_id, rotate_annotation
-from .tensorio import load_tensor, save_tensor
+from .tensorio import load_tensor, read_json, save_tensor
 from .tta import TtaConfig, run_tta
 
 _seed_option = click.option("--seed", type=int, default=0, show_default=True, help="RNG seed.")
-
-
-def _load_json(path):
-    with open(path) as f:
-        return json.load(f)
 
 
 def _summary_line(scores: dict) -> str:
@@ -77,7 +71,7 @@ def features():
 @_seed_option
 def features_extract(in_path, out_path, config_path, seed):
     """Extract the 7-channel feature tensor of a clip (deterministic; seed unused)."""
-    config = FeatureConfig(**_load_json(config_path)) if config_path else FeatureConfig()
+    config = FeatureConfig(**read_json(config_path)) if config_path else FeatureConfig()
     clip = read_wav(in_path)
     tensor = extract_features(clip, config)
     save_tensor(out_path, tensor, channel_names=FEATURE_CHANNELS, config=dataclasses.asdict(config))
@@ -110,7 +104,7 @@ def rotate(pattern, in_path, labels_path, out_prefix, n_classes, seed):
 @_seed_option
 def augment(config_path, in_path, out_path, seed):
     """Apply gain/pitch/band-pass augmentation with parameters drawn from config ranges."""
-    config = AugmentConfig(**_load_json(config_path)) if config_path else AugmentConfig()
+    config = AugmentConfig(**read_json(config_path)) if config_path else AugmentConfig()
     rng = np.random.default_rng(seed)
     write_wav(out_path, augment_waveform(read_wav(in_path), config, rng))
     click.echo(f"wrote {out_path}")
@@ -125,11 +119,11 @@ def augment(config_path, in_path, out_path, seed):
 @click.option("--seed", type=int, default=None, help="Overrides the scene spec's seed.")
 def emulate(spec_path, library_path, out_prefix, srir_path, n_classes, seed):
     """Render a scene spec into a 4-channel WAV plus label CSV."""
-    spec = emulate_mod.scene_spec_from_json(_load_json(spec_path))
+    spec = emulate_mod.scene_spec_from_json(read_json(spec_path))
     if seed is not None:
         spec = emulate_mod.SceneSpec(spec.duration_s, spec.events, spec.snr_db, seed)
     library = emulate_mod.load_library(library_path)
-    srir_config = emulate_mod.SrirSynthConfig(**_load_json(srir_path)) if srir_path else None
+    srir_config = emulate_mod.SrirSynthConfig(**read_json(srir_path)) if srir_path else None
     clip, annotation = emulate_mod.mix_scene(spec, library, srir_config, n_classes=n_classes)
     write_wav(f"{out_prefix}.wav", clip)
     write_labels(annotation, f"{out_prefix}.csv")
@@ -202,7 +196,7 @@ def tta():
 @_seed_option
 def tta_run(models, in_path, config_path, out_path, n_classes, seed):
     """Run 16-rotation clustering TTA over one clip."""
-    config = TtaConfig(**_load_json(config_path)) if config_path else TtaConfig()
+    config = TtaConfig(**read_json(config_path)) if config_path else TtaConfig()
     clip = read_wav(in_path)
     predictors = [make_predictor(*parse_model_spec(s, in_path, n_classes, seed), n_classes) for s in models]
     events = run_tta(predictors, clip, ClipIdentity(in_path), config, n_classes=n_classes)
@@ -241,10 +235,9 @@ def pipeline():
 @click.option("--seed", type=int, default=None, help="Overrides the config seed.")
 def pipeline_run(config_path, out_path, seed):
     """Run the full pipeline over a manifest and write scores JSON."""
-    doc = _load_json(config_path)
+    config = RunConfig.from_dict(read_json(config_path))
     if seed is not None:
-        doc["seed"] = seed
-    config = RunConfig.from_dict(doc)
+        config = dataclasses.replace(config, seed=seed)
     base = Path(config_path).parent
     if not Path(config.manifest_path).is_absolute():
         config = dataclasses.replace(config, manifest_path=str(base / config.manifest_path))

@@ -9,7 +9,6 @@ WAVs can be dropped in through the same (4, length) array interface.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass, field
@@ -22,6 +21,7 @@ from .audio import AudioClip, read_wav_mono
 from .geometry import Direction, dir_to_unit
 from .labels import LABEL_FRAME_S, ClipAnnotation, EventLabel
 from .manifest import DatasetManifest, ManifestEntry
+from .tensorio import check_keys, read_json
 
 log = logging.getLogger(__name__)
 
@@ -35,6 +35,11 @@ class SrirSynthConfig:
     ir_length_s: float = 0.5
 
     def __post_init__(self):
+        for name in ("direct_delay_ms", "rt60_s", "ir_length_s"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        if math.isnan(self.direct_to_diffuse_db) or self.direct_to_diffuse_db == -math.inf:
+            raise ValueError("direct_to_diffuse_db must be finite or +inf")
         if self.direct_delay_ms < 0:
             raise ValueError("direct_delay_ms must be >= 0")
         if self.rt60_s <= 0:
@@ -51,8 +56,8 @@ class SceneEvent:
     direction: Direction
 
     def __post_init__(self):
-        if self.onset_s < 0:
-            raise ValueError("onset_s must be >= 0")
+        if not (math.isfinite(self.onset_s) and self.onset_s >= 0):
+            raise ValueError(f"onset_s must be finite and >= 0, got {self.onset_s}")
 
 
 @dataclass(frozen=True)
@@ -65,8 +70,8 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.duration_s <= 0:
-            raise ValueError("duration_s must be positive")
+        if not (math.isfinite(self.duration_s) and self.duration_s > 0):
+            raise ValueError(f"duration_s must be finite and positive, got {self.duration_s}")
         if not math.isfinite(self.snr_db):
             raise ValueError("snr_db must be finite")
         object.__setattr__(self, "events", tuple(self.events))
@@ -270,17 +275,17 @@ def sample_epoch(real: DatasetManifest, emulated: DatasetManifest, seed: int = 0
 def load_library(path) -> SampleLibrary:
     """Load a sample library JSON: {"samples": [{sample_id, class_id, path}]}.
 
-    WAV paths are resolved relative to the JSON file's directory. A key
-    the library does not read raises ValueError naming it, and the
-    sample's index for a sample key.
+    WAV paths are resolved relative to the JSON file's directory. Every
+    key is required. A missing key, a key the library does not read or a
+    non-object raises ValueError naming the library, and the sample's
+    index for a sample.
     """
     base = Path(path).parent
-    with open(path) as f:
-        doc = json.load(f)
-    _reject_unknown_keys(doc, LIBRARY_KEYS, "sample library")
+    doc = read_json(path)
+    check_keys(doc, LIBRARY_KEYS, "sample library", required=LIBRARY_KEYS)
     samples = {}
     for i, item in enumerate(doc["samples"]):
-        _reject_unknown_keys(item, SAMPLE_KEYS, f"sample library sample {i}")
+        check_keys(item, SAMPLE_KEYS, f"sample library sample {i}", required=SAMPLE_KEYS)
         wav_path = Path(item["path"])
         if not wav_path.is_absolute():
             wav_path = base / wav_path
@@ -297,21 +302,16 @@ SCENE_KEYS = frozenset(("duration_s", "snr_db", "seed", "events"))
 EVENT_KEYS = frozenset(("class_id", "sample_id", "onset_s", "azimuth", "elevation"))
 
 
-def _reject_unknown_keys(doc: dict, keys: frozenset, where: str) -> None:
-    unknown = sorted(set(doc) - keys)
-    if unknown:
-        raise ValueError(f"unknown {where} keys: {', '.join(unknown)}")
-
-
 def scene_spec_from_json(doc: dict) -> SceneSpec:
     """Build a SceneSpec from its JSON document form.
 
-    A key the spec does not read raises ValueError naming it, and the
-    event's index for an event key.
+    ``duration_s`` and every event key are required. A missing key, a key
+    the spec does not read or a non-object raises ValueError naming the
+    spec, and the event's index for an event.
     """
-    _reject_unknown_keys(doc, SCENE_KEYS, "scene spec")
+    check_keys(doc, SCENE_KEYS, "scene spec", required=("duration_s",))
     for i, e in enumerate(doc.get("events", ())):
-        _reject_unknown_keys(e, EVENT_KEYS, f"scene spec event {i}")
+        check_keys(e, EVENT_KEYS, f"scene spec event {i}", required=EVENT_KEYS)
     events = tuple(
         SceneEvent(
             int(e["class_id"]),

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field
+import math
+import numbers
+from dataclasses import asdict, dataclass, field, fields
 
-from .tensorio import write_json
+from .tensorio import check_keys, read_json, write_json
 
 ORIGINS = ("real", "emulated")
 
@@ -24,6 +25,9 @@ class ManifestEntry:
             raise ValueError("manifest entry paths must be non-empty")
         if self.origin not in ORIGINS:
             raise ValueError(f"origin must be one of {ORIGINS}, got {self.origin!r}")
+        d = self.duration_s
+        if isinstance(d, bool) or not isinstance(d, numbers.Real) or not (math.isfinite(d) and d >= 0):
+            raise ValueError(f"duration_s must be a finite number >= 0, got {d!r}")
 
 
 @dataclass(frozen=True)
@@ -40,10 +44,28 @@ class DatasetManifest:
         return iter(self.entries)
 
 
+ENTRY_KEYS = tuple(f.name for f in fields(ManifestEntry))
+
+
 def load_manifest(path) -> DatasetManifest:
-    with open(path) as f:
-        doc = json.load(f)
-    return DatasetManifest(tuple(ManifestEntry(**e) for e in doc["entries"]))
+    """Load a manifest JSON: {"entries": [{clip_path, label_path, origin, ...}]}.
+
+    An entry needs ``clip_path``, ``label_path`` and ``origin``; the other
+    fields of ``ManifestEntry`` are optional and any other key is an error.
+    A malformed document raises ValueError naming the file, and the
+    entry's index for an entry.
+    """
+    doc = read_json(path)
+    check_keys(doc, ("entries",), f"manifest {path}", required=("entries",))
+    entries = []
+    for i, e in enumerate(doc["entries"]):
+        where = f"manifest {path} entry {i}"
+        check_keys(e, ENTRY_KEYS, where, required=ENTRY_KEYS[:3])
+        try:
+            entries.append(ManifestEntry(**e))
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+    return DatasetManifest(tuple(entries))
 
 
 def save_manifest(manifest: DatasetManifest, path) -> None:

@@ -99,39 +99,13 @@ def match_frame(preds, refs):
     return pairs, unmatched_preds, unmatched_refs
 
 
-def accumulate(stats: ClassStats, matching, config: MetricConfig) -> tuple[int, int]:
-    """Fold one frame's matching into the per-class counters.
-
-    A matched pair within the spatial threshold is a TP; beyond it, one FP
-    plus one FN. Unmatched predictions are FPs, unmatched references FNs.
-    Every class-matched pair feeds the localization error and recall
-    regardless of its distance. Returns this frame's (fp, fn) increment
-    for the caller's segment bookkeeping.
-    """
-    pairs, unmatched_preds, unmatched_refs = matching
-    fp = len(unmatched_preds)
-    fn = len(unmatched_refs)
-    for _, _, dist in pairs:
-        stats.loc_error_sum += dist
-        stats.loc_match_count += 1
-        if dist <= config.spatial_threshold_deg:
-            stats.tp += 1
-        else:
-            fp += 1
-            fn += 1
-    stats.ref_count += len(pairs) + len(unmatched_refs)
-    stats.fp += fp
-    stats.fn += fn
-    return fp, fn
-
-
 def evaluate_stats(pred_events, ref_annotation, config: MetricConfig | None = None) -> list[ClassStats]:
     """Score one clip's detections against its annotation, returning raw stats.
 
     Stats from several clips may be summed class-wise before finalizing.
-    The result equals a walk over class x segment x frame that folds
-    ``match_frame`` into ``accumulate`` for every non-empty (frame, class)
-    cell, floats included, computed in array form:
+    The result equals a walk over class x segment x frame that folds each
+    non-empty (frame, class) cell's ``match_frame`` into the class's
+    counters, floats included, computed in array form:
 
     * events are grouped into cells, each class's cells in frame order;
     * the cells holding one prediction and one reference are matched in
@@ -214,7 +188,7 @@ def evaluate_stats(pred_events, ref_annotation, config: MetricConfig | None = No
     stats = []
     for class_id, (c_tp, c_fp, c_fn, c_pairs, c_refs, seg_s, seg_d, seg_i) in enumerate(columns):
         lo, hi = pair_bounds[class_id], pair_bounds[class_id + 1]
-        # a left-to-right running sum, as accumulate adds distances one by one
+        # a left-to-right running sum, as the walk adds distances one by one
         loc_error_sum = float(np.cumsum(dist[lo:hi])[-1]) if hi > lo else 0.0
         stats.append(
             ClassStats(c_tp, c_fp, c_fn, loc_error_sum, c_pairs, c_refs, seg_s, seg_d, seg_i)

@@ -26,7 +26,7 @@ from .labels import ClipAnnotation, read_labels
 from .manifest import DatasetManifest, ManifestEntry, load_manifest
 from .metrics import MetricConfig, evaluate_stats, merge_stats, score_report
 from .predict import ClipIdentity, check_prediction, make_predictor, seed_material
-from .tensorio import write_json
+from .tensorio import check_keys, write_json
 from .tta import TtaConfig, run_tta
 
 log = logging.getLogger(__name__)
@@ -147,15 +147,19 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
-        """Parse a run document; unknown keys raise ValueError, unknown sub-config fields TypeError.
+        """Parse a run document; unknown sub-config fields raise TypeError.
 
-        ``decode_threshold`` thresholds direct predictions only, so a
-        document that sets it with TTA on raises ValueError: TTA reads
-        ``tta.activity_threshold``.
+        ``manifest`` and ``predictor`` are required. A missing key, an
+        unknown key, or a non-object document, predictor or sub-config
+        raises ValueError naming the run config. ``decode_threshold``
+        thresholds direct predictions only, so a document that sets it
+        with TTA on raises ValueError: TTA reads ``tta.activity_threshold``.
         """
-        unknown = sorted(set(doc) - cls.KEYS)
-        if unknown:
-            raise ValueError(f"unknown run config keys: {', '.join(unknown)}")
+        check_keys(doc, cls.KEYS, "run config", required=("manifest", "predictor"))
+        for key in ("predictor", "feature", "metric", "tta", "augment"):
+            value = doc.get(key)
+            if not isinstance(value, dict) and (key == "predictor" or value is not None):
+                raise ValueError(f"run config {key} must be a JSON object, got {type(value).__name__}")
 
         def sub(config_cls, key, default):
             if key not in doc or doc[key] is None:

@@ -1,0 +1,293 @@
+"""Every JSON document seldkit reads goes through one strict reader.
+
+A malformed run config, scene spec, sample library, manifest or tensor
+header (a required key dropped, an unknown key added, or a non-object
+where an object belongs) raises ValueError naming the document, and the
+file and entry index for manifests and tensor headers. Settings read from
+documents reject NaN, which Python's json accepts as a literal.
+"""
+
+import copy
+import json
+import math
+
+import numpy as np
+import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
+
+from seldkit.accdoa import DetectedEvent, read_events
+from seldkit.audio import write_wav_mono
+from seldkit.augment import AugmentConfig
+from seldkit.cli import main
+from seldkit.emulate import (
+    SceneEvent,
+    SceneSpec,
+    SrirSynthConfig,
+    load_library,
+    scene_spec_from_json,
+)
+from seldkit.geometry import Direction
+from seldkit.manifest import ManifestEntry, load_manifest
+from seldkit.pipeline import RunConfig
+from seldkit.tensorio import check_keys, load_tensor, read_json, save_tensor
+
+# null is left out: a run document may set a sub-config to null
+non_objects = st.one_of(
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False),
+    st.text(max_size=4),
+    st.lists(st.integers(), max_size=3),
+)
+
+
+@st.composite
+def malformed(draw, doc, locations):
+    """A copy of ``doc`` broken at one of ``locations``, and the location's name.
+
+    A location is (path, name, allowed keys, required keys, mutations): the
+    path of keys and indices to a JSON object inside ``doc``, the name its
+    error message must carry, and the mutations that break it there.
+    """
+    path, name, allowed, required, kinds = draw(st.sampled_from(locations))
+    kind = draw(st.sampled_from(kinds))
+    doc = copy.deepcopy(doc)
+    if kind == "replace":
+        value = draw(non_objects)
+        if not path:
+            return value, name
+        parent = doc
+        for step in path[:-1]:
+            parent = parent[step]
+        parent[path[-1]] = value
+        return doc, name
+    target = doc
+    for step in path:
+        target = target[step]
+    if kind == "drop":
+        del target[draw(st.sampled_from(sorted(required)))]
+    else:
+        key = draw(st.text(min_size=1, max_size=8).filter(lambda k: k not in allowed))
+        target[key] = draw(non_objects)
+    return doc, name
+
+
+def raises_naming(read, name):
+    with pytest.raises(ValueError) as raised:
+        read()
+    assert name in str(raised.value)
+
+
+ALL = ("drop", "add", "replace")
+
+RUN_DOC = {
+    "manifest": "m.json",
+    "predictor": {"kind": "oracle"},
+    "feature": {"hop": 300},
+    "metric": {"segment_frames": 5},
+    "tta": {"min_pts": 2},
+    "augment": {"gain_db_range": [-3.0, 3.0]},
+}
+RUN_LOCATIONS = [((), "run config", RunConfig.KEYS, ("manifest", "predictor"), ALL)] + [
+    # sub-configs report their own unknown fields as TypeError; predictor keys are make_predictor's
+    ((key,), f"run config {key}", (), (), ("replace",))
+    for key in ("predictor", "feature", "metric", "tta", "augment")
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(malformed(RUN_DOC, RUN_LOCATIONS))
+def test_malformed_run_config(case):
+    doc, name = case
+    raises_naming(lambda: RunConfig.from_dict(doc), name)
+
+
+EVENT = {"class_id": 3, "sample_id": "s0", "onset_s": 0.5, "azimuth": 45.0, "elevation": 10.0}
+SCENE_DOC = {"duration_s": 2.0, "snr_db": 20.0, "seed": 1, "events": [EVENT, dict(EVENT, onset_s=1.0)]}
+EVENT_KEYS = tuple(EVENT)
+SCENE_LOCATIONS = [((), "scene spec", tuple(SCENE_DOC), ("duration_s",), ALL)] + [
+    (("events", i), f"scene spec event {i}", EVENT_KEYS, EVENT_KEYS, ALL) for i in range(2)
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(malformed(SCENE_DOC, SCENE_LOCATIONS))
+def test_malformed_scene_spec(case):
+    doc, name = case
+    raises_naming(lambda: scene_spec_from_json(doc), name)
+
+
+SAMPLE = {"sample_id": "s0", "class_id": 3, "path": "s.wav"}
+LIBRARY_DOC = {"samples": [SAMPLE, dict(SAMPLE, sample_id="s1")]}
+LIBRARY_LOCATIONS = [((), "sample library", ("samples",), ("samples",), ALL)] + [
+    (("samples", i), f"sample library sample {i}", tuple(SAMPLE), tuple(SAMPLE), ALL) for i in range(2)
+]
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("documents")
+    write_wav_mono(path / "s.wav", np.random.default_rng(0).standard_normal(2400) * 0.2, 24000)
+    return path
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=malformed(LIBRARY_DOC, LIBRARY_LOCATIONS))
+def test_malformed_library(workdir, case):
+    doc, name = case
+    (workdir / "lib.json").write_text(json.dumps(doc))
+    raises_naming(lambda: load_library(workdir / "lib.json"), name)
+
+
+ENTRY = {"clip_path": "a.wav", "label_path": "a.csv", "origin": "real"}
+ENTRY_KEYS = (*ENTRY, "fold_tag", "room_tag", "duration_s")
+MANIFEST_DOC = {"entries": [ENTRY, dict(ENTRY, origin="emulated", room_tag="r1", duration_s=5.0)]}
+MANIFEST_LOCATIONS = [((), "", ("entries",), ("entries",), ALL)] + [
+    (("entries", i), f" entry {i}", ENTRY_KEYS, tuple(ENTRY), ALL) for i in range(2)
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=malformed(MANIFEST_DOC, MANIFEST_LOCATIONS))
+def test_malformed_manifest(workdir, case):
+    doc, suffix = case
+    path = workdir / "m.json"
+    path.write_text(json.dumps(doc))
+    raises_naming(lambda: load_manifest(path), f"manifest {path}{suffix}")
+
+
+HEADER = {"dims": [2, 3], "dtype": "<f4", "channel_names": None, "config": None}
+HEADER_LOCATIONS = [((), "tensor header", tuple(HEADER), ("dims",), ALL)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=malformed(HEADER, HEADER_LOCATIONS))
+def test_malformed_tensor_header(workdir, case):
+    doc, name = case
+    path = workdir / "t.acc"
+    np.zeros(6, dtype="<f4").tofile(path)
+    (workdir / "t.acc.json").write_text(json.dumps(doc))
+    raises_naming(lambda: load_tensor(path), f"{name} {workdir / 't.acc.json'}")
+
+
+class TestReaders:
+    def test_check_keys_messages(self):
+        with pytest.raises(ValueError, match=r"^unknown thing keys: a, b$"):
+            check_keys({"b": 1, "a": 2, "k": 3}, ("k",), "thing")
+        with pytest.raises(ValueError, match=r"^thing lacks required keys: j, k$"):
+            check_keys({}, ("j", "k"), "thing", required=("k", "j"))
+        with pytest.raises(ValueError, match=r"^thing must be a JSON object, got list$"):
+            check_keys([], ("k",), "thing")
+        check_keys({"k": None}, ("j", "k"), "thing", required=("k",))
+
+    def test_text_that_is_not_json_names_the_file(self, tmp_path):
+        (tmp_path / "m.json").write_text('{"entries": [')
+        with pytest.raises(ValueError, match=r"m\.json: not a JSON document"):
+            read_json(tmp_path / "m.json")
+
+    @pytest.mark.parametrize("dtype", ["<f2", ">f4", "<f8", None])
+    def test_header_dtype_must_be_float32(self, tmp_path, dtype):
+        # read as float16, a float32 payload would give twice the values
+        path = tmp_path / "t.acc"
+        save_tensor(path, np.ones((2, 6)))
+        header = json.loads((tmp_path / "t.acc.json").read_text())
+        (tmp_path / "t.acc.json").write_text(json.dumps({**header, "dims": [2, 6], "dtype": dtype}))
+        with pytest.raises(ValueError, match=rf"tensor header {path}\.json: dtype must be '<f4'"):
+            load_tensor(path)
+
+    def test_header_without_dtype_reads_float32(self, tmp_path):
+        path = tmp_path / "t.acc"
+        save_tensor(path, np.arange(6.0).reshape(2, 3))
+        (tmp_path / "t.acc.json").write_text(json.dumps({"dims": [2, 3]}))
+        array, _ = load_tensor(path)
+        np.testing.assert_array_equal(array, np.arange(6.0).reshape(2, 3))
+
+    @pytest.mark.parametrize("value", ["abc", None, True, -1.0, math.nan, math.inf])
+    def test_manifest_duration_must_be_finite_and_non_negative(self, tmp_path, value):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"entries": [dict(ENTRY), dict(ENTRY, duration_s=value)]}))
+        with pytest.raises(ValueError, match=rf"manifest {path} entry 1: duration_s must be a finite number >= 0"):
+            load_manifest(path)
+
+    @pytest.mark.parametrize("value", [0, 5, 2.5])
+    def test_manifest_duration_kept_as_written(self, value):
+        assert ManifestEntry("a.wav", "a.csv", "real", duration_s=value).duration_s is value
+
+    def test_pipeline_run_seed_overrides_the_document(self, tmp_path, monkeypatch):
+        seen = []
+
+        def fake_run(config):
+            seen.append(config)
+            return {"n_entries": 0, "n_scored": 0, "failures": []}
+
+        monkeypatch.setattr("seldkit.cli.run_pipeline", fake_run)
+        (tmp_path / "run.json").write_text(json.dumps({**RUN_DOC, "seed": 3}))
+        args = ["pipeline", "run", "--config", str(tmp_path / "run.json"), "--out", str(tmp_path / "s.json")]
+        CliRunner().invoke(main, args + ["--seed", "7"])
+        assert seen[0].seed == 7
+        assert seen[0].manifest_path == str(tmp_path / "m.json")
+
+    def test_pipeline_run_rejects_a_non_object_document(self, tmp_path):
+        (tmp_path / "run.json").write_text("[]")
+        args = ["pipeline", "run", "--config", str(tmp_path / "run.json"), "--out", str(tmp_path / "s.json")]
+        result = CliRunner().invoke(main, args + ["--seed", "7"])
+        assert isinstance(result.exception, ValueError)
+        assert str(result.exception) == "run config must be a JSON object, got list"
+
+
+class TestNonFiniteSettings:
+    @pytest.mark.parametrize("field", ["direct_delay_ms", "rt60_s", "ir_length_s", "direct_to_diffuse_db"])
+    @pytest.mark.parametrize("value", [math.nan, -math.inf])
+    def test_srir_config(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SrirSynthConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["direct_delay_ms", "rt60_s", "ir_length_s"])
+    def test_srir_config_infinite(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            SrirSynthConfig(**{field: math.inf})
+
+    def test_emulate_rejects_nan_srir_config(self, tmp_path):
+        # the NaN would otherwise reach the mix and write a WAV no reader accepts
+        write_wav_mono(tmp_path / "s.wav", np.random.default_rng(0).standard_normal(2400) * 0.2, 24000)
+        (tmp_path / "lib.json").write_text(json.dumps(LIBRARY_DOC))
+        (tmp_path / "scene.json").write_text(json.dumps({"duration_s": 2.0, "events": [EVENT]}))
+        (tmp_path / "srir.json").write_text('{"rt60_s": NaN}')
+        result = CliRunner().invoke(
+            main,
+            ["emulate", "--spec", str(tmp_path / "scene.json"), "--library", str(tmp_path / "lib.json"),
+             "--srir-config", str(tmp_path / "srir.json"), "--out-prefix", str(tmp_path / "emu")],
+        )
+        assert isinstance(result.exception, ValueError)
+        assert "rt60_s must be finite" in str(result.exception)
+        assert not (tmp_path / "emu.wav").exists()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_scene_times(self, value):
+        with pytest.raises(ValueError, match="duration_s must be finite and positive"):
+            SceneSpec(value)
+        with pytest.raises(ValueError, match="onset_s must be finite and >= 0"):
+            SceneEvent(0, "s0", value, Direction(0.0, 0.0))
+
+    def test_scene_spec_document_with_nan_duration(self):
+        with pytest.raises(ValueError, match="duration_s must be finite"):
+            scene_spec_from_json(json.loads('{"duration_s": NaN}'))
+
+    @pytest.mark.parametrize("field", ["gain_db_range", "pitch_semitone_range", "bandpass_lo_range", "bandpass_hi_range"])
+    @pytest.mark.parametrize("bounds", [(math.nan, 1.0), (0.0, math.inf)])
+    def test_augment_ranges(self, field, bounds):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            AugmentConfig(**{field: bounds})
+
+    @pytest.mark.parametrize("activity", [math.nan, math.inf])
+    def test_detected_event_activity(self, activity):
+        with pytest.raises(ValueError, match="activity must be positive and finite"):
+            DetectedEvent(0, 1, Direction(10.0, 5.0), activity)
+
+    def test_read_events_names_the_line(self, tmp_path):
+        for line, row in enumerate(["0,1,10.0,5.0,nan", "1,1,10.0,5.0,inf"], start=1):
+            path = tmp_path / "e.csv"
+            path.write_text("0,0,1.0,2.0,0.5\r\n" * (line - 1) + row + "\r\n")
+            with pytest.raises(ValueError, match=rf"e\.csv:{line}: activity must be positive and finite"):
+                read_events(path)

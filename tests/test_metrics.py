@@ -12,7 +12,6 @@ from seldkit.metrics import (
     ClassStats,
     MetricConfig,
     SeldScores,
-    accumulate,
     class_breakdown,
     evaluate,
     evaluate_stats,
@@ -356,6 +355,32 @@ class TestMetricInvariants:
         for a, b in zip(merged, shuffled):
             assert stats_fields(a) == stats_fields(b)
             assert a.loc_error_sum == pytest.approx(b.loc_error_sum, rel=1e-12, abs=1e-12)
+
+
+def accumulate(stats: ClassStats, matching, config: MetricConfig) -> tuple[int, int]:
+    """Fold one frame's matching into the per-class counters.
+
+    A matched pair within the spatial threshold is a TP; beyond it, one FP
+    plus one FN. Unmatched predictions are FPs, unmatched references FNs.
+    Every class-matched pair feeds the localization error and recall
+    regardless of its distance. Returns this frame's (fp, fn) increment
+    for the caller's segment bookkeeping.
+    """
+    pairs, unmatched_preds, unmatched_refs = matching
+    fp = len(unmatched_preds)
+    fn = len(unmatched_refs)
+    for _, _, dist in pairs:
+        stats.loc_error_sum += dist
+        stats.loc_match_count += 1
+        if dist <= config.spatial_threshold_deg:
+            stats.tp += 1
+        else:
+            fp += 1
+            fn += 1
+    stats.ref_count += len(pairs) + len(unmatched_refs)
+    stats.fp += fp
+    stats.fn += fn
+    return fp, fn
 
 
 def evaluate_stats_reference(pred_events, ref_annotation, config):
