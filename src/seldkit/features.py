@@ -63,6 +63,11 @@ class FeatureConfig:
         """STFT frames per 100 ms label frame (4 at the default hop), an exact quotient."""
         return int(LABEL_FRAME_S * self.sample_rate) // self.hop
 
+    def check_rate(self, clip: AudioClip) -> None:
+        """Raise ValueError unless ``clip`` is sampled at this config's rate."""
+        if clip.sample_rate != self.sample_rate:
+            raise ValueError(f"clip rate {clip.sample_rate} != config rate {self.sample_rate}")
+
     def n_frames(self, n_samples: int) -> int:
         return 1 + n_samples // self.hop
 
@@ -138,26 +143,45 @@ def intensity_vector(stft_w, stft_x, stft_y, stft_z, fb, floor_eps: float) -> np
     specs = [np.asarray(s) for s in (stft_w, stft_x, stft_y, stft_z)]
     if len({s.shape for s in specs}) != 1:
         raise ValueError("spectrogram dims must match")
-    w = specs[0]
-    comps = [np.real(np.conj(w) * s) @ fb.T for s in specs[1:]]
-    vec = np.stack(comps)
+    comps = [_intensity_component(specs[0], s, fb) for s in specs[1:]]
+    return _unit_cells(np.stack(comps), floor_eps)
+
+
+def _intensity_component(stft_w, stft_c, fb) -> np.ndarray:
+    """One mel-aggregated intensity component: Re(conj(W) * C) through ``fb``."""
+    return np.real(np.conj(stft_w) * stft_c) @ fb.T
+
+
+def _unit_cells(vec, floor_eps: float) -> np.ndarray:
+    """Scale the 3-vector of every (frame, mel) cell of ``vec`` (3, frames, n_mels) to unit norm."""
     norm = np.linalg.norm(vec, axis=0)
     scale = np.where(norm > floor_eps, 1.0 / np.maximum(norm, floor_eps), 0.0)
     return vec * scale
 
 
+def _log_mel(spec, fb, floor_eps: float) -> np.ndarray:
+    return np.log(np.abs(spec) ** 2 @ fb.T + floor_eps)
+
+
 def extract_features(clip: AudioClip, config: FeatureConfig | None = None) -> np.ndarray:
-    """Full feature tensor, shaped (7, frames, n_mels): log-mel W/X/Y/Z, then intensity."""
+    """Full feature tensor, shaped (7, frames, n_mels): log-mel W/X/Y/Z, then intensity.
+
+    W's spectrum is kept throughout; X, Y and Z are transformed one at a
+    time, and each spectrum is released once its log-mel row and intensity
+    component are taken, so at most two spectra are held at once.
+    """
     config = config or FeatureConfig()
-    if clip.sample_rate != config.sample_rate:
-        raise ValueError(
-            f"clip rate {clip.sample_rate} != config rate {config.sample_rate}"
-        )
-    specs = [stft(clip.samples[ch], config) for ch in range(4)]
+    config.check_rate(clip)
     fb = mel_filterbank(config)
-    logmel = np.stack([np.log(np.abs(s) ** 2 @ fb.T + config.floor_eps) for s in specs])
-    intensity = intensity_vector(*specs, fb, config.floor_eps)
-    return np.concatenate([logmel, intensity])
+    w = stft(clip.samples[0], config)
+    logmel = [_log_mel(w, fb, config.floor_eps)]
+    comps = []
+    for ch in (1, 2, 3):
+        spec = stft(clip.samples[ch], config)
+        logmel.append(_log_mel(spec, fb, config.floor_eps))
+        comps.append(_intensity_component(w, spec, fb))
+        del spec
+    return np.concatenate([np.stack(logmel), _unit_cells(np.stack(comps), config.floor_eps)])
 
 
 def doa_from_features(features, config: FeatureConfig | None = None) -> Direction:

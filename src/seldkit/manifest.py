@@ -45,22 +45,32 @@ class DatasetManifest:
 
 
 ENTRY_KEYS = tuple(f.name for f in fields(ManifestEntry))
+TAG_KEYS = ("fold_tag", "room_tag")
 
 
 def load_manifest(path) -> DatasetManifest:
     """Load a manifest JSON: {"entries": [{clip_path, label_path, origin, ...}]}.
 
-    An entry needs ``clip_path``, ``label_path`` and ``origin``; the other
-    fields of ``ManifestEntry`` are optional and any other key is an error.
+    An entry needs ``clip_path``, ``label_path`` and ``origin``, all
+    strings; the other fields of ``ManifestEntry`` are optional, the tags
+    strings or null, and any other key is an error.
     A malformed document raises ValueError naming the file, and the
     entry's index for an entry.
     """
     doc = read_json(path)
     check_keys(doc, ("entries",), f"manifest {path}", required=("entries",))
+    items = doc["entries"]
+    if not isinstance(items, list):
+        raise ValueError(f"manifest {path}: entries must be a JSON array, got {type(items).__name__}")
     entries = []
-    for i, e in enumerate(doc["entries"]):
+    for i, e in enumerate(items):
         where = f"manifest {path} entry {i}"
         check_keys(e, ENTRY_KEYS, where, required=ENTRY_KEYS[:3])
+        for key in (*ENTRY_KEYS[:3], *TAG_KEYS):
+            value = e.get(key)
+            if not isinstance(value, str) and not (value is None and key in TAG_KEYS):
+                kind = "a string or null" if key in TAG_KEYS else "a string"
+                raise ValueError(f"{where}: {key} must be {kind}, got {value!r}")
         try:
             entries.append(ManifestEntry(**e))
         except ValueError as exc:

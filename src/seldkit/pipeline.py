@@ -3,9 +3,12 @@
 A run walks a dataset manifest, and for every entry: load the clip and its
 labels, optionally augment the waveform, extract features, predict
 (directly or through rotation TTA), decode into events, and score against
-the labels. Per-class stats are merged across entries and finalized into
-one scores document. Entries that fail are reported and skipped; the run
-itself keeps going.
+the labels. Features are extracted only for a predictor that reads them
+(``predict.reads_features``); the oracle, constant and external
+predictors do not, so they are given None and the clip's features are
+never computed. Per-class stats are merged across entries and finalized
+into one scores document. Entries that fail are reported and skipped; the
+run itself keeps going.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .features import FeatureConfig, extract_features
 from .labels import ClipAnnotation, read_labels
 from .manifest import DatasetManifest, ManifestEntry, load_manifest
 from .metrics import MetricConfig, evaluate_stats, merge_stats, score_report
-from .predict import ClipIdentity, check_prediction, make_predictor, seed_material
+from .predict import ClipIdentity, check_prediction, make_predictor, reads_features, seed_material
 from .tensorio import check_keys, write_json
 from .tta import TtaConfig, run_tta
 
@@ -150,10 +153,13 @@ class RunConfig:
         """Parse a run document; unknown sub-config fields raise TypeError.
 
         ``manifest`` and ``predictor`` are required. A missing key, an
-        unknown key, or a non-object document, predictor or sub-config
-        raises ValueError naming the run config. ``decode_threshold``
-        thresholds direct predictions only, so a document that sets it
-        with TTA on raises ValueError: TTA reads ``tta.activity_threshold``.
+        unknown key, a non-object document, predictor or sub-config, or a
+        ``seed`` or ``n_classes`` that is not a JSON integer or a
+        ``decode_threshold`` that is not a JSON number (``true`` is neither)
+        raises ValueError naming the run config and the key.
+        ``decode_threshold`` thresholds direct predictions only, so a
+        document that sets it with TTA on raises ValueError: TTA reads
+        ``tta.activity_threshold``.
         """
         check_keys(doc, cls.KEYS, "run config", required=("manifest", "predictor"))
         for key in ("predictor", "feature", "metric", "tta", "augment"):
@@ -166,7 +172,13 @@ class RunConfig:
                 return default
             return config_cls(**doc[key])
 
-        n_classes = int(doc.get("n_classes", 13))
+        def scalar(key, default, types, kind):
+            value = doc.get(key, default)
+            if type(value) not in types:  # not isinstance: a JSON true is no number
+                raise ValueError(f"run config {key} must be a JSON {kind}, got {value!r}")
+            return value
+
+        n_classes = scalar("n_classes", 13, (int,), "integer")
         metric_doc = doc.get("metric") or {}
         if "n_classes" in metric_doc:
             raise ValueError("metric.n_classes is not a run config key; set the top-level n_classes")
@@ -179,13 +191,13 @@ class RunConfig:
         return cls(
             manifest_path=doc["manifest"],
             predictor=dict(doc["predictor"]),
-            seed=int(doc.get("seed", 0)),
+            seed=scalar("seed", 0, (int,), "integer"),
             n_classes=n_classes,
             feature=sub(FeatureConfig, "feature", FeatureConfig()),
             metric=MetricConfig(n_classes=n_classes, **metric_doc),
             tta=tta,
             augment=sub(AugmentConfig, "augment", None),
-            decode_threshold=float(doc.get("decode_threshold", 0.5)),
+            decode_threshold=float(scalar("decode_threshold", 0.5, (int, float), "number")),
         )
 
 
@@ -202,6 +214,7 @@ def _worker_count() -> int:
 
 def _score_entry(entry: ManifestEntry, annotation: ClipAnnotation, config: RunConfig, predictor):
     clip = read_wav(entry.clip_path)
+    config.feature.check_rate(clip)
     label_frames = config.feature.label_frames(clip.n_samples)
     if annotation.max_frame >= label_frames:
         raise ValueError(
@@ -215,7 +228,7 @@ def _score_entry(entry: ManifestEntry, annotation: ClipAnnotation, config: RunCo
     if config.tta is not None:
         events = run_tta(predictor, clip, identity, config.tta, config.feature, config.n_classes)
     else:
-        features = extract_features(clip, config.feature)
+        features = extract_features(clip, config.feature) if reads_features(predictor) else None
         seq = predictor.predict(features, identity, label_frames)
         check_prediction(seq, identity, label_frames, config.n_classes)
         events = decode(seq, config.decode_threshold)

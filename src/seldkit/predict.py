@@ -1,8 +1,10 @@
 """The predictor contract plus test-double and file-backed implementations.
 
-A predictor maps a feature tensor (7, T, M), a ClipIdentity and the
-clip's label-frame count to an ACCDOA sequence (label_frames, n_classes, 3)
-with vector norms of at most sqrt(3). The caller owns the label grid: it
+A predictor maps a feature tensor (7, T, M), a ClipIdentity and the clip's
+label-frame count to an ACCDOA sequence (label_frames, n_classes, 3) with
+vector norms of at most sqrt(3). Features are computed only for a model
+that reads them (``reads_features``); the oracle, constant and external
+predictors do not, and are given None. The caller owns the label grid: it
 computes the count with ``FeatureConfig.label_frames`` and checks every
 output against it (``check_prediction``). The identity names the clip and
 the rotation pattern already applied to its audio; feature-driven models
@@ -42,10 +44,20 @@ class Predictor(Protocol):
 
     ``label_frames`` is the clip's count on the run's label grid, given by
     the caller; the features are the clip's (7, T, M) tensor, rotated by
-    the identity's pattern.
+    the identity's pattern. Features are computed only for a predictor
+    whose ``reads_features`` is true, or that lacks the attribute; one
+    that sets it false is given None. The built-in oracle, constant and
+    external predictors set it false.
     """
 
-    def predict(self, features: np.ndarray, identity: ClipIdentity, label_frames: int) -> np.ndarray: ...
+    reads_features: bool = True
+
+    def predict(self, features: np.ndarray | None, identity: ClipIdentity, label_frames: int) -> np.ndarray: ...
+
+
+def reads_features(model) -> bool:
+    """Whether ``model`` reads its features; a predictor without ``reads_features`` does."""
+    return getattr(model, "reads_features", True)
 
 
 def check_prediction(seq, identity: ClipIdentity, label_frames: int, n_classes: int | None) -> None:
@@ -148,11 +160,13 @@ class OraclePredictor:
     an event past the clip) raise from ``predict`` with encode's messages.
     """
 
+    reads_features = False
+
     def __init__(self, annotations: dict, config: OraclePredictorConfig | None = None):
         self.indexes = {clip_id: EncodingIndex(a) for clip_id, a in annotations.items()}
         self.config = config or OraclePredictorConfig()
 
-    def predict(self, features: np.ndarray, identity: ClipIdentity, label_frames: int) -> np.ndarray:
+    def predict(self, features: np.ndarray | None, identity: ClipIdentity, label_frames: int) -> np.ndarray:
         if identity.clip_id not in self.indexes:
             raise ValueError(f"unknown clip identity {identity.clip_id!r}")
         rotate = partial(apply_to_direction, p=pattern_by_id(identity.pattern_id))
@@ -168,13 +182,15 @@ class OraclePredictor:
 class ConstantPredictor:
     """Emits the same vector everywhere; value 0 predicts silence."""
 
+    reads_features = False
+
     def __init__(self, n_classes: int = 13, value: float = 0.0):
         if abs(value) > 1.0:
             raise ValueError("constant value must be within the tanh range [-1, 1]")
         self.n_classes = n_classes
         self.value = value
 
-    def predict(self, features: np.ndarray, identity: ClipIdentity, label_frames: int) -> np.ndarray:
+    def predict(self, features: np.ndarray | None, identity: ClipIdentity, label_frames: int) -> np.ndarray:
         return np.full((label_frames, self.n_classes, 3), self.value)
 
 
@@ -188,10 +204,12 @@ class ExternalFilePredictor:
     the caller's ``check_prediction`` holds it to the clip's grid.
     """
 
+    reads_features = False
+
     def __init__(self, directory):
         self.directory = Path(directory)
 
-    def predict(self, features: np.ndarray, identity: ClipIdentity, label_frames: int) -> np.ndarray:
+    def predict(self, features: np.ndarray | None, identity: ClipIdentity, label_frames: int) -> np.ndarray:
         stem = Path(identity.clip_id).stem
         candidates = [self.directory / f"{stem}.p{identity.pattern_id:02d}.acc"]
         if identity.pattern_id == 0:

@@ -63,10 +63,11 @@ def save_tensor(path, array, channel_names=None, config: dict | None = None) -> 
 def load_tensor(path) -> tuple[np.ndarray, dict]:
     """Return (array, header). The array comes back as float64.
 
-    The header needs ``dims``; its ``dtype``, if present, must be
-    ``"<f4"``, the only payload ``save_tensor`` writes. A malformed header
-    raises ValueError naming the header file, and a NaN or infinite
-    payload value one naming the path.
+    The header needs ``dims``, a list of non-negative integers; its
+    ``dtype``, if present, must be ``"<f4"``, the only payload
+    ``save_tensor`` writes. A malformed header raises ValueError naming
+    the header file, and a NaN or infinite payload value one naming the
+    path.
     """
     header_path = Path(str(path) + ".json")
     if not header_path.exists():
@@ -75,7 +76,12 @@ def load_tensor(path) -> tuple[np.ndarray, dict]:
     check_keys(header, HEADER_KEYS, f"tensor header {header_path}", required=("dims",))
     if header.get("dtype", "<f4") != "<f4":
         raise ValueError(f"tensor header {header_path}: dtype must be '<f4', got {header['dtype']!r}")
-    dims = tuple(header["dims"])
+    dims = header["dims"]
+    if not (isinstance(dims, list) and all(type(d) is int and d >= 0 for d in dims)):
+        raise ValueError(
+            f"tensor header {header_path}: dims must be a list of non-negative integers, got {dims!r}"
+        )
+    dims = tuple(dims)
     flat = np.fromfile(str(path), dtype="<f4")
     if flat.size != int(np.prod(dims)):
         raise ValueError(f"{path}: payload has {flat.size} values, header says {dims}")

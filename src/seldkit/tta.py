@@ -1,15 +1,17 @@
 """Clustering-based test-time augmentation.
 
-A predictor is run under all 16 rotation patterns, on the features of the
-clip extracted once and rotated per pattern; each prediction is
-de-rotated back into the original frame, and every (label frame, class)
-cell pools its active de-rotated vectors into one (n, 3) candidate array.
-A model ensemble is the same mechanism with more predictions: each model
-adds up to 16 rows per cell. Candidates are clustered per cell with
-DBSCAN under the great-circle metric, all cells of one candidate count in
-one stacked array pass; outliers are rejected, each cluster is averaged
-into one detection, and detections beyond the track budget of a frame are
-dropped by weight = member count x norm of the cluster mean.
+A predictor is run under all 16 rotation patterns, on the features of
+the clip extracted once and rotated per pattern (a model that does not
+read features is given None, and with no such model the features are
+never extracted); each prediction is de-rotated back into the original
+frame, and every (label frame, class) cell pools its active de-rotated
+vectors into one (n, 3) candidate array. A model ensemble is the same
+mechanism with more predictions: each model adds up to 16 rows per cell.
+Candidates are clustered per cell with DBSCAN under the great-circle
+metric, all cells of one candidate count in one stacked array pass;
+outliers are rejected, each cluster is averaged into one detection, and
+detections beyond the track budget of a frame are dropped by weight =
+member count x norm of the cluster mean.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .accdoa import MAX_ACTIVITY, DetectedEvent
 from .audio import AudioClip
 from .features import FeatureConfig, extract_features
 from .geometry import unit_to_dir
-from .predict import check_prediction
+from .predict import check_prediction, reads_features
 from .rotation import all_patterns, apply_to_features, apply_to_vector, compose, inverse, pattern_by_id
 
 
@@ -204,16 +206,19 @@ def run_tta(
 ) -> list[DetectedEvent]:
     """Full TTA: predict under all 16 rotations, de-rotate, cluster, aggregate.
 
-    Features are extracted once; each pattern predicts on its own rotated
-    copy of them (``apply_to_features``), which equals the features of the
-    rotated audio. ``predictor`` follows the predictor contract (see
-    seldkit.predict) and is given the clip's label-frame count,
-    ``feature_config.label_frames(clip.n_samples)``; ``identity`` names the
-    clip and any rotation already applied to it, so rotation-aware
-    predictors compose correctly. Accepts a sequence of predictors as well
-    (the cross-validation ensemble): each model's 16 predictions add rows
-    to the same candidate cells, so ``min_candidates`` may be at most 16
-    per model.
+    Features are extracted once, and only when some model reads them
+    (``predict.reads_features``); for a reading model each pattern
+    predicts on its own rotated copy of them (``apply_to_features``),
+    which equals the features of the rotated audio. A model that does not
+    read features, such as the built-in oracle, constant and external
+    predictors, is given None. ``predictor`` follows the predictor
+    contract (see seldkit.predict) and is given the clip's label-frame
+    count, ``feature_config.label_frames(clip.n_samples)``; ``identity``
+    names the clip and any rotation already applied to it, so rotation-
+    aware predictors compose correctly. Accepts a sequence of predictors
+    as well (the cross-validation ensemble): each model's 16 predictions
+    add rows to the same candidate cells, so ``min_candidates`` may be at
+    most 16 per model.
 
     Every prediction is checked against the predictor contract
     (``predict.check_prediction``): ``n_classes`` label classes, or any
@@ -231,14 +236,17 @@ def run_tta(
             f"{len(predictors)} model(s) can give a cell"
         )
     base_pattern = pattern_by_id(identity.pattern_id)
-    features = extract_features(clip, feature_config)
+    feature_config.check_rate(clip)
+    reading = [reads_features(model) for model in predictors]
+    features = extract_features(clip, feature_config) if any(reading) else None
     label_frames = feature_config.label_frames(clip.n_samples)
     predictions = []
     for model_idx, model in enumerate(predictors):
         for p in all_patterns():
             ident = identity.with_pattern(compose(p, base_pattern).id)
+            model_features = apply_to_features(features, p) if reading[model_idx] else None
             try:
-                seq = model.predict(apply_to_features(features, p), ident, label_frames)
+                seq = model.predict(model_features, ident, label_frames)
             except Exception as exc:
                 raise RuntimeError(
                     f"predictor {model_idx} failed on rotation pattern {p.id}: {exc}"

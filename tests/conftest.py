@@ -15,7 +15,8 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         for line in lines:
             terminalreporter.line(line)
 from seldkit.emulate import LibrarySample, SampleLibrary, SceneEvent, SceneSpec, foa_encode_gains, mix_scene
-from seldkit.geometry import Direction
+from seldkit.features import doa_from_features
+from seldkit.geometry import Direction, dir_to_unit
 
 
 @pytest.fixture
@@ -55,3 +56,17 @@ def two_event_scene(seed: int = 0, n_classes: int = 13):
     )
     clip, annotation = mix_scene(spec, lib, n_classes=n_classes)
     return clip, annotation
+
+
+class IntensityPredictor:
+    """A feature-reading model: class 0 active in every label frame, along the
+    intensity DOA of the whole clip. It has no ``reads_features`` attribute,
+    so callers must treat it as reading its features."""
+
+    def __init__(self, n_classes: int = 13):
+        self.n_classes = n_classes
+
+    def predict(self, features, identity, label_frames):
+        seq = np.zeros((label_frames, self.n_classes, 3))
+        seq[:, 0] = dir_to_unit(doa_from_features(features)).as_array()
+        return seq

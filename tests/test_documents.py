@@ -210,6 +210,67 @@ class TestReaders:
         with pytest.raises(ValueError, match=rf"manifest {path} entry 1: duration_s must be a finite number >= 0"):
             load_manifest(path)
 
+    @pytest.mark.parametrize(
+        "key, value, kind",
+        [
+            ("seed", "x", "integer"),
+            ("seed", True, "integer"),
+            ("seed", 1.0, "integer"),
+            ("seed", None, "integer"),
+            ("n_classes", "13", "integer"),
+            ("n_classes", False, "integer"),
+            ("n_classes", 13.0, "integer"),
+            ("decode_threshold", "0.5", "number"),
+            ("decode_threshold", True, "number"),
+            ("decode_threshold", None, "number"),
+        ],
+    )
+    def test_run_scalar_types(self, key, value, kind):
+        doc = {**RUN_DOC, "tta": None, key: value}
+        with pytest.raises(ValueError, match=rf"^run config {key} must be a JSON {kind}, got {value!r}$"):
+            RunConfig.from_dict(doc)
+
+    def test_run_scalars_of_the_right_type_load(self):
+        config = RunConfig.from_dict({**RUN_DOC, "tta": None, "seed": 4, "n_classes": 7, "decode_threshold": 1})
+        assert (config.seed, config.n_classes, config.decode_threshold) == (4, 7, 1.0)
+
+    @pytest.mark.parametrize("entries", [5, "a.wav", None, {"clip_path": "a.wav"}])
+    def test_manifest_entries_must_be_an_array(self, tmp_path, entries):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"entries": entries}))
+        with pytest.raises(ValueError, match=rf"^manifest {path}: entries must be a JSON array"):
+            load_manifest(path)
+
+    @pytest.mark.parametrize(
+        "key, value, kind",
+        [
+            ("clip_path", 5, "a string"),
+            ("label_path", ["a.csv"], "a string"),
+            ("origin", None, "a string"),
+            ("fold_tag", 0, "a string or null"),
+            ("room_tag", True, "a string or null"),
+        ],
+    )
+    def test_manifest_entry_string_fields(self, tmp_path, key, value, kind):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"entries": [dict(ENTRY), dict(ENTRY, **{key: value})]}))
+        with pytest.raises(ValueError, match=rf"^manifest {path} entry 1: {key} must be {kind}, got"):
+            load_manifest(path)
+
+    def test_manifest_null_tags_load(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"entries": [dict(ENTRY, fold_tag=None, room_tag="r")]}))
+        entry = load_manifest(path).entries[0]
+        assert (entry.fold_tag, entry.room_tag) == (None, "r")
+
+    @pytest.mark.parametrize("dims", [6, "6", None, [2, "3"], [2, 3.0], [True, 6], [-2, -3], {"a": 6}])
+    def test_header_dims_must_be_non_negative_integers(self, tmp_path, dims):
+        path = tmp_path / "t.acc"
+        np.zeros(6, dtype="<f4").tofile(path)
+        (tmp_path / "t.acc.json").write_text(json.dumps({"dims": dims}))
+        with pytest.raises(ValueError, match=rf"^tensor header {path}\.json: dims must be a list of non-negative"):
+            load_tensor(path)
+
     @pytest.mark.parametrize("value", [0, 5, 2.5])
     def test_manifest_duration_kept_as_written(self, value):
         assert ManifestEntry("a.wav", "a.csv", "real", duration_s=value).duration_s is value

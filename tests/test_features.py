@@ -16,9 +16,21 @@ from seldkit.features import (
 )
 from seldkit.geometry import Direction, angular_distance
 
-from conftest import plane_wave_clip, random_direction
+from conftest import plane_wave_clip, random_direction, two_event_scene
 
 CFG = FeatureConfig()
+
+
+def extract_features_reference(clip, cfg):
+    """``extract_features`` with all four spectra held at once, as it was
+    before X, Y and Z were transformed one at a time."""
+    specs = [stft(clip.samples[ch], cfg) for ch in range(4)]
+    fb = mel_filterbank(cfg)
+    logmel = np.stack([np.log(np.abs(s) ** 2 @ fb.T + cfg.floor_eps) for s in specs])
+    vec = np.stack([np.real(np.conj(specs[0]) * s) @ fb.T for s in specs[1:]])
+    norm = np.linalg.norm(vec, axis=0)
+    scale = np.where(norm > cfg.floor_eps, 1.0 / np.maximum(norm, cfg.floor_eps), 0.0)
+    return np.concatenate([logmel, vec * scale])
 
 
 def hz_to_mel(f):
@@ -199,6 +211,16 @@ class TestExtract:
         clip = AudioClip(np.zeros((4, 120000)))
         feats = extract_features(clip, CFG)
         assert feats.shape == (7, 201, CFG.n_mels)
+
+    @pytest.mark.parametrize(
+        "cfg", [FeatureConfig(), FeatureConfig(hop=300, n_mels=32)], ids=["default", "hop300_mels32"]
+    )
+    def test_equals_all_spectra_at_once_reference(self, cfg):
+        clip, _ = two_event_scene(seed=29)
+        samples = clip.samples.copy()
+        samples[:, :2400] = 0.0  # a silent stretch exercises the intensity floor
+        clip = AudioClip(samples)
+        assert np.array_equal(extract_features(clip, cfg), extract_features_reference(clip, cfg))
 
     def test_deterministic(self, rng):
         clip = AudioClip(rng.standard_normal((4, 6000)))

@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seldkit.audio import AudioClip, write_wav
+import seldkit.pipeline
+import seldkit.tta
+from seldkit.audio import AudioClip, read_wav, write_wav
 from seldkit.augment import AugmentConfig
 from seldkit.geometry import Direction, angular_distance, dir_to_unit
-from seldkit.labels import write_labels
+from seldkit.labels import read_labels, write_labels
 from seldkit.manifest import DatasetManifest, ManifestEntry, save_manifest
 from seldkit.metrics import MetricConfig
 from seldkit.pipeline import RunConfig, kfold_split, run_pipeline, segment_clip, write_scores
@@ -27,14 +29,14 @@ from seldkit.predict import (
     make_predictor,
     seed_material,
 )
-from seldkit.rotation import pattern_by_id, rotate_annotation
+from seldkit.rotation import all_patterns, apply_to_audio, apply_to_features, pattern_by_id, rotate_annotation
 from seldkit.accdoa import decode, encode
 from seldkit.features import FeatureConfig, extract_features
 from seldkit.tensorio import save_tensor
 from seldkit.labels import ClipAnnotation, EventLabel
-from seldkit.tta import TtaConfig
+from seldkit.tta import TtaConfig, aggregate, collect_candidates, run_tta
 
-from conftest import two_event_scene
+from conftest import IntensityPredictor, two_event_scene
 
 
 class TestSegmentClip:
@@ -851,3 +853,112 @@ class TestRunPipeline:
         result = run_pipeline(config)
         assert result["scores"]["f20"] < 1.0
         assert result["scores"]["lr_cd"] == 1.0  # class detection unaffected
+
+
+@pytest.fixture
+def extractions(monkeypatch):
+    """Count ``extract_features`` calls made by the direct and the TTA path."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return extract_features(*args, **kwargs)
+
+    monkeypatch.setattr(seldkit.pipeline, "extract_features", counting)
+    monkeypatch.setattr(seldkit.tta, "extract_features", counting)
+    return calls
+
+
+class RecordingPredictor:
+    """Passes calls through to ``model``, keeping the features each call was given."""
+
+    def __init__(self, model, reads):
+        self.model, self.reads_features, self.seen = model, reads, []
+
+    def predict(self, features, identity, label_frames):
+        self.seen.append(features)
+        return self.model.predict(features, identity, label_frames)
+
+
+class TestFeaturesOnlyForReadingModels:
+    def config(self, manifest_path, predictor, tta):
+        return RunConfig.from_dict({"manifest": str(manifest_path), "predictor": predictor, "tta": tta})
+
+    @pytest.mark.parametrize("tta", [{}, None], ids=["tta", "direct"])
+    @pytest.mark.parametrize("kind", ["oracle", "constant", "external"])
+    def test_built_in_predictors_extract_nothing(self, small_dataset, tmp_path, extractions, kind, tta):
+        root, manifest_path = small_dataset
+        predictor = {"kind": kind}
+        if kind == "external":
+            # the oracle's predictions, served from files
+            for i in range(3):
+                clip_path = str(root / f"scene{i}.wav")
+                oracle = OraclePredictor({clip_path: read_labels(root / f"scene{i}.csv")})
+                for p in all_patterns():
+                    seq = oracle.predict(None, ClipIdentity(clip_path, p.id), 50)
+                    save_tensor(tmp_path / f"scene{i}.p{p.id:02d}.acc", seq)
+            predictor["dir"] = str(tmp_path)
+        result = run_pipeline(self.config(manifest_path, predictor, tta))
+        assert result["n_scored"] == 3 and result["failures"] == []
+        assert extractions == []
+
+    def test_mixed_ensemble_extracts_once_and_feeds_only_the_reader(self, extractions):
+        clip, annotation = two_event_scene(seed=12)
+        oracle = RecordingPredictor(OraclePredictor({"clip": annotation}), reads=False)
+        reader = RecordingPredictor(IntensityPredictor(), reads=True)
+        run_tta([oracle, reader], clip, ClipIdentity("clip"))
+        assert len(extractions) == 1
+        assert oracle.seen == [None] * 16
+        features = extract_features(clip)
+        for p, seen in zip(all_patterns(), reader.seen, strict=True):
+            assert np.array_equal(seen, apply_to_features(features, p)), p.id
+
+    @pytest.mark.parametrize("tta", [{}, None], ids=["tta", "direct"])
+    def test_predictor_without_the_attribute_reads_features(
+        self, small_dataset, monkeypatch, extractions, tta
+    ):
+        assert not hasattr(IntensityPredictor, "reads_features")
+        _, manifest_path = small_dataset
+        monkeypatch.setattr(seldkit.pipeline, "make_predictor", lambda *a, **k: IntensityPredictor())
+        result = run_pipeline(self.config(manifest_path, {"kind": "constant"}, tta))
+        assert result["n_scored"] == 3
+        assert len(extractions) == 3  # one per clip
+
+    @pytest.mark.parametrize("tta", [{}, None], ids=["tta", "direct"])
+    def test_reading_predictor_events_equal_hand_calls(self, small_dataset, monkeypatch, tta):
+        root, manifest_path = small_dataset
+        model = IntensityPredictor()
+        monkeypatch.setattr(seldkit.pipeline, "make_predictor", lambda *a, **k: model)
+        scored = []
+        evaluate = seldkit.pipeline.evaluate_stats
+
+        def recording(events, annotation, config):
+            scored.append(events)
+            return evaluate(events, annotation, config)
+
+        monkeypatch.setattr(seldkit.pipeline, "evaluate_stats", recording)
+        config = self.config(manifest_path, {"kind": "constant"}, tta)
+        run_pipeline(config)
+        by_hand = []
+        for i in range(3):
+            clip_path = str(root / f"scene{i}.wav")
+            clip = read_wav(clip_path)
+            frames = config.feature.label_frames(clip.n_samples)
+            if tta is None:
+                seq = model.predict(extract_features(clip), ClipIdentity(clip_path), frames)
+                by_hand.append(decode(seq, 0.5))
+                continue
+            predictions = []
+            for p in all_patterns():
+                rotated = extract_features(apply_to_audio(clip, p))
+                predictions.append((p.id, model.predict(rotated, ClipIdentity(clip_path, p.id), frames)))
+            candidates = collect_candidates(predictions, config.tta.activity_threshold)
+            by_hand.append(aggregate(candidates, config.tta))
+        assert all(by_hand)
+        assert scored == by_hand
+
+    def test_rate_mismatch_still_fails_a_non_reading_run(self):
+        clip, annotation = two_event_scene(seed=12)
+        slow = AudioClip(clip.samples, sample_rate=16000)
+        with pytest.raises(ValueError, match="clip rate 16000 != config rate 24000"):
+            run_tta(OraclePredictor({"clip": annotation}), slow, ClipIdentity("clip"))

@@ -14,7 +14,7 @@ from seldkit.predict import ClipIdentity, ConstantPredictor, OraclePredictor, Or
 from seldkit.rotation import all_patterns, apply_to_audio, apply_to_direction, apply_to_vector, inverse
 from seldkit.tta import CandidateSet, TtaConfig, aggregate, collect_candidates, dbscan_sphere, run_tta
 
-from conftest import plane_wave_clip, random_direction, two_event_scene
+from conftest import IntensityPredictor, plane_wave_clip, random_direction, two_event_scene
 
 
 def dbscan_reference(points, eps_deg, min_pts):
@@ -591,7 +591,7 @@ class TestRunTta:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(seldkit.tta, "extract_features", counting)
-        models = [OraclePredictor({"clip": annotation}) for _ in range(n_models)]
+        models = [IntensityPredictor() for _ in range(n_models)]
         run_tta(models, clip, ClipIdentity("clip"))
         assert len(calls) == 1
 
