@@ -28,7 +28,7 @@ from .metrics import MetricConfig, evaluate_stats, score_report
 from .pipeline import RunConfig, kfold_split, run_pipeline, write_scores
 from .predict import ClipIdentity, make_predictor
 from .rotation import apply_to_audio, pattern_by_id, rotate_annotation
-from .tensorio import load_tensor, read_json, save_tensor
+from .tensorio import config_from_doc, load_tensor, read_json, save_tensor
 from .tta import TtaConfig, run_tta
 
 _seed_option = click.option("--seed", type=int, default=0, show_default=True, help="RNG seed.")
@@ -37,6 +37,12 @@ _seed_option = click.option("--seed", type=int, default=0, show_default=True, he
 def _summary_line(scores: dict) -> str:
     """The four scores of a scores document on one line, for ``eval`` and ``pipeline run``."""
     return "  ".join(f"{name.upper()} {scores[name]:.4f}" for name in ("er20", "f20", "le_cd", "lr_cd"))
+
+
+def _config_file(config_cls, path, name: str):
+    """The ``config_cls`` a config file holds, or the defaults when ``path`` is None;
+    an unknown field raises ValueError naming ``name``, the file and the key."""
+    return config_from_doc(config_cls, read_json(path), f"{name} {path}") if path else config_cls()
 
 
 def parse_model_spec(spec: str, in_path, n_classes: int, seed: int) -> tuple[dict, dict | None]:
@@ -71,7 +77,7 @@ def features():
 @_seed_option
 def features_extract(in_path, out_path, config_path, seed):
     """Extract the 7-channel feature tensor of a clip (deterministic; seed unused)."""
-    config = FeatureConfig(**read_json(config_path)) if config_path else FeatureConfig()
+    config = _config_file(FeatureConfig, config_path, "feature config")
     clip = read_wav(in_path)
     tensor = extract_features(clip, config)
     save_tensor(out_path, tensor, channel_names=FEATURE_CHANNELS, config=dataclasses.asdict(config))
@@ -104,7 +110,7 @@ def rotate(pattern, in_path, labels_path, out_prefix, n_classes, seed):
 @_seed_option
 def augment(config_path, in_path, out_path, seed):
     """Apply gain/pitch/band-pass augmentation with parameters drawn from config ranges."""
-    config = AugmentConfig(**read_json(config_path)) if config_path else AugmentConfig()
+    config = _config_file(AugmentConfig, config_path, "augment config")
     rng = np.random.default_rng(seed)
     write_wav(out_path, augment_waveform(read_wav(in_path), config, rng))
     click.echo(f"wrote {out_path}")
@@ -123,7 +129,7 @@ def emulate(spec_path, library_path, out_prefix, srir_path, n_classes, seed):
     if seed is not None:
         spec = emulate_mod.SceneSpec(spec.duration_s, spec.events, spec.snr_db, seed)
     library = emulate_mod.load_library(library_path)
-    srir_config = emulate_mod.SrirSynthConfig(**read_json(srir_path)) if srir_path else None
+    srir_config = _config_file(emulate_mod.SrirSynthConfig, srir_path, "SRIR config")
     clip, annotation = emulate_mod.mix_scene(spec, library, srir_config, n_classes=n_classes)
     write_wav(f"{out_prefix}.wav", clip)
     write_labels(annotation, f"{out_prefix}.csv")
@@ -196,7 +202,7 @@ def tta():
 @_seed_option
 def tta_run(models, in_path, config_path, out_path, n_classes, seed):
     """Run 16-rotation clustering TTA over one clip."""
-    config = TtaConfig(**read_json(config_path)) if config_path else TtaConfig()
+    config = _config_file(TtaConfig, config_path, "TTA config")
     clip = read_wav(in_path)
     predictors = [make_predictor(*parse_model_spec(s, in_path, n_classes, seed), n_classes) for s in models]
     events = run_tta(predictors, clip, ClipIdentity(in_path), config, n_classes=n_classes)

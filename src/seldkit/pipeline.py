@@ -29,7 +29,7 @@ from .labels import ClipAnnotation, read_labels
 from .manifest import DatasetManifest, ManifestEntry, load_manifest
 from .metrics import MetricConfig, evaluate_stats, merge_stats, score_report
 from .predict import ClipIdentity, check_prediction, make_predictor, reads_features, seed_material
-from .tensorio import check_keys, write_json
+from .tensorio import check_keys, config_from_doc, write_json
 from .tta import TtaConfig, run_tta
 
 log = logging.getLogger(__name__)
@@ -150,13 +150,14 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
-        """Parse a run document; unknown sub-config fields raise TypeError.
+        """Parse a run document.
 
         ``manifest`` and ``predictor`` are required. A missing key, an
-        unknown key, a non-object document, predictor or sub-config, or a
-        ``seed`` or ``n_classes`` that is not a JSON integer or a
-        ``decode_threshold`` that is not a JSON number (``true`` is neither)
-        raises ValueError naming the run config and the key.
+        unknown key (also inside a sub-config), a non-object document,
+        predictor or sub-config, or a ``seed`` or ``n_classes`` that is
+        not a JSON integer or a ``decode_threshold`` that is not a JSON
+        number (``true`` is neither) raises ValueError naming the run
+        config and the key.
         ``decode_threshold`` thresholds direct predictions only, so a
         document that sets it with TTA on raises ValueError: TTA reads
         ``tta.activity_threshold``.
@@ -170,7 +171,7 @@ class RunConfig:
         def sub(config_cls, key, default):
             if key not in doc or doc[key] is None:
                 return default
-            return config_cls(**doc[key])
+            return config_from_doc(config_cls, doc[key], f"run config {key}")
 
         def scalar(key, default, types, kind):
             value = doc.get(key, default)
@@ -194,7 +195,7 @@ class RunConfig:
             seed=scalar("seed", 0, (int,), "integer"),
             n_classes=n_classes,
             feature=sub(FeatureConfig, "feature", FeatureConfig()),
-            metric=MetricConfig(n_classes=n_classes, **metric_doc),
+            metric=config_from_doc(MetricConfig, {**metric_doc, "n_classes": n_classes}, "run config metric"),
             tta=tta,
             augment=sub(AugmentConfig, "augment", None),
             decode_threshold=float(scalar("decode_threshold", 0.5, (int, float), "number")),

@@ -14,7 +14,6 @@ inputs (which is what makes end-to-end TTA identities exactly testable).
 
 from __future__ import annotations
 
-import math
 import zlib
 from dataclasses import dataclass, replace
 from functools import partial
@@ -112,27 +111,27 @@ class OraclePredictorConfig:
 def _jitter_vectors(seq: np.ndarray, jitter_deg: float, rng: np.random.Generator) -> np.ndarray:
     """Rotate each active vector by a random axis-angle of magnitude <= jitter_deg.
 
-    The draws (axis, then angle) and the axis-vector dot stay per cell, in
-    cell order, so the RNG stream and every bit match a per-cell loop of
+    The draws (axis, then angle) stay per cell, in cell order, so the RNG
+    stream and every bit match a per-cell loop of
     ``rng.standard_normal(3)``, ``np.linalg.norm`` and
-    ``rng.uniform(0, jitter_deg)``; the Rodrigues rotation itself runs over
-    all cells at once. The loop holds only the draws and the dot:
-    ``math.sqrt(axis.dot(axis))`` is the value ``np.linalg.norm`` returns,
-    and ``uniform(0, j)`` is ``0 + j * random()``, so the angles are scaled
-    after the loop.
+    ``rng.uniform(0, jitter_deg)``; the loop holds only the draws. After
+    it, the axis norms and the axis-vector dots are batched as
+    ``np.matmul`` of (1, 3) by (3, 1) rows, which runs the dot kernel that
+    ``np.linalg.norm`` and ``@`` run on one vector, so they are bit-equal
+    to the per-cell values (``einsum`` and ``sum`` round differently).
+    ``uniform(0, j)`` is ``0 + j * random()``, so the angles are scaled
+    after the loop, and the Rodrigues rotation runs over all cells at once.
     """
     frames, classes = np.nonzero(np.linalg.norm(seq, axis=2) > 0)
     v = seq[frames, classes]
     axes = np.empty_like(v)
     draws = np.empty(len(v))
-    dots = np.empty(len(v))
     normal, random = rng.standard_normal, rng.random
-    for i, row in enumerate(v):
-        axis = normal(3)
-        axis /= math.sqrt(axis.dot(axis))
+    for i in range(len(v)):
+        axes[i] = normal(3)
         draws[i] = random()
-        axes[i] = axis
-        dots[i] = axis.dot(row)  # per row: a batched dot rounds differently
+    axes /= np.sqrt(np.matmul(axes[:, np.newaxis, :], axes[:, :, np.newaxis]))[:, 0]
+    dots = np.matmul(axes[:, np.newaxis, :], v[:, :, np.newaxis])[:, 0, 0]
     angle = np.radians(jitter_deg * draws)[:, np.newaxis]
     out = seq.copy()
     # Rodrigues rotation about the random axes

@@ -4,12 +4,14 @@ The binary file holds little-endian 32-bit floats in C order; the header
 at ``<path>.json`` records dims, channel names and the producing config.
 Used for feature tensors (``.feat``) and ACCDOA sequences (``.acc``).
 ``write_json`` is the one canonical JSON form of every file seldkit writes,
-``read_json`` the one reader of every JSON document, and ``check_keys``
-the one key check of a document.
+``read_json`` the one reader of every JSON document, ``check_keys``
+the one key check of a document, and ``config_from_doc`` the one way a
+document becomes a config dataclass.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -43,6 +45,13 @@ def check_keys(doc, keys, where: str, required=()) -> None:
     missing = sorted(set(required) - set(doc))
     if missing:
         raise ValueError(f"{where} lacks required keys: {', '.join(missing)}")
+
+
+def config_from_doc(config_cls, doc, where: str):
+    """Build the dataclass ``config_cls`` from ``doc``; a key that is not one of
+    its fields, or a non-object, raises ValueError naming ``where`` and the key."""
+    check_keys(doc, [f.name for f in dataclasses.fields(config_cls)], where)
+    return config_cls(**doc)
 
 
 HEADER_KEYS = ("dims", "dtype", "channel_names", "config")

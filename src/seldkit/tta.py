@@ -5,19 +5,24 @@ the clip extracted once and rotated per pattern (a model that does not
 read features is given None, and with no such model the features are
 never extracted); each prediction is de-rotated back into the original
 frame, and every (label frame, class) cell pools its active de-rotated
-vectors into one (n, 3) candidate array. A model ensemble is the same
-mechanism with more predictions: each model adds up to 16 rows per cell.
-Candidates are clustered per cell with DBSCAN under the great-circle
-metric, all cells of one candidate count in one stacked array pass;
-outliers are rejected, each cluster is averaged into one detection, and
-detections beyond the track budget of a frame are dropped by weight =
-member count x norm of the cluster mean.
+vectors. The candidates are arrays, not a dict of cells: the sorted
+(frame, class) keys, their offsets and one (N, 3) row array, with the
+rows of a cell contiguous and in prediction order. A model ensemble is
+the same mechanism with more predictions: each model adds up to 16 rows
+per cell. Candidates are clustered per cell with DBSCAN under the
+great-circle metric, all cells of one candidate count in one stacked
+array pass; outliers are rejected and each cluster is averaged. Every
+cluster's frame, class, size, mean, activity and weight = member count x
+norm of the mean are arrays, and clusters are ranked per frame before
+any event is built: only the clusters within the track budget of their
+frame become detections and get a direction.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -50,16 +55,50 @@ class TtaConfig:
             raise ValueError(f"activity_threshold must be in (0, sqrt(3)), got {self.activity_threshold}")
 
 
-@dataclass
 class CandidateSet:
-    """De-rotated candidate vectors per (label frame, class) cell.
+    """De-rotated candidate vectors per (label frame, class) cell, as arrays.
 
-    ``cells`` maps (frame, class_id) to an (n, 3) array of activity-scaled
-    vectors, one row per prediction active in the cell, in prediction
-    order: model by model, and within a model pattern by pattern.
+    ``keys`` is a (K, 2) integer array of the cells holding candidates,
+    sorted by (frame, class_id). ``rows`` is one (N, 3) array of
+    activity-scaled vectors, and cell k owns
+    ``rows[offsets[k]:offsets[k + 1]]``: one row per prediction active in
+    the cell, in prediction order (model by model, and within a model
+    pattern by pattern). ``CandidateSet(cells)`` builds the arrays from a
+    {(frame, class_id): (n, 3) rows} mapping; ``cells`` is that mapping
+    again, a read-only view.
     """
 
-    cells: dict = field(default_factory=dict)
+    def __init__(self, cells=None):
+        order = sorted(cells or {})
+        blocks = [np.asarray(cells[key], dtype=float).reshape(-1, 3) for key in order]
+        self._set(
+            np.array(order, dtype=np.intp).reshape(-1, 2),
+            np.cumsum([0] + [len(block) for block in blocks]),
+            np.concatenate(blocks) if blocks else np.empty((0, 3)),
+        )
+
+    @classmethod
+    def from_arrays(cls, keys, offsets, rows) -> "CandidateSet":
+        """Wrap sorted ``keys``, their ``offsets`` and the ``rows`` they slice."""
+        candidates = cls.__new__(cls)
+        candidates._set(keys, offsets, rows)
+        return candidates
+
+    def _set(self, keys, offsets, rows) -> None:
+        self.keys, self.offsets, self.rows = keys, offsets, rows
+        for array in (keys, offsets, rows):
+            array.flags.writeable = False
+
+    @property
+    def cells(self) -> MappingProxyType:
+        """Read-only {(frame, class_id): (n, 3) rows} view, in key order."""
+        bounds = self.offsets.tolist()
+        return MappingProxyType(
+            {
+                (frame, class_id): self.rows[start:stop]
+                for (frame, class_id), start, stop in zip(self.keys.tolist(), bounds, bounds[1:])
+            }
+        )
 
 
 def collect_candidates(predictions, threshold: float) -> CandidateSet:
@@ -83,12 +122,14 @@ def collect_candidates(predictions, threshold: float) -> CandidateSet:
     if not finite.all():
         bad = sorted({predictions[i][0] for i in np.flatnonzero(~finite)})
         raise ValueError(f"non-finite prediction values under rotation pattern(s) {bad}")
-    active = np.linalg.norm(stack, axis=-1) > threshold
-    return CandidateSet(
-        {
-            (int(f), int(c)): stack[active[:, f, c], f, c]
-            for f, c in zip(*np.nonzero(active.any(axis=0)))
-        }
+    # (frame, class, prediction) order: rows come out by cell, then by prediction
+    active = np.moveaxis(np.linalg.norm(stack, axis=-1) > threshold, 0, 2)
+    counts = active.sum(axis=2)
+    frames, classes = np.nonzero(counts)
+    return CandidateSet.from_arrays(
+        np.stack([frames, classes], axis=1),
+        np.concatenate([[0], np.cumsum(counts[frames, classes])]),
+        np.moveaxis(stack, 0, 2)[active],
     )
 
 
@@ -146,53 +187,79 @@ def aggregate(candidates: CandidateSet, config: TtaConfig | None = None) -> list
     noise is dropped and each cluster becomes one event whose vector is
     the arithmetic mean of the member vectors (activity = its norm).
     Frames holding more than max_tracks events keep the top ones by
-    weight = member count x norm of the mean.
+    weight = member count x norm of the mean, then class, then azimuth.
 
     Cells of equal candidate count are clustered together: one stacked
-    ``dbscan_sphere`` call per distinct count. A candidate row of zero
+    ``dbscan_sphere`` call per distinct count. Every cluster's frame,
+    class, size, mean, activity and weight are arrays; clusters are
+    ranked per frame before any event is built, and only kept clusters
+    become a ``DetectedEvent`` with a direction. A candidate row of zero
     norm, or with a non-finite value, has no direction and raises
     ValueError naming its (frame, class) cell.
     """
     config = config or TtaConfig()
-    by_count: dict = {}
-    for cell in sorted(candidates.cells):
-        by_count.setdefault(len(candidates.cells[cell]), []).append(cell)
-    weighted: dict = {}
-    for n, cells in sorted(by_count.items()):
-        vecs = np.stack([candidates.cells[cell] for cell in cells])
+    keys, offsets, rows = candidates.keys, candidates.offsets, candidates.rows
+    counts = np.diff(offsets)
+    clusters = []  # per count: (cell index, size, mean) of each cluster, in insertion order
+    for n in np.unique(counts).tolist():
+        sel = np.flatnonzero(counts == n)
+        vecs = rows[offsets[sel, np.newaxis] + np.arange(n)]
         norms = np.linalg.norm(vecs, axis=2)
         degenerate = ~(np.isfinite(norms) & (norms > 0.0)).all(axis=1)
         if degenerate.any():
-            raise ValueError(
-                f"zero-norm or non-finite candidate row in cell {cells[np.argmax(degenerate)]}"
-            )
+            frame, class_id = keys[sel[np.argmax(degenerate)]].tolist()
+            raise ValueError(f"zero-norm or non-finite candidate row in cell {(frame, class_id)}")
         if n < config.min_candidates:
             continue
         labels = dbscan_sphere(vecs / norms[:, :, np.newaxis], config.unify_deg, config.min_pts)
         n_clusters = int(labels.max(initial=-1)) + 1
         # member rows summed in index order from -0.0, as members.mean(axis=0)
         # does, so the means are bit-equal to it; noise goes to a last slot
-        sums = np.full((len(cells), n_clusters + 1, 3), -0.0)
+        sums = np.full((len(sel), n_clusters + 1, 3), -0.0)
         slots = np.where(labels < 0, n_clusters, labels)
-        rows = np.arange(len(cells))
+        cell_rows = np.arange(len(sel))
         for i in range(n):
-            sums[rows, slots[:, i]] += vecs[:, i]
+            sums[cell_rows, slots[:, i]] += vecs[:, i]
         sizes = (labels[:, :, np.newaxis] == np.arange(n_clusters)).sum(axis=1)
-        for g, cluster in zip(*np.nonzero(sizes)):
-            size = int(sizes[g, cluster])
-            mean = sums[g, cluster] / size
-            activity = float(np.linalg.norm(mean))
-            if activity == 0.0:
-                continue
-            frame, class_id = cells[g]
-            event = DetectedEvent(frame, class_id, unit_to_dir(mean), activity)
-            weighted.setdefault(frame, []).append((size * activity, event))
-    events = []
-    for frame in sorted(weighted):
-        ranked = sorted(
-            weighted[frame], key=lambda we: (-we[0], we[1].class_id, we[1].direction.azimuth)
-        )
-        events.extend(ev for _, ev in ranked[: config.max_tracks])
+        g, cluster = np.nonzero(sizes)
+        size = sizes[g, cluster]
+        clusters.append((sel[g], size, sums[g, cluster] / size[:, np.newaxis]))
+    if not clusters:
+        return []
+    cell, size, mean = (np.concatenate(parts) for parts in zip(*clusters))
+    # the dot kernel np.linalg.norm uses on one vector, so bit-equal to it
+    activity = np.sqrt(np.matmul(mean[:, np.newaxis, :], mean[:, :, np.newaxis]))[:, 0, 0]
+    live = activity != 0.0
+    if not live.any():
+        return []
+    cell, size, mean, activity = cell[live], size[live], mean[live], activity[live]
+    frame, class_id = keys[cell].T
+    weight = size * activity
+    # from here on, clusters sit in rank order: per frame by (-weight, class, insertion)
+    order = np.lexsort((np.arange(len(cell)), class_id, -weight, frame))
+    frame, class_id, weight, mean, activity = (a[order] for a in (frame, class_id, weight, mean, activity))
+    pos = np.arange(len(order))
+    new_frame = np.r_[True, frame[1:] != frame[:-1]]
+    rank = pos - np.maximum.accumulate(np.where(new_frame, pos, 0))
+    keep = rank < config.max_tracks
+    # a (weight, class) tie across the cut is split by azimuth: only its
+    # clusters need a direction before the cut
+    tie = np.cumsum(new_frame | np.r_[True, (weight[1:] != weight[:-1]) | (class_id[1:] != class_id[:-1])])
+    directions: dict = {}
+
+    def direction(i):
+        if i not in directions:
+            directions[i] = unit_to_dir(mean[i])
+        return directions[i]
+
+    for last in np.flatnonzero((rank[:-1] == config.max_tracks - 1) & (tie[1:] == tie[:-1])).tolist():
+        lo, hi = np.searchsorted(tie, [tie[last], tie[last] + 1])
+        keep[lo:hi] = False
+        keep[sorted(range(lo, hi), key=lambda i: direction(i).azimuth)[: last + 1 - lo]] = True
+    events = [
+        DetectedEvent(int(frame[i]), int(class_id[i]), direction(i), float(activity[i]))
+        for i in np.flatnonzero(keep).tolist()
+    ]
     return sorted(events, key=lambda e: (e.frame, e.class_id, e.direction.azimuth))
 
 

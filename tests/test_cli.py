@@ -80,8 +80,8 @@ class TestAugmentCli:
             main, ["augment", "--config", str(config), "--in", str(wav), "--out", str(tmp_path / "a.wav")]
         )
         assert result.exit_code != 0
-        assert isinstance(result.exception, TypeError)
-        assert "n_time_masks" in str(result.exception)
+        assert isinstance(result.exception, ValueError)
+        assert f"unknown augment config {config} keys: n_time_masks" in str(result.exception)
 
 
 class TestEmulateCli:

@@ -8,6 +8,7 @@ documents reject NaN, which Python's json accepts as a literal.
 """
 
 import copy
+import dataclasses
 import json
 import math
 
@@ -27,10 +28,13 @@ from seldkit.emulate import (
     load_library,
     scene_spec_from_json,
 )
+from seldkit.features import FeatureConfig
 from seldkit.geometry import Direction
 from seldkit.manifest import ManifestEntry, load_manifest
+from seldkit.metrics import MetricConfig
 from seldkit.pipeline import RunConfig
 from seldkit.tensorio import check_keys, load_tensor, read_json, save_tensor
+from seldkit.tta import TtaConfig
 
 # null is left out: a run document may set a sub-config to null
 non_objects = st.one_of(
@@ -90,10 +94,11 @@ RUN_DOC = {
     "augment": {"gain_db_range": [-3.0, 3.0]},
 }
 RUN_LOCATIONS = [((), "run config", RunConfig.KEYS, ("manifest", "predictor"), ALL)] + [
-    # sub-configs report their own unknown fields as TypeError; predictor keys are make_predictor's
-    ((key,), f"run config {key}", (), (), ("replace",))
-    for key in ("predictor", "feature", "metric", "tta", "augment")
-]
+    # a sub-config's keys are its dataclass fields; predictor keys are make_predictor's
+    ((key,), f"run config {key}", [f.name for f in dataclasses.fields(config_cls)], (), ("add", "replace"))
+    for key, config_cls in (("feature", FeatureConfig), ("metric", MetricConfig), ("tta", TtaConfig),
+                            ("augment", AugmentConfig))
+] + [(("predictor",), "run config predictor", (), (), ("replace",))]
 
 
 @settings(max_examples=60, deadline=None)
@@ -295,6 +300,29 @@ class TestReaders:
         result = CliRunner().invoke(main, args + ["--seed", "7"])
         assert isinstance(result.exception, ValueError)
         assert str(result.exception) == "run config must be a JSON object, got list"
+
+    @pytest.mark.parametrize(
+        "verb, name",
+        [
+            (["features", "extract", "--out", "f.feat", "--config"], "feature config"),
+            (["augment", "--out", "a.wav", "--config"], "augment config"),
+            (["tta", "run", "--model", "constant", "--out", "e.csv", "--config"], "TTA config"),
+            (["emulate", "--spec", "scene.json", "--library", "lib.json", "--out-prefix", "emu",
+              "--srir-config"], "SRIR config"),
+        ],
+    )
+    @pytest.mark.parametrize("doc, problem", [({"bogus": 1}, "unknown {} keys: bogus"),
+                                              ([], "{} must be a JSON object, got list")])
+    def test_single_verb_config_files(self, tmp_path, monkeypatch, verb, name, doc, problem):
+        monkeypatch.chdir(tmp_path)
+        write_wav_mono(tmp_path / "s.wav", np.random.default_rng(0).standard_normal(2400) * 0.2, 24000)
+        (tmp_path / "lib.json").write_text(json.dumps(LIBRARY_DOC))
+        (tmp_path / "scene.json").write_text(json.dumps({"duration_s": 2.0, "events": [EVENT]}))
+        (tmp_path / "c.json").write_text(json.dumps(doc))
+        in_args = [] if verb[0] == "emulate" else ["--in", "s.wav"]
+        result = CliRunner().invoke(main, verb + ["c.json"] + in_args)
+        assert isinstance(result.exception, ValueError)
+        assert str(result.exception) == problem.format(f"{name} c.json")
 
 
 class TestNonFiniteSettings:

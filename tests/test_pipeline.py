@@ -565,17 +565,17 @@ class TestRunPipeline:
             self.config(manifest_path, augmnet={})
         with pytest.raises(ValueError, match="workers"):
             self.config(manifest_path, workers=2)
-        # a misspelled field inside a sub-config is the sub-config's TypeError
-        with pytest.raises(TypeError, match="seed"):
+        # a misspelled field inside a sub-config names the sub-config and the key
+        with pytest.raises(ValueError, match="unknown run config augment keys: seed"):
             self.config(manifest_path, augment={"seed": 0})
-        with pytest.raises(TypeError, match="unify"):
+        with pytest.raises(ValueError, match="unknown run config tta keys: unify"):
             self.config(manifest_path, tta={"unify": 10.0})
 
     @pytest.mark.parametrize("field", ["n_time_masks", "max_time_frames", "n_freq_masks", "max_mel_bins"])
     def test_augment_mask_field_is_unknown(self, small_dataset, field):
         # no run masks spectrograms, so a mask setting is not a run setting
         _, manifest_path = small_dataset
-        with pytest.raises(TypeError, match=field):
+        with pytest.raises(ValueError, match=f"unknown run config augment keys: {field}"):
             self.config(manifest_path, augment={field: 50})
 
     def test_metric_n_classes_is_the_run_n_classes(self, small_dataset):

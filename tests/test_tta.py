@@ -11,7 +11,14 @@ from seldkit.accdoa import DetectedEvent
 from seldkit.features import FeatureConfig, doa_from_features
 from seldkit.geometry import Direction, angular_distance, dir_to_unit, unit_to_dir
 from seldkit.predict import ClipIdentity, ConstantPredictor, OraclePredictor, OraclePredictorConfig
-from seldkit.rotation import all_patterns, apply_to_audio, apply_to_direction, apply_to_vector, inverse
+from seldkit.rotation import (
+    all_patterns,
+    apply_to_audio,
+    apply_to_direction,
+    apply_to_vector,
+    inverse,
+    pattern_by_id,
+)
 from seldkit.tta import CandidateSet, TtaConfig, aggregate, collect_candidates, dbscan_sphere, run_tta
 
 from conftest import IntensityPredictor, plane_wave_clip, random_direction, two_event_scene
@@ -126,6 +133,17 @@ def aggregate_reference(cells, config):
         )
         events.extend(ev for _, ev in ranked[: config.max_tracks])
     return sorted(events, key=lambda e: (e.frame, e.class_id, e.direction.azimuth))
+
+
+def collect_candidates_reference(predictions, threshold):
+    """The former dict form of ``collect_candidates``: one (n, 3) array per
+    active (frame, class) cell, rows in prediction order."""
+    stack = np.stack([apply_to_vector(seq, inverse(pattern_by_id(pid))) for pid, seq in predictions])
+    active = np.linalg.norm(stack, axis=-1) > threshold
+    return {
+        (int(f), int(c)): stack[active[:, f, c], f, c]
+        for f, c in zip(*np.nonzero(active.any(axis=0)))
+    }
 
 
 def clustered_point_set(rng, n):
@@ -327,6 +345,43 @@ class TestCollectCandidates:
         want = [vector(model, p.id) for model in (0, 1) for p in all_patterns()]
         np.testing.assert_array_equal(cells[(1, 0)], want)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        pattern_ids=st.lists(st.integers(0, 15), min_size=1, max_size=32),
+        frames=st.integers(0, 12),
+        classes=st.integers(1, 5),
+        density=st.sampled_from([0.0, 0.2, 0.7, 1.0]),
+        threshold=st.floats(min_value=0.0, max_value=1.5),
+    )
+    def test_arrays_equal_dict_reference(self, seed, pattern_ids, frames, classes, density, threshold):
+        rng = np.random.default_rng(seed)
+        predictions = [
+            (pid, rng.uniform(-1.0, 1.0, (frames, classes, 3)) * (rng.random((frames, classes, 1)) < density))
+            for pid in pattern_ids
+        ]
+        want = collect_candidates_reference(predictions, threshold)
+        got = collect_candidates(predictions, threshold)
+        assert got.keys.tolist() == [list(key) for key in want]
+        assert got.offsets.tolist() == np.cumsum([0] + [len(v) for v in want.values()]).tolist()
+        assert got.rows.shape == (sum(len(v) for v in want.values()), 3)
+        if want:
+            assert got.rows.tobytes() == np.concatenate(list(want.values())).tobytes()
+        assert list(got.cells) == list(want)
+        for key, rows in want.items():
+            assert got.cells[key].tobytes() == rows.tobytes()
+        rebuilt = CandidateSet(want)
+        for name in ("keys", "offsets", "rows"):
+            np.testing.assert_array_equal(getattr(rebuilt, name), getattr(got, name))
+
+    def test_cells_view_is_read_only(self):
+        candidates = CandidateSet({(2, 1): [[0.9, 0.0, 0.0]], (0, 3): [[0.0, 0.8, 0.0]] * 2})
+        assert list(candidates.cells) == [(0, 3), (2, 1)]
+        with pytest.raises(TypeError):
+            candidates.cells[(1, 1)] = np.zeros((1, 3))
+        with pytest.raises(ValueError):
+            candidates.cells[(2, 1)][0, 0] = 0.0
+
     def test_norm_preserved_through_derotation(self, rng):
         base = np.zeros((1, 1, 3))
         base[0, 0] = rng.uniform(-1, 1, 3)
@@ -367,32 +422,64 @@ class TestAggregate:
         directions = [Direction(0, 0), Direction(90, 0), Direction(180, 0), Direction(0, 60)]
         counts = [16, 12, 10, 9]
         activities = [0.9, 0.8, 0.7, 0.6]
-        cs = CandidateSet()
+        cells = {}
         for class_id, (d, count, act) in enumerate(zip(directions, counts, activities)):
             vec = dir_to_unit(d).as_array() * act
-            cs.cells[(0, class_id)] = np.tile(vec, (count, 1))
-        events = aggregate(cs, TtaConfig(max_tracks=3))
+            cells[(0, class_id)] = np.tile(vec, (count, 1))
+        events = aggregate(CandidateSet(cells), TtaConfig(max_tracks=3))
         assert len(events) == 3
         assert {e.class_id for e in events} == {0, 1, 2}
 
     def test_never_exceeds_max_tracks_per_frame(self, rng):
-        cs = CandidateSet()
+        cells = {}
         for class_id in range(6):
             d = random_direction(rng)
             vec = dir_to_unit(d).as_array()
-            cs.cells[(3, class_id)] = np.tile(vec, (10, 1))
-        events = aggregate(cs, TtaConfig(max_tracks=3))
+            cells[(3, class_id)] = np.tile(vec, (10, 1))
+        events = aggregate(CandidateSet(cells), TtaConfig(max_tracks=3))
         assert len(events) == 3
 
     def test_min_candidates_monotonicity(self, rng):
-        cs = CandidateSet()
+        cells = {}
         for class_id, count in enumerate([16, 12, 9, 6, 3]):
             vec = dir_to_unit(random_direction(rng)).as_array() * 0.9
-            cs.cells[(class_id, class_id % 3)] = np.tile(vec, (count, 1))
+            cells[(class_id, class_id % 3)] = np.tile(vec, (count, 1))
+        cs = CandidateSet(cells)
         counts = [
             len(aggregate(cs, TtaConfig(min_candidates=m))) for m in (1, 4, 8, 12, 16)
         ]
         assert counts == sorted(counts, reverse=True)
+
+    @pytest.mark.parametrize("low_first", [True, False])
+    def test_weight_tie_at_cut_keeps_lower_azimuth(self, low_first):
+        # one cell, two clusters mirrored in y: equal weights, azimuths -50 and 50;
+        # a heavier class-0 cluster takes the first of two tracks
+        low, high = unit(-50.0, 20.0) * 0.9, unit(50.0, 20.0) * 0.9
+        pair = [low] * 8 + [high] * 8 if low_first else [high] * 8 + [low] * 8
+        cells = {(0, 0): np.tile(unit(170.0, 0.0), (16, 1)), (0, 1): np.array(pair)}
+        config = TtaConfig(max_tracks=2)
+        events = aggregate(CandidateSet(cells), config)
+        assert [(e.class_id, round(e.direction.azimuth, 6)) for e in events] == [(0, 170.0), (1, -50.0)]
+        assert repr(events) == repr(aggregate_reference(cells, config))
+
+    def test_directions_only_for_kept_clusters(self, monkeypatch, rng):
+        calls = []
+        original = seldkit.tta.unit_to_dir
+
+        def counting(v):
+            calls.append(1)
+            return original(v)
+
+        monkeypatch.setattr(seldkit.tta, "unit_to_dir", counting)
+        # six clusters of distinct weight in frame 3, one in frame 5; three are cut
+        cells = {
+            (3, class_id): np.tile(dir_to_unit(random_direction(rng)).as_array() * (0.4 + 0.1 * class_id), (10, 1))
+            for class_id in range(6)
+        }
+        cells[(5, 2)] = np.tile(unit(10.0, 0.0), (12, 1))
+        events = aggregate(CandidateSet(cells), TtaConfig(max_tracks=3))
+        assert [(e.frame, e.class_id) for e in events] == [(3, 3), (3, 4), (3, 5), (5, 2)]
+        assert len(calls) == len(events)
 
     def test_cluster_splits_same_class_distant_events(self):
         # same class, same frame, two well separated directions: both survive
