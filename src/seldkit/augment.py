@@ -19,6 +19,15 @@ from .audio import AudioClip
 
 @dataclass(frozen=True)
 class AugmentConfig:
+    """Ranges the waveform augmentation draws its parameters from.
+
+    Every draw is valid for ``pitch_shift`` and ``band_pass``: the pitch
+    range lies within [-12, 12] semitones, the low cut-offs start above
+    0 Hz and end below the first high cut-off. The high cut-offs must also
+    stay below the clip's Nyquist frequency, which a run checks against
+    its feature sample rate.
+    """
+
     gain_db_range: tuple = (-6.0, 6.0)
     pitch_semitone_range: tuple = (-2.0, 2.0)
     bandpass_lo_range: tuple = (50.0, 500.0)
@@ -31,6 +40,15 @@ class AugmentConfig:
                 raise ValueError(f"{name} must be finite: {(lo, hi)}")
             if lo > hi:
                 raise ValueError(f"{name} is not ordered: {(lo, hi)}")
+        if max(abs(s) for s in self.pitch_semitone_range) > 12:
+            raise ValueError(f"pitch_semitone_range must lie within [-12, 12]: {tuple(self.pitch_semitone_range)}")
+        if self.bandpass_lo_range[0] <= 0:
+            raise ValueError(f"bandpass_lo_range must start above 0 Hz: {tuple(self.bandpass_lo_range)}")
+        if self.bandpass_lo_range[1] >= self.bandpass_hi_range[0]:
+            raise ValueError(
+                f"bandpass_lo_range must end below the start of bandpass_hi_range: "
+                f"{tuple(self.bandpass_lo_range)}, {tuple(self.bandpass_hi_range)}"
+            )
 
 
 def apply_gain(clip: AudioClip, gain_db: float) -> AudioClip:

@@ -21,7 +21,7 @@ from .audio import AudioClip, read_wav_mono
 from .geometry import Direction, dir_to_unit
 from .labels import LABEL_FRAME_S, ClipAnnotation, EventLabel
 from .manifest import DatasetManifest, ManifestEntry
-from .tensorio import check_keys, read_json
+from .tensorio import check_keys, read_json, typed_value
 
 log = logging.getLogger(__name__)
 
@@ -276,23 +276,33 @@ def load_library(path) -> SampleLibrary:
     """Load a sample library JSON: {"samples": [{sample_id, class_id, path}]}.
 
     WAV paths are resolved relative to the JSON file's directory. Every
-    key is required. A missing key, a key the library does not read or a
-    non-object raises ValueError naming the library, and the sample's
-    index for a sample.
+    key is required: ``samples`` is an array, ``sample_id`` and ``path``
+    are strings, ``class_id`` is an integer, and no two samples share a
+    ``sample_id``. A missing key, a key the library does not read, a
+    non-object or a value of the wrong type raises ValueError naming the
+    library, and the sample's index for a sample.
     """
     base = Path(path).parent
     doc = read_json(path)
     check_keys(doc, LIBRARY_KEYS, "sample library", required=LIBRARY_KEYS)
-    samples = {}
-    for i, item in enumerate(doc["samples"]):
-        check_keys(item, SAMPLE_KEYS, f"sample library sample {i}", required=SAMPLE_KEYS)
-        wav_path = Path(item["path"])
+    samples: dict = {}
+    index_of: dict = {}
+    for i, item in enumerate(typed_value(doc, "samples", (list,), "array", "sample library")):
+        where = f"sample library sample {i}"
+        check_keys(item, SAMPLE_KEYS, where, required=SAMPLE_KEYS)
+        sample_id = typed_value(item, "sample_id", (str,), "string", where)
+        class_id = typed_value(item, "class_id", (int,), "integer", where)
+        wav_path = Path(typed_value(item, "path", (str,), "string", where))
+        first = index_of.setdefault(sample_id, i)
+        if first != i:
+            raise ValueError(f"{where}: sample {first} has the same sample_id {sample_id!r}")
         if not wav_path.is_absolute():
             wav_path = base / wav_path
         waveform, sr = read_wav_mono(wav_path)
-        samples[item["sample_id"]] = LibrarySample(
-            item["sample_id"], int(item["class_id"]), waveform, sr
-        )
+        try:
+            samples[sample_id] = LibrarySample(sample_id, class_id, waveform, sr)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
     return SampleLibrary(samples)
 
 
@@ -300,30 +310,35 @@ LIBRARY_KEYS = frozenset(("samples",))
 SAMPLE_KEYS = frozenset(("sample_id", "class_id", "path"))
 SCENE_KEYS = frozenset(("duration_s", "snr_db", "seed", "events"))
 EVENT_KEYS = frozenset(("class_id", "sample_id", "onset_s", "azimuth", "elevation"))
+NUMBER = (int, float)
 
 
 def scene_spec_from_json(doc: dict) -> SceneSpec:
     """Build a SceneSpec from its JSON document form.
 
-    ``duration_s`` and every event key are required. A missing key, a key
-    the spec does not read or a non-object raises ValueError naming the
-    spec, and the event's index for an event.
+    ``duration_s`` and every event key are required. Times, angles and
+    ``snr_db`` are numbers, ``seed`` and ``class_id`` integers,
+    ``sample_id`` a string, and ``events`` an array. A missing key, a key
+    the spec does not read, a non-object or a value of the wrong type
+    raises ValueError naming the spec, and the event's index for an event.
     """
     check_keys(doc, SCENE_KEYS, "scene spec", required=("duration_s",))
-    for i, e in enumerate(doc.get("events", ())):
-        check_keys(e, EVENT_KEYS, f"scene spec event {i}", required=EVENT_KEYS)
-    events = tuple(
-        SceneEvent(
-            int(e["class_id"]),
-            str(e["sample_id"]),
-            float(e["onset_s"]),
-            Direction(float(e["azimuth"]), float(e["elevation"])),
+    events = []
+    for i, e in enumerate(typed_value(doc, "events", (list,), "array", "scene spec", [])):
+        where = f"scene spec event {i}"
+        check_keys(e, EVENT_KEYS, where, required=EVENT_KEYS)
+        class_id = typed_value(e, "class_id", (int,), "integer", where)
+        sample_id = typed_value(e, "sample_id", (str,), "string", where)
+        onset, azimuth, elevation = (
+            float(typed_value(e, key, NUMBER, "number", where)) for key in ("onset_s", "azimuth", "elevation")
         )
-        for e in doc.get("events", ())
-    )
+        try:
+            events.append(SceneEvent(class_id, sample_id, onset, Direction(azimuth, elevation)))
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
     return SceneSpec(
-        duration_s=float(doc["duration_s"]),
-        events=events,
-        snr_db=float(doc.get("snr_db", 30.0)),
-        seed=int(doc.get("seed", 0)),
+        duration_s=float(typed_value(doc, "duration_s", NUMBER, "number", "scene spec")),
+        events=tuple(events),
+        snr_db=float(typed_value(doc, "snr_db", NUMBER, "number", "scene spec", 30.0)),
+        seed=typed_value(doc, "seed", (int,), "integer", "scene spec", 0),
     )

@@ -3,11 +3,14 @@
 A run walks a dataset manifest, and for every entry: load the clip and its
 labels, optionally augment the waveform, extract features, predict
 (directly or through rotation TTA), decode into events, and score against
-the labels. Features are extracted only for a predictor that reads them
-(``predict.reads_features``); the oracle, constant and external
-predictors do not, so they are given None and the clip's features are
-never computed. Per-class stats are merged across entries and finalized
-into one scores document. Entries that fail are reported and skipped; the
+the labels. The waveform is augmented and features are extracted only
+for a predictor that reads them (``predict.reads_features``); the
+oracle, constant and external predictors do not, so they are given None,
+and neither the augmented clip nor its features are ever computed. With
+such a predictor, ``augment`` and ``seed`` change nothing in the scores;
+the augment ranges are still checked when the run config loads.
+Per-class stats are merged across entries and finalized into one scores
+document. Entries that fail are reported and skipped; the
 run itself keeps going.
 """
 
@@ -29,7 +32,7 @@ from .labels import ClipAnnotation, read_labels
 from .manifest import DatasetManifest, ManifestEntry, load_manifest
 from .metrics import MetricConfig, evaluate_stats, merge_stats, score_report
 from .predict import ClipIdentity, check_prediction, make_predictor, reads_features, seed_material
-from .tensorio import check_keys, config_from_doc, write_json
+from .tensorio import check_keys, config_from_doc, typed_value, write_json
 from .tta import TtaConfig, run_tta
 
 log = logging.getLogger(__name__)
@@ -147,6 +150,13 @@ class RunConfig:
         object.__setattr__(self, "metric", self.metric or MetricConfig(n_classes=self.n_classes))
         if self.metric.n_classes != self.n_classes:
             raise ValueError(f"metric.n_classes {self.metric.n_classes} differs from the run's {self.n_classes}")
+        # every clip has the feature rate (check_rate), so this bounds every band-pass draw
+        nyquist = self.feature.sample_rate / 2
+        if self.augment is not None and self.augment.bandpass_hi_range[1] >= nyquist:
+            raise ValueError(
+                f"augment.bandpass_hi_range ends at {self.augment.bandpass_hi_range[1]}, not below "
+                f"{nyquist:g} Hz, half the feature sample_rate {self.feature.sample_rate}"
+            )
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
@@ -173,13 +183,7 @@ class RunConfig:
                 return default
             return config_from_doc(config_cls, doc[key], f"run config {key}")
 
-        def scalar(key, default, types, kind):
-            value = doc.get(key, default)
-            if type(value) not in types:  # not isinstance: a JSON true is no number
-                raise ValueError(f"run config {key} must be a JSON {kind}, got {value!r}")
-            return value
-
-        n_classes = scalar("n_classes", 13, (int,), "integer")
+        n_classes = typed_value(doc, "n_classes", (int,), "integer", "run config", 13)
         metric_doc = doc.get("metric") or {}
         if "n_classes" in metric_doc:
             raise ValueError("metric.n_classes is not a run config key; set the top-level n_classes")
@@ -192,13 +196,15 @@ class RunConfig:
         return cls(
             manifest_path=doc["manifest"],
             predictor=dict(doc["predictor"]),
-            seed=scalar("seed", 0, (int,), "integer"),
+            seed=typed_value(doc, "seed", (int,), "integer", "run config", 0),
             n_classes=n_classes,
             feature=sub(FeatureConfig, "feature", FeatureConfig()),
             metric=config_from_doc(MetricConfig, {**metric_doc, "n_classes": n_classes}, "run config metric"),
             tta=tta,
             augment=sub(AugmentConfig, "augment", None),
-            decode_threshold=float(scalar("decode_threshold", 0.5, (int, float), "number")),
+            decode_threshold=float(
+                typed_value(doc, "decode_threshold", (int, float), "number", "run config", 0.5)
+            ),
         )
 
 
@@ -222,14 +228,17 @@ def _score_entry(entry: ManifestEntry, annotation: ClipAnnotation, config: RunCo
             f"{entry.label_path}: label frame {annotation.max_frame} is past the end of the clip, "
             f"which has {label_frames} label frames"
         )
-    if config.augment is not None:
+    # the augmented clip feeds only the features; the config checks keep
+    # every draw valid, so skipping it changes no score
+    reading = reads_features(predictor)
+    if config.augment is not None and reading:
         rng = np.random.default_rng(seed_material(config.seed, entry.clip_path))
         clip = augment_waveform(clip, config.augment, rng)
     identity = ClipIdentity(entry.clip_path)
     if config.tta is not None:
         events = run_tta(predictor, clip, identity, config.tta, config.feature, config.n_classes)
     else:
-        features = extract_features(clip, config.feature) if reads_features(predictor) else None
+        features = extract_features(clip, config.feature) if reading else None
         seq = predictor.predict(features, identity, label_frames)
         check_prediction(seq, identity, label_frames, config.n_classes)
         events = decode(seq, config.decode_threshold)

@@ -43,10 +43,11 @@ class Predictor(Protocol):
 
     ``label_frames`` is the clip's count on the run's label grid, given by
     the caller; the features are the clip's (7, T, M) tensor, rotated by
-    the identity's pattern. Features are computed only for a predictor
-    whose ``reads_features`` is true, or that lacks the attribute; one
-    that sets it false is given None. The built-in oracle, constant and
-    external predictors set it false.
+    the identity's pattern. Features are computed, and a run's waveform
+    augmented, only for a predictor whose ``reads_features`` is true, or
+    that lacks the attribute; one that sets it false is given None and
+    never sees an augmented clip. No built-in predictor kind reads
+    features: the oracle, constant and external predictors set it false.
     """
 
     reads_features: bool = True

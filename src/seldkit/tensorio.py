@@ -6,7 +6,8 @@ Used for feature tensors (``.feat``) and ACCDOA sequences (``.acc``).
 ``write_json`` is the one canonical JSON form of every file seldkit writes,
 ``read_json`` the one reader of every JSON document, ``check_keys``
 the one key check of a document, and ``config_from_doc`` the one way a
-document becomes a config dataclass.
+document becomes a config dataclass. ``typed_value`` checks the JSON type
+of one value of a document.
 """
 
 from __future__ import annotations
@@ -45,6 +46,19 @@ def check_keys(doc, keys, where: str, required=()) -> None:
     missing = sorted(set(required) - set(doc))
     if missing:
         raise ValueError(f"{where} lacks required keys: {', '.join(missing)}")
+
+
+def typed_value(doc: dict, key: str, types: tuple, kind: str, where: str, default=None):
+    """``doc[key]``, or ``default`` when the key is absent, if its type is one of ``types``.
+
+    The type must match exactly, not by isinstance, so a JSON ``true`` is
+    no number. Any other value raises ValueError naming ``where``, the key
+    and ``kind``, the JSON type wanted.
+    """
+    value = doc.get(key, default)
+    if type(value) not in types:
+        raise ValueError(f"{where} {key} must be a JSON {kind}, got {value!r}")
+    return value
 
 
 def config_from_doc(config_cls, doc, where: str):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from seldkit.audio import AudioClip
 from seldkit.augment import (
@@ -171,3 +172,38 @@ class TestAugmentWaveform:
             AugmentConfig(gain_db_range=(6.0, -6.0))
         with pytest.raises(ValueError):
             spec_augment(np.zeros((7, 4, 4)), np.random.default_rng(0), n_time_masks=-1)
+
+    @pytest.mark.parametrize("bounds", [(-12.5, 0.0), (0.0, 12.5), (-13.0, 13.0)])
+    def test_pitch_range_beyond_an_octave_rejected(self, bounds):
+        with pytest.raises(ValueError, match=r"pitch_semitone_range must lie within \[-12, 12\]"):
+            AugmentConfig(pitch_semitone_range=bounds)
+        assert AugmentConfig(pitch_semitone_range=(-12.0, 12.0)).pitch_semitone_range == (-12.0, 12.0)
+
+    @pytest.mark.parametrize("bounds", [(0.0, 500.0), (-50.0, 500.0)])
+    def test_bandpass_low_range_from_zero_rejected(self, bounds):
+        with pytest.raises(ValueError, match="bandpass_lo_range must start above 0 Hz"):
+            AugmentConfig(bandpass_lo_range=bounds)
+
+    @pytest.mark.parametrize("lo_end", [2000.0, 2500.0])
+    def test_bandpass_ranges_that_overlap_rejected(self, lo_end):
+        with pytest.raises(ValueError, match="bandpass_lo_range must end below the start of bandpass_hi_range"):
+            AugmentConfig(bandpass_lo_range=(50.0, lo_end), bandpass_hi_range=(2000.0, 11000.0))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.lists(st.floats(-12.0, 12.0), min_size=2, max_size=2).map(sorted),
+        st.lists(st.floats(1e-3, SR / 2, exclude_max=True), min_size=3, max_size=3, unique=True).map(sorted),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_every_draw_of_a_loaded_config_is_valid(self, pitch, cutoffs, seed):
+        # below Nyquist (a run checks that), a config that loads never fails
+        # a clip: skipping augmentation for a model that ignores it is exact
+        lo_start, lo_end_hi_start, hi_end = cutoffs
+        config = AugmentConfig(
+            pitch_semitone_range=tuple(pitch),
+            bandpass_lo_range=(lo_start, np.nextafter(lo_end_hi_start, 0.0)),
+            bandpass_hi_range=(lo_end_hi_start, hi_end),
+        )
+        clip = tone_clip(440.0, duration_s=0.1)
+        out = augment_waveform(clip, config, np.random.default_rng(seed))
+        assert out.samples.shape == clip.samples.shape

@@ -325,6 +325,78 @@ class TestReaders:
         assert str(result.exception) == problem.format(f"{name} c.json")
 
 
+class TestLibraryAndSceneValues:
+    """The arrays of sample libraries and scene specs, and the types of their values."""
+
+    def load_library(self, workdir, samples):
+        (workdir / "lib.json").write_text(json.dumps({"samples": samples}))
+        return load_library(workdir / "lib.json")
+
+    @pytest.mark.parametrize("value", [5, "s", None, {"a": SAMPLE}])
+    def test_library_samples_must_be_an_array(self, workdir, value):
+        with pytest.raises(ValueError, match=r"^sample library samples must be a JSON array, got "):
+            self.load_library(workdir, value)
+
+    @pytest.mark.parametrize("value", [5, "e", None, {"a": EVENT}])
+    def test_scene_events_must_be_an_array(self, value):
+        with pytest.raises(ValueError, match=r"^scene spec events must be a JSON array, got "):
+            scene_spec_from_json({"duration_s": 2.0, "events": value})
+
+    def test_repeated_sample_id_names_both_samples(self, workdir):
+        samples = [SAMPLE, dict(SAMPLE, sample_id="s1"), dict(SAMPLE, class_id=2)]
+        with pytest.raises(ValueError, match=r"^sample library sample 2: sample 0 has the same sample_id 's0'$"):
+            self.load_library(workdir, samples)
+
+    @pytest.mark.parametrize(
+        "key, value, kind",
+        [("class_id", 2.7, "integer"), ("class_id", 1.9, "integer"), ("class_id", True, "integer"),
+         ("class_id", "3", "integer"), ("sample_id", 7, "string"), ("path", None, "string")],
+    )
+    def test_library_sample_value_types(self, workdir, key, value, kind):
+        samples = [SAMPLE, {**SAMPLE, "sample_id": "s1", key: value}]
+        with pytest.raises(ValueError, match=rf"^sample library sample 1 {key} must be a JSON {kind}, got "):
+            self.load_library(workdir, samples)
+
+    def test_negative_library_class_names_the_sample(self, workdir):
+        with pytest.raises(ValueError, match=r"^sample library sample 1: sample 's1': class_id must be >= 0"):
+            self.load_library(workdir, [SAMPLE, dict(SAMPLE, sample_id="s1", class_id=-1)])
+
+    @pytest.mark.parametrize(
+        "key, value, kind",
+        [("class_id", 2.7, "integer"), ("class_id", True, "integer"), ("sample_id", 7, "string"),
+         ("onset_s", True, "number"), ("onset_s", "0.5", "number"), ("azimuth", None, "number"),
+         ("elevation", False, "number")],
+    )
+    def test_scene_event_value_types(self, key, value, kind):
+        doc = {"duration_s": 2.0, "events": [EVENT, dict(EVENT, **{key: value})]}
+        with pytest.raises(ValueError, match=rf"^scene spec event 1 {key} must be a JSON {kind}, got "):
+            scene_spec_from_json(doc)
+
+    @pytest.mark.parametrize(
+        "key, value, kind",
+        [("duration_s", True, "number"), ("duration_s", "2", "number"), ("snr_db", None, "number"),
+         ("seed", 1.5, "integer"), ("seed", True, "integer")],
+    )
+    def test_scene_value_types(self, key, value, kind):
+        with pytest.raises(ValueError, match=rf"^scene spec {key} must be a JSON {kind}, got "):
+            scene_spec_from_json({"duration_s": 2.0, key: value})
+
+    def test_event_out_of_range_names_the_event(self):
+        with pytest.raises(ValueError, match=r"^scene spec event 0: elevation must be in \[-90, 90\]"):
+            scene_spec_from_json({"duration_s": 2.0, "events": [dict(EVENT, elevation=91.0)]})
+
+    def test_values_of_the_right_type_load(self, workdir):
+        library = self.load_library(workdir, [dict(SAMPLE, sample_id="7", class_id=2)])
+        assert library["7"].class_id == 2
+        spec = scene_spec_from_json(
+            {"duration_s": 2, "snr_db": 20, "seed": 3,
+             "events": [dict(EVENT, sample_id="7", onset_s=1, azimuth=45, elevation=-10)]}
+        )
+        assert (spec.duration_s, spec.snr_db, spec.seed) == (2.0, 20.0, 3)
+        assert spec.events[0] == SceneEvent(3, "7", 1.0, Direction(45.0, -10.0))
+        assert scene_spec_from_json({"duration_s": 2.0}).events == ()
+
+
 class TestNonFiniteSettings:
     @pytest.mark.parametrize("field", ["direct_delay_ms", "rt60_s", "ir_length_s", "direct_to_diffuse_db"])
     @pytest.mark.parametrize("value", [math.nan, -math.inf])

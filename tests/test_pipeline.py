@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import seldkit.augment
 import seldkit.pipeline
 import seldkit.tta
 from seldkit.audio import AudioClip, read_wav, write_wav
-from seldkit.augment import AugmentConfig
+from seldkit.augment import AugmentConfig, augment_waveform
 from seldkit.geometry import Direction, angular_distance, dir_to_unit
 from seldkit.labels import read_labels, write_labels
 from seldkit.manifest import DatasetManifest, ManifestEntry, save_manifest
@@ -829,8 +830,10 @@ class TestRunPipeline:
         else:
             assert f"prediction shape {broken.shape}, expected (50, 13, 3)" in error
 
-    def test_augment_stage_runs(self, small_dataset):
+    def test_augment_stage_runs(self, small_dataset, monkeypatch, augmentations):
+        # a model that reads its features, so every clip is augmented
         _, manifest_path = small_dataset
+        monkeypatch.setattr(seldkit.pipeline, "make_predictor", lambda *a, **k: IntensityPredictor())
         result = run_pipeline(
             self.config(
                 manifest_path,
@@ -838,9 +841,22 @@ class TestRunPipeline:
                 augment={"gain_db_range": [-3.0, 3.0], "pitch_semitone_range": [0.0, 0.0]},
             )
         )
-        # oracle ignores the waveform, so scores stay perfect; the stage
-        # exercising is what matters here
-        assert result["scores"]["f20"] == 1.0
+        assert result["n_scored"] == 3 and result["failures"] == []
+        assert augmentations == ["pitch_shift", "band_pass"] * 3
+
+    @pytest.mark.parametrize(
+        "feature, hi_range, rate",
+        [({}, [2000.0, 12000.0], 24000), ({"sample_rate": 16000, "hop": 400}, [2000.0, 11000.0], 16000)],
+    )
+    def test_bandpass_at_or_above_nyquist_rejected(self, small_dataset, feature, hi_range, rate):
+        # every clip of a run has the feature rate, so the ranges are checked
+        # before any entry, whether or not the predictor reads features
+        _, manifest_path = small_dataset
+        with pytest.raises(ValueError, match=rf"augment\.bandpass_hi_range .*sample_rate {rate}"):
+            self.config(manifest_path, feature=feature, augment={"bandpass_hi_range": hi_range})
+        below = [hi_range[0], np.nextafter(rate / 2, 0.0)]
+        config = self.config(manifest_path, feature=feature, augment={"bandpass_hi_range": below})
+        assert config.augment.bandpass_hi_range == below
 
     def test_jitter_beyond_threshold_degrades_f(self, small_dataset):
         # jitter 25 deg can cross the 20 deg threshold, so F drops below 1
@@ -869,6 +885,36 @@ def extractions(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def augmentations(monkeypatch):
+    """Name every ``pitch_shift`` and ``band_pass`` call, in call order."""
+    calls = []
+    for name in ("pitch_shift", "band_pass"):
+        original = getattr(seldkit.augment, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(seldkit.augment, name, counting)
+    return calls
+
+
+def built_in_predictor(kind, root, pred_dir):
+    """The spec of a built-in predictor kind; an external one serves the
+    oracle's predictions of the small dataset from files in ``pred_dir``."""
+    predictor = {"kind": kind}
+    if kind == "external":
+        for i in range(3):
+            clip_path = str(root / f"scene{i}.wav")
+            oracle = OraclePredictor({clip_path: read_labels(root / f"scene{i}.csv")})
+            for p in all_patterns():
+                seq = oracle.predict(None, ClipIdentity(clip_path, p.id), 50)
+                save_tensor(pred_dir / f"scene{i}.p{p.id:02d}.acc", seq)
+        predictor["dir"] = str(pred_dir)
+    return predictor
+
+
 class RecordingPredictor:
     """Passes calls through to ``model``, keeping the features each call was given."""
 
@@ -881,26 +927,29 @@ class RecordingPredictor:
 
 
 class TestFeaturesOnlyForReadingModels:
-    def config(self, manifest_path, predictor, tta):
-        return RunConfig.from_dict({"manifest": str(manifest_path), "predictor": predictor, "tta": tta})
+    def config(self, manifest_path, predictor, tta, augment=None):
+        return RunConfig.from_dict(
+            {"manifest": str(manifest_path), "predictor": predictor, "tta": tta, "augment": augment}
+        )
 
     @pytest.mark.parametrize("tta", [{}, None], ids=["tta", "direct"])
     @pytest.mark.parametrize("kind", ["oracle", "constant", "external"])
     def test_built_in_predictors_extract_nothing(self, small_dataset, tmp_path, extractions, kind, tta):
         root, manifest_path = small_dataset
-        predictor = {"kind": kind}
-        if kind == "external":
-            # the oracle's predictions, served from files
-            for i in range(3):
-                clip_path = str(root / f"scene{i}.wav")
-                oracle = OraclePredictor({clip_path: read_labels(root / f"scene{i}.csv")})
-                for p in all_patterns():
-                    seq = oracle.predict(None, ClipIdentity(clip_path, p.id), 50)
-                    save_tensor(tmp_path / f"scene{i}.p{p.id:02d}.acc", seq)
-            predictor["dir"] = str(tmp_path)
+        predictor = built_in_predictor(kind, root, tmp_path)
         result = run_pipeline(self.config(manifest_path, predictor, tta))
         assert result["n_scored"] == 3 and result["failures"] == []
         assert extractions == []
+
+    @pytest.mark.parametrize("tta", [{}, None], ids=["tta", "direct"])
+    @pytest.mark.parametrize("kind", ["oracle", "constant", "external"])
+    def test_built_in_predictors_augment_nothing(self, small_dataset, tmp_path, augmentations, kind, tta):
+        root, manifest_path = small_dataset
+        predictor = built_in_predictor(kind, root, tmp_path)
+        augmented = run_pipeline(self.config(manifest_path, predictor, tta, augment={}))
+        assert augmentations == []
+        assert augmented["n_scored"] == 3 and augmented["failures"] == []
+        assert augmented == run_pipeline(self.config(manifest_path, predictor, tta))
 
     def test_mixed_ensemble_extracts_once_and_feeds_only_the_reader(self, extractions):
         clip, annotation = two_event_scene(seed=12)
@@ -924,8 +973,9 @@ class TestFeaturesOnlyForReadingModels:
         assert result["n_scored"] == 3
         assert len(extractions) == 3  # one per clip
 
+    @pytest.mark.parametrize("augment", [None, {}], ids=["plain", "augment"])
     @pytest.mark.parametrize("tta", [{}, None], ids=["tta", "direct"])
-    def test_reading_predictor_events_equal_hand_calls(self, small_dataset, monkeypatch, tta):
+    def test_reading_predictor_events_equal_hand_calls(self, small_dataset, monkeypatch, tta, augment):
         root, manifest_path = small_dataset
         model = IntensityPredictor()
         monkeypatch.setattr(seldkit.pipeline, "make_predictor", lambda *a, **k: model)
@@ -937,12 +987,15 @@ class TestFeaturesOnlyForReadingModels:
             return evaluate(events, annotation, config)
 
         monkeypatch.setattr(seldkit.pipeline, "evaluate_stats", recording)
-        config = self.config(manifest_path, {"kind": "constant"}, tta)
+        config = self.config(manifest_path, {"kind": "constant"}, tta, augment)
         run_pipeline(config)
         by_hand = []
         for i in range(3):
             clip_path = str(root / f"scene{i}.wav")
             clip = read_wav(clip_path)
+            if augment is not None:
+                rng = np.random.default_rng(seed_material(config.seed, clip_path))
+                clip = augment_waveform(clip, config.augment, rng)
             frames = config.feature.label_frames(clip.n_samples)
             if tta is None:
                 seq = model.predict(extract_features(clip), ClipIdentity(clip_path), frames)

@@ -496,13 +496,14 @@ class TestAggregate:
 @st.composite
 def candidate_cells(draw):
     """Cells of mixed candidate counts (1-48), with repeated rows, mirrored
-    cluster pairs whose weights, classes and azimuths all tie, and copies of
-    a cell into other classes of a frame (weight ties at the track cut)."""
+    cluster pairs whose weights, classes and azimuths all tie, pairs whose
+    weights and classes tie at azimuths >= 90 deg apart, and copies of a
+    cell into other classes of a frame (weight ties at the track cut)."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     cells: dict = {}
     for _ in range(draw(st.integers(1, 14))):
         frame, class_id = int(rng.integers(0, 3)), int(rng.integers(0, 5))
-        kind = draw(st.sampled_from(["clustered", "mirrored", "copy"]))
+        kind = draw(st.sampled_from(["clustered", "mirrored", "azimuths", "copy"]))
         if kind == "copy" and cells:
             source = list(cells.values())[int(rng.integers(len(cells)))]
             cells[(frame, class_id)] = source.copy()
@@ -512,6 +513,16 @@ def candidate_cells(draw):
             activity = float(rng.uniform(0.3, 1.0))
             rows = [unit(az, el) * activity] * k + [unit(az, -el) * activity] * k
             cells[(frame, class_id)] = np.array(rows)
+        elif kind == "azimuths":
+            # flipping y maps azimuth a to -a, |a| in [45, 135], and leaves
+            # every member's and mean's norm bit-equal: the weights tie and
+            # only the azimuth tie-break orders the pair, whose clusters
+            # lie >= 75 deg apart at |elevation| <= 30
+            k = draw(st.integers(1, 24))
+            az = float(rng.uniform(45, 135)) * rng.choice([-1, 1])
+            row = unit(az, float(rng.uniform(-30, 30))) * float(rng.uniform(0.3, 1.0))
+            rows = np.array([row] * k + [row * [1.0, -1.0, 1.0]] * k)
+            cells[(frame, class_id)] = rows[rng.permutation(2 * k)]
         else:
             n = draw(st.integers(1, 48))
             vecs = clustered_point_set(rng, n) * rng.uniform(0.3, 1.0, (n, 1))
