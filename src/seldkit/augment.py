@@ -21,11 +21,13 @@ from .audio import AudioClip
 class AugmentConfig:
     """Ranges the waveform augmentation draws its parameters from.
 
-    Every draw is valid for ``pitch_shift`` and ``band_pass``: the pitch
-    range lies within [-12, 12] semitones, the low cut-offs start above
-    0 Hz and end below the first high cut-off. The high cut-offs must also
-    stay below the clip's Nyquist frequency, which a run checks against
-    its feature sample rate.
+    Each is a [lo, hi] pair of finite numbers (not bools) with lo <= hi,
+    and every draw is valid for ``apply_gain``, ``pitch_shift`` and
+    ``band_pass``: gains lie within [-120, 120] dB, pitches within
+    [-12, 12] semitones, and the low cut-offs start above 0 Hz and end
+    below the first high cut-off. The high cut-offs must also stay below
+    the clip's Nyquist frequency, which a run checks against its feature
+    sample rate.
     """
 
     gain_db_range: tuple = (-6.0, 6.0)
@@ -35,11 +37,17 @@ class AugmentConfig:
 
     def __post_init__(self):
         for name in ("gain_db_range", "pitch_semitone_range", "bandpass_lo_range", "bandpass_hi_range"):
-            lo, hi = getattr(self, name)
+            value = getattr(self, name)
+            pair = isinstance(value, (tuple, list)) and len(value) == 2
+            if not (pair and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)):
+                raise ValueError(f"{name} must be a [lo, hi] pair of numbers, got {value!r}")
+            lo, hi = value
             if not (math.isfinite(lo) and math.isfinite(hi)):
                 raise ValueError(f"{name} must be finite: {(lo, hi)}")
             if lo > hi:
                 raise ValueError(f"{name} is not ordered: {(lo, hi)}")
+        if max(abs(g) for g in self.gain_db_range) > 120:  # 10 ** (dB / 20) overflows past about 6165 dB
+            raise ValueError(f"gain_db_range must lie within [-120, 120] dB: {tuple(self.gain_db_range)}")
         if max(abs(s) for s in self.pitch_semitone_range) > 12:
             raise ValueError(f"pitch_semitone_range must lie within [-12, 12]: {tuple(self.pitch_semitone_range)}")
         if self.bandpass_lo_range[0] <= 0:

@@ -47,12 +47,16 @@ def _config_file(config_cls, path, name: str):
 
 def parse_model_spec(spec: str, in_path, n_classes: int, seed: int) -> tuple[dict, dict | None]:
     """Parse ``oracle:<labels.csv>``, ``constant[:<value>]`` or ``external:<dir>`` into a
-    ``make_predictor`` mapping and, for the oracle, the annotations of clip ``in_path``."""
+    ``make_predictor`` mapping and, for the oracle, the annotations of clip ``in_path``;
+    the constant's value must parse as a float, as its JSON key must be a number."""
     kind, _, arg = spec.partition(":")
     if kind == "oracle" and arg:
         return {"kind": "oracle", "seed": seed}, {in_path: read_labels(arg, n_classes=n_classes)}
     if kind == "constant":
-        return ({"kind": "constant", "value": arg} if arg else {"kind": "constant"}), None
+        try:
+            return {"kind": "constant", **({"value": float(arg)} if arg else {})}, None
+        except ValueError:
+            raise click.UsageError(f"--model {spec!r}: the constant value must be a number") from None
     if kind == "external" and arg:
         return {"kind": "external", "dir": arg}, None
     raise click.UsageError(

@@ -21,7 +21,7 @@ from .audio import AudioClip, read_wav_mono
 from .geometry import Direction, dir_to_unit
 from .labels import LABEL_FRAME_S, ClipAnnotation, EventLabel
 from .manifest import DatasetManifest, ManifestEntry
-from .tensorio import check_keys, read_json, typed_value
+from .tensorio import check_keys, config_from_doc, read_json, typed_value
 
 log = logging.getLogger(__name__)
 
@@ -336,9 +336,4 @@ def scene_spec_from_json(doc: dict) -> SceneSpec:
             events.append(SceneEvent(class_id, sample_id, onset, Direction(azimuth, elevation)))
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
-    return SceneSpec(
-        duration_s=float(typed_value(doc, "duration_s", NUMBER, "number", "scene spec")),
-        events=tuple(events),
-        snr_db=float(typed_value(doc, "snr_db", NUMBER, "number", "scene spec", 30.0)),
-        seed=typed_value(doc, "seed", (int,), "integer", "scene spec", 0),
-    )
+    return config_from_doc(SceneSpec, {**doc, "events": events}, "scene spec")

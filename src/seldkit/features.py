@@ -131,24 +131,8 @@ def mel_filterbank(config: FeatureConfig) -> np.ndarray:
     return fb
 
 
-def intensity_vector(stft_w, stft_x, stft_y, stft_z, fb, floor_eps: float) -> np.ndarray:
-    """Mel-aggregated FOA intensity, shaped (3, frames, n_mels).
-
-    Per TF bin the intensity is Re(conj(W) * (X, Y, Z)); each component is
-    aggregated through the mel filterbank ``fb`` (see ``mel_filterbank``),
-    then the 3-vector of every (frame, mel) cell is scaled to unit norm
-    (zero where the norm is below ``floor_eps``), so the cell encodes a
-    pure direction.
-    """
-    specs = [np.asarray(s) for s in (stft_w, stft_x, stft_y, stft_z)]
-    if len({s.shape for s in specs}) != 1:
-        raise ValueError("spectrogram dims must match")
-    comps = [_intensity_component(specs[0], s, fb) for s in specs[1:]]
-    return _unit_cells(np.stack(comps), floor_eps)
-
-
 def _intensity_component(stft_w, stft_c, fb) -> np.ndarray:
-    """One mel-aggregated intensity component: Re(conj(W) * C) through ``fb``."""
+    """One mel-aggregated intensity component: Re(conj(W) * C) per TF bin, through ``fb``."""
     return np.real(np.conj(stft_w) * stft_c) @ fb.T
 
 

@@ -160,52 +160,26 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
-        """Parse a run document.
-
-        ``manifest`` and ``predictor`` are required. A missing key, an
-        unknown key (also inside a sub-config), a non-object document,
-        predictor or sub-config, or a ``seed`` or ``n_classes`` that is
-        not a JSON integer or a ``decode_threshold`` that is not a JSON
-        number (``true`` is neither) raises ValueError naming the run
-        config and the key.
-        ``decode_threshold`` thresholds direct predictions only, so a
-        document that sets it with TTA on raises ValueError: TTA reads
-        ``tta.activity_threshold``.
-        """
+        """Parse a run document: ``manifest`` (a string) and ``predictor`` are required,
+        and every value has its field's JSON type (``tensorio.config_from_doc``).
+        A missing or unknown key, also inside a sub-config, or a value of another
+        type raises ValueError naming the run config and the key. ``decode_threshold``
+        thresholds direct predictions only, so setting it with TTA on raises
+        ValueError: TTA reads ``tta.activity_threshold``."""
         check_keys(doc, cls.KEYS, "run config", required=("manifest", "predictor"))
-        for key in ("predictor", "feature", "metric", "tta", "augment"):
-            value = doc.get(key)
-            if not isinstance(value, dict) and (key == "predictor" or value is not None):
-                raise ValueError(f"run config {key} must be a JSON object, got {type(value).__name__}")
-
-        def sub(config_cls, key, default):
-            if key not in doc or doc[key] is None:
-                return default
-            return config_from_doc(config_cls, doc[key], f"run config {key}")
-
-        n_classes = typed_value(doc, "n_classes", (int,), "integer", "run config", 13)
-        metric_doc = doc.get("metric") or {}
-        if "n_classes" in metric_doc:
-            raise ValueError("metric.n_classes is not a run config key; set the top-level n_classes")
-        tta = sub(TtaConfig, "tta", None) if "tta" in doc else TtaConfig()
-        if tta is not None and "decode_threshold" in doc:
+        fields = {key: value for key, value in doc.items() if key != "manifest"}
+        fields["manifest_path"] = typed_value(doc, "manifest", (str,), "string", "run config")
+        if isinstance(doc.get("metric"), dict):  # a non-object fails in config_from_doc
+            if "n_classes" in doc["metric"]:
+                raise ValueError("metric.n_classes is not a run config key; set the top-level n_classes")
+            fields["metric"] = {**doc["metric"], "n_classes": doc.get("n_classes", cls.n_classes)}
+        config = config_from_doc(cls, fields, "run config")
+        if config.tta is not None and "decode_threshold" in doc:
             raise ValueError(
                 "decode_threshold is read only with \"tta\": null; "
                 "TTA thresholds its events with tta.activity_threshold"
             )
-        return cls(
-            manifest_path=doc["manifest"],
-            predictor=dict(doc["predictor"]),
-            seed=typed_value(doc, "seed", (int,), "integer", "run config", 0),
-            n_classes=n_classes,
-            feature=sub(FeatureConfig, "feature", FeatureConfig()),
-            metric=config_from_doc(MetricConfig, {**metric_doc, "n_classes": n_classes}, "run config metric"),
-            tta=tta,
-            augment=sub(AugmentConfig, "augment", None),
-            decode_threshold=float(
-                typed_value(doc, "decode_threshold", (int, float), "number", "run config", 0.5)
-            ),
-        )
+        return config
 
 
 def _worker_count() -> int:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .accdoa import MAX_ACTIVITY, EncodingIndex
 from .rotation import apply_to_direction, pattern_by_id
-from .tensorio import load_tensor
+from .tensorio import config_from_doc, load_tensor, typed_value
 
 
 @dataclass(frozen=True)
@@ -185,8 +185,8 @@ class ConstantPredictor:
     reads_features = False
 
     def __init__(self, n_classes: int = 13, value: float = 0.0):
-        if abs(value) > 1.0:
-            raise ValueError("constant value must be within the tanh range [-1, 1]")
+        if not abs(value) <= 1.0:  # NaN too
+            raise ValueError(f"constant value must be within the tanh range [-1, 1], got {value}")
         self.n_classes = n_classes
         self.value = value
 
@@ -232,8 +232,9 @@ def make_predictor(spec: dict, annotations: dict | None = None, n_classes: int =
 
     {"kind": "oracle", "jitter_deg": 3, "activity": 1, "seed": 0} (needs
     ``annotations``), {"kind": "constant", "value": 0} or
-    {"kind": "external", "dir": "preds/"}. An unknown kind, or a key the
-    kind does not read, raises ValueError. ``annotations`` maps the run's
+    {"kind": "external", "dir": "preds/"}. An unknown kind, a key the kind
+    does not read or a value of another JSON type (``value`` is a number,
+    ``dir`` a string) raises ValueError. ``annotations`` maps the run's
     clip ids to their labels; an external predictor finds files by clip
     stem, so two of those clips sharing a stem raise ValueError. No
     predictor holds a label grid: each call is given its clip's count.
@@ -246,15 +247,15 @@ def make_predictor(spec: dict, annotations: dict | None = None, n_classes: int =
     unknown = sorted(set(spec) - {"kind"} - _PREDICTOR_KEYS[kind])
     if unknown:
         raise ValueError(f"{kind} predictor does not read {', '.join(unknown)}")
+    where = f"{kind} predictor"
     if kind == "oracle":
         if annotations is None:
             raise ValueError("oracle predictor needs clip annotations")
-        config = OraclePredictorConfig(**{k: v for k, v in spec.items() if k != "kind"})
+        config = config_from_doc(OraclePredictorConfig, {k: v for k, v in spec.items() if k != "kind"}, where)
         return OraclePredictor(annotations, config)
     if kind == "constant":
-        return ConstantPredictor(n_classes, float(spec.get("value", 0.0)))
-    if "dir" not in spec:
-        raise ValueError("external predictor needs a directory")
+        return ConstantPredictor(n_classes, float(typed_value(spec, "value", (int, float), "number", where, 0.0)))
+    directory = typed_value(spec, "dir", (str,), "string", where)
     clip_of_stem: dict = {}
     for clip_id in annotations or ():
         stem = Path(clip_id).stem
@@ -264,4 +265,4 @@ def make_predictor(spec: dict, annotations: dict | None = None, n_classes: int =
                 f"clips {first!r} and {clip_id!r} share the file stem {stem!r}, "
                 "so an external predictor would read the same prediction files for both"
             )
-    return ExternalFilePredictor(spec["dir"])
+    return ExternalFilePredictor(directory)

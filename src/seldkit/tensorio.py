@@ -6,14 +6,15 @@ Used for feature tensors (``.feat``) and ACCDOA sequences (``.acc``).
 ``write_json`` is the one canonical JSON form of every file seldkit writes,
 ``read_json`` the one reader of every JSON document, ``check_keys``
 the one key check of a document, and ``config_from_doc`` the one way a
-document becomes a config dataclass. ``typed_value`` checks the JSON type
-of one value of a document.
+document becomes a config dataclass, each value of its field's JSON type.
+``typed_value`` checks the JSON type of one value of a document.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -61,11 +62,44 @@ def typed_value(doc: dict, key: str, types: tuple, kind: str, where: str, defaul
     return value
 
 
+# field annotation -> (the Python types json gives for it, its JSON name, the stored form)
+_JSON_KINDS = {
+    int: ((int,), "integer", int),
+    float: ((int, float), "number", float),
+    tuple: ((list,), "array", tuple),
+    str: ((str,), "string", str),
+    dict: ((dict,), "object", dict),
+}
+
+
 def config_from_doc(config_cls, doc, where: str):
-    """Build the dataclass ``config_cls`` from ``doc``; a key that is not one of
-    its fields, or a non-object, raises ValueError naming ``where`` and the key."""
-    check_keys(doc, [f.name for f in dataclasses.fields(config_cls)], where)
-    return config_cls(**doc)
+    """Build the dataclass ``config_cls`` from ``doc``, each value of the JSON type its field declares.
+
+    A field without a default is required. Per ``_JSON_KINDS``, an ``int``
+    field takes a JSON integer, ``float`` a number, ``tuple`` an array,
+    ``str`` a string and ``dict`` an object; a dataclass-typed field is read
+    from its object the same way, and ``X | None`` also takes null. Any other
+    key or value raises ValueError naming ``where`` and the key.
+    """
+    fields = dataclasses.fields(config_cls)
+    required = [f.name for f in fields if f.default is f.default_factory is dataclasses.MISSING]
+    check_keys(doc, [f.name for f in fields], where, required)
+    hints = typing.get_type_hints(config_cls)
+    values = {}
+    for name in (f.name for f in fields if f.name in doc):
+        args = typing.get_args(hints[name])
+        nullable = type(None) in args  # X | None
+        field_type = next(t for t in args if t is not type(None)) if nullable else hints[name]
+        if nullable and doc[name] is None:
+            values[name] = None
+        elif dataclasses.is_dataclass(field_type):
+            values[name] = config_from_doc(field_type, doc[name], f"{where} {name}")
+        elif field_type in _JSON_KINDS:
+            types, kind, store = _JSON_KINDS[field_type]
+            values[name] = store(typed_value(doc, name, types, kind, where))
+        else:
+            raise TypeError(f"{config_cls.__name__}.{name}: no JSON type for the annotation {hints[name]}")
+    return config_cls(**values)
 
 
 HEADER_KEYS = ("dims", "dtype", "channel_names", "config")

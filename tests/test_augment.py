@@ -189,6 +189,29 @@ class TestAugmentWaveform:
         with pytest.raises(ValueError, match="bandpass_lo_range must end below the start of bandpass_hi_range"):
             AugmentConfig(bandpass_lo_range=(50.0, lo_end), bandpass_hi_range=(2000.0, 11000.0))
 
+    @pytest.mark.parametrize(
+        "field", ["gain_db_range", "pitch_semitone_range", "bandpass_lo_range", "bandpass_hi_range"]
+    )
+    @pytest.mark.parametrize("value", [(1.0, 2.0, 3.0), (1.0,), ("a", "b"), (True, False), (0.0, None), 5, None])
+    def test_range_that_is_not_a_pair_of_numbers_rejected(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be a \[lo, hi\] pair of numbers, got"):
+            AugmentConfig(**{field: value})
+
+    @pytest.mark.parametrize("bounds", [(-120.5, 0.0), (0.0, 121.0), (7000.0, 7000.0)])
+    def test_gain_beyond_120_db_rejected(self, bounds):
+        # 10 ** (7000 / 20) overflows in apply_gain; the config stops it first
+        with pytest.raises(ValueError, match=r"^gain_db_range must lie within \[-120, 120\] dB"):
+            AugmentConfig(gain_db_range=bounds)
+
+    @pytest.mark.parametrize("gain", [-120.0, 120.0])
+    def test_gain_at_either_bound_runs(self, gain):
+        # the chain is linear, so the gain scales the 0 dB output; the same seed draws the same rest
+        clip = tone_clip(440.0, duration_s=0.1)
+        out = augment_waveform(clip, AugmentConfig(gain_db_range=(gain, gain)), np.random.default_rng(3))
+        ref = augment_waveform(clip, AugmentConfig(gain_db_range=(0.0, 0.0)), np.random.default_rng(3))
+        scale = 10.0 ** (gain / 20.0)
+        np.testing.assert_allclose(out.samples, ref.samples * scale, rtol=1e-9, atol=1e-12 * scale)
+
     @settings(max_examples=30, deadline=None)
     @given(
         st.lists(st.floats(-12.0, 12.0), min_size=2, max_size=2).map(sorted),

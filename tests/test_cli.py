@@ -232,7 +232,7 @@ class TestModelSpec:
             {"scene.wav": annotation},
         )
         assert self.parse("constant") == ({"kind": "constant"}, None)
-        assert self.parse("constant:0.25") == ({"kind": "constant", "value": "0.25"}, None)
+        assert self.parse("constant:0.25") == ({"kind": "constant", "value": 0.25}, None)
         assert self.parse(f"external:{tmp_path}") == ({"kind": "external", "dir": str(tmp_path)}, None)
         assert make_predictor(*self.parse("constant:0.25")).value == 0.25
         assert isinstance(make_predictor(*self.parse("constant")), ConstantPredictor)
@@ -243,6 +243,12 @@ class TestModelSpec:
     @pytest.mark.parametrize("spec", ["oracle", "oracle:", "external", "warp-drive", "warp:x"])
     def test_malformed_rejected(self, spec):
         with pytest.raises(click.UsageError, match="expected oracle:<labels.csv>"):
+            self.parse(spec)
+
+    @pytest.mark.parametrize("spec", ["constant:abc", "constant:0.5x", "constant:true"])
+    def test_constant_value_must_be_a_number(self, spec):
+        # the same rule as a run document's constant.value, which is a JSON number
+        with pytest.raises(click.UsageError, match="the constant value must be a number"):
             self.parse(spec)
 
 

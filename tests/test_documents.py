@@ -11,6 +11,7 @@ import copy
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -33,7 +34,8 @@ from seldkit.geometry import Direction
 from seldkit.manifest import ManifestEntry, load_manifest
 from seldkit.metrics import MetricConfig
 from seldkit.pipeline import RunConfig
-from seldkit.tensorio import check_keys, load_tensor, read_json, save_tensor
+from seldkit.predict import OraclePredictorConfig, make_predictor
+from seldkit.tensorio import check_keys, config_from_doc, load_tensor, read_json, save_tensor
 from seldkit.tta import TtaConfig
 
 # null is left out: a run document may set a sub-config to null
@@ -228,6 +230,8 @@ class TestReaders:
             ("decode_threshold", "0.5", "number"),
             ("decode_threshold", True, "number"),
             ("decode_threshold", None, "number"),
+            ("manifest", 0, "string"),
+            ("predictor", 5, "object"),
         ],
     )
     def test_run_scalar_types(self, key, value, kind):
@@ -323,6 +327,84 @@ class TestReaders:
         result = CliRunner().invoke(main, verb + ["c.json"] + in_args)
         assert isinstance(result.exception, ValueError)
         assert str(result.exception) == problem.format(f"{name} c.json")
+
+
+CONFIG_CLASSES = [FeatureConfig, TtaConfig, MetricConfig, AugmentConfig, SrirSynthConfig, OraclePredictorConfig]
+
+
+class TestConfigFieldTypes:
+    """``config_from_doc`` reads each field with the JSON type of its annotation.
+
+    Every config class a document reaches is listed, so a field whose
+    annotation the reader does not handle fails here, not in a run.
+    """
+
+    @pytest.mark.parametrize("config_cls", CONFIG_CLASSES)
+    def test_defaults_load_back_equal(self, config_cls):
+        doc = json.loads(json.dumps(dataclasses.asdict(config_cls())))
+        assert config_from_doc(config_cls, doc, "config") == config_cls()
+
+    @pytest.mark.parametrize("value", [True, "1"])
+    @pytest.mark.parametrize("config_cls", CONFIG_CLASSES)
+    def test_every_field_rejects_a_bool_and_a_string(self, config_cls, value):
+        for field in dataclasses.fields(config_cls):
+            with pytest.raises(ValueError, match=rf"^config {field.name} must be a JSON \w+, got {value!r}$"):
+                config_from_doc(config_cls, {field.name: value}, "config")
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("feature", {"hop": 600.0}, "run config feature hop must be a JSON integer, got 600.0"),
+            ("metric", {"segment_frames": 2.5}, "run config metric segment_frames must be a JSON integer, got 2.5"),
+            ("metric", {"segment_frames": True}, "run config metric segment_frames must be a JSON integer, got True"),
+            ("tta", {"max_tracks": True}, "run config tta max_tracks must be a JSON integer, got True"),
+            ("tta", {"unify_deg": "15"}, "run config tta unify_deg must be a JSON number, got '15'"),
+            ("augment", {"gain_db_range": 5}, "run config augment gain_db_range must be a JSON array, got 5"),
+            ("feature", None, "run config feature must be a JSON object, got NoneType"),
+        ],
+    )
+    def test_run_document_value_types(self, key, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            RunConfig.from_dict({**RUN_DOC, key: value})
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"kind": "oracle", "jitter_deg": True}, "oracle predictor jitter_deg must be a JSON number, got True"),
+            ({"kind": "oracle", "seed": 1.5}, "oracle predictor seed must be a JSON integer, got 1.5"),
+            ({"kind": "constant", "value": "0.9"}, "constant predictor value must be a JSON number, got '0.9'"),
+            ({"kind": "constant", "value": True}, "constant predictor value must be a JSON number, got True"),
+            ({"kind": "external", "dir": 5}, "external predictor dir must be a JSON string, got 5"),
+        ],
+    )
+    def test_predictor_value_types(self, spec, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make_predictor(spec, annotations={})
+
+    def test_values_of_the_right_type_load_as_their_field_type(self):
+        config = RunConfig.from_dict(
+            {**RUN_DOC, "metric": {"spatial_threshold_deg": 20}, "tta": {"unify_deg": 15, "max_tracks": 2},
+             "augment": {"gain_db_range": [-3, 3]}}
+        )
+        assert type(config.metric.spatial_threshold_deg) is float and type(config.tta.unify_deg) is float
+        assert config.augment.gain_db_range == (-3.0, 3.0) and config.tta.max_tracks == 2
+        assert make_predictor({"kind": "constant", "value": 1}).value == 1.0
+        assert make_predictor({"kind": "oracle", "jitter_deg": 2}, annotations={}).config.jitter_deg == 2.0
+        assert make_predictor({"kind": "oracle", "activity": 0.5}, annotations={}).config.activity == 0.5
+
+    def test_a_constant_value_that_is_nan_is_rejected(self):
+        with pytest.raises(ValueError, match=r"constant value must be within the tanh range \[-1, 1\], got nan"):
+            make_predictor(json.loads('{"kind": "constant", "value": NaN}'))
+
+    def test_config_file_value_types(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_wav_mono(tmp_path / "s.wav", np.random.default_rng(0).standard_normal(2400) * 0.2, 24000)
+        (tmp_path / "c.json").write_text(json.dumps({"n_mels": True}))
+        args = ["features", "extract", "--in", "s.wav", "--out", "f.feat", "--config", "c.json"]
+        result = CliRunner().invoke(main, args)
+        assert isinstance(result.exception, ValueError)
+        assert str(result.exception) == "feature config c.json n_mels must be a JSON integer, got True"
+        assert not (tmp_path / "f.feat").exists()
 
 
 class TestLibraryAndSceneValues:

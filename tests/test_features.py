@@ -10,7 +10,6 @@ from seldkit.features import (
     FeatureConfig,
     doa_from_features,
     extract_features,
-    intensity_vector,
     mel_filterbank,
     stft,
 )
@@ -170,17 +169,12 @@ class TestLogMel:
 
 
 class TestIntensity:
-    def test_silence_all_zero(self):
-        zero = np.zeros((11, CFG.n_bins), dtype=complex)
-        iv = intensity_vector(zero, zero, zero, zero, mel_filterbank(CFG), CFG.floor_eps)
-        assert iv.shape == (3, 11, CFG.n_mels)
-        assert np.all(iv == 0)
+    """Rows 4-6 of ``extract_features``: the unit intensity vector of each (frame, mel) cell."""
 
-    def test_dim_mismatch_rejected(self):
-        a = np.zeros((11, CFG.n_bins), dtype=complex)
-        b = np.zeros((12, CFG.n_bins), dtype=complex)
-        with pytest.raises(ValueError, match="dims"):
-            intensity_vector(a, a, a, b, mel_filterbank(CFG), CFG.floor_eps)
+    def test_silence_all_zero(self):
+        feats = extract_features(AudioClip(np.zeros((4, 6000))), CFG)
+        assert feats[4:7].shape == (3, 11, CFG.n_mels)
+        assert np.all(feats[4:7] == 0)
 
     @pytest.mark.parametrize(
         "direction,expected",
@@ -188,14 +182,12 @@ class TestIntensity:
     )
     def test_plane_wave_axis(self, direction, expected):
         clip = plane_wave_clip(direction)
-        specs = [stft(clip.samples[ch], CFG) for ch in range(4)]
-        fb = mel_filterbank(CFG)
-        iv = intensity_vector(*specs, fb, CFG.floor_eps)
-        power = np.abs(specs[0]) ** 2 @ fb.T
+        feats = extract_features(clip, CFG)
+        power = np.abs(stft(clip.samples[0], CFG)) ** 2 @ mel_filterbank(CFG).T
         energized = power > 1e-4 * power.max()
         assert energized.sum() > 50
         for axis in range(3):
-            np.testing.assert_allclose(iv[axis][energized], expected[axis], atol=1e-3)
+            np.testing.assert_allclose(feats[4 + axis][energized], expected[axis], atol=1e-3)
 
     def test_norms_unit_or_zero(self, rng):
         clip = AudioClip(rng.standard_normal((4, 12000)))

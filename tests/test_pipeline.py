@@ -856,7 +856,7 @@ class TestRunPipeline:
             self.config(manifest_path, feature=feature, augment={"bandpass_hi_range": hi_range})
         below = [hi_range[0], np.nextafter(rate / 2, 0.0)]
         config = self.config(manifest_path, feature=feature, augment={"bandpass_hi_range": below})
-        assert config.augment.bandpass_hi_range == below
+        assert config.augment.bandpass_hi_range == tuple(below)  # an array field is stored as a tuple
 
     def test_jitter_beyond_threshold_degrades_f(self, small_dataset):
         # jitter 25 deg can cross the 20 deg threshold, so F drops below 1

@@ -1,7 +1,9 @@
-"""The README's library example runs as written and prints perfect scores."""
+"""The README's library example runs as written and prints perfect scores, its
+minimal run document loads, and its run-document table lists every key."""
 
 import contextlib
 import io
+import json
 import re
 from pathlib import Path
 
@@ -61,3 +63,16 @@ def test_run_document_table_lists_every_sub_config_field():
     expected = {key: {f.name for f in dataclasses.fields(cls)} for key, cls in sub_configs.items()}
     expected["metric"].discard("n_classes")  # the run's top-level n_classes is its only class count
     assert listed == expected
+
+
+def test_minimal_run_document_loads():
+    from seldkit.pipeline import RunConfig
+    from seldkit.tta import TtaConfig
+
+    section = README.read_text().split("A minimal `run.json`:", 1)[1]
+    match = re.search(r"```json\n(.*?)```", section, re.DOTALL)
+    assert match, "README has no json block after 'A minimal `run.json`:'"
+    config = RunConfig.from_dict(json.loads(match.group(1)))
+    assert config.manifest_path == "manifest.json"
+    assert config.predictor == {"kind": "oracle", "jitter_deg": 0.0}
+    assert config.tta == TtaConfig()
