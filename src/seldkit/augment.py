@@ -7,7 +7,7 @@ is preserved.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -42,7 +42,7 @@ class AugmentConfig:
             if not (pair and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)):
                 raise ValueError(f"{name} must be a [lo, hi] pair of numbers, got {value!r}")
             lo, hi = value
-            if not (math.isfinite(lo) and math.isfinite(hi)):
+            if not all(abs(v) <= sys.float_info.max for v in value):  # also an int no float holds
                 raise ValueError(f"{name} must be finite: {(lo, hi)}")
             if lo > hi:
                 raise ValueError(f"{name} is not ordered: {(lo, hi)}")

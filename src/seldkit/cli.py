@@ -2,10 +2,10 @@
 
 Verbs: features extract, rotate, augment, emulate, dataset sample-epoch,
 dataset kfold, accdoa decode, tta run, eval, pipeline run. Every verb
-accepts --seed; verbs that are fully deterministic ignore it. The worker
-count of pipeline runs is set only by the SELDKIT_WORKERS environment
-variable (default 1). ``tta run --model`` takes ``oracle:<labels.csv>``
-(the clip's own labels), ``constant[:<value>]`` or ``external:<dir>``.
+accepts --seed; verbs that are fully deterministic ignore it. ``pipeline
+run`` scores its entries one after another. ``tta run --model`` takes
+``oracle:<labels.csv>`` (the clip's own labels), ``constant[:<value>]`` or
+``external:<dir>``.
 """
 
 from __future__ import annotations

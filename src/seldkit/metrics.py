@@ -42,7 +42,7 @@ class MetricConfig:
 
 @dataclass
 class ClassStats:
-    """Per-class accumulators; addition merges stats from concurrent scoring.
+    """Per-class accumulators; addition merges the stats of two clips.
 
     ``loc_match_count`` counts the class-matched prediction/reference
     pairs: LE_CD averages ``loc_error_sum`` over them and LR_CD counts them

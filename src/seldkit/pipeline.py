@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import dataclasses
 import logging
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +34,6 @@ from .tensorio import check_keys, config_from_doc, typed_value, write_json
 from .tta import TtaConfig, run_tta
 
 log = logging.getLogger(__name__)
-
-WORKERS_ENV = "SELDKIT_WORKERS"
 
 
 def segment_clip(clip: AudioClip, window_s: float = 5.0, hop_s: float = 1.0) -> list[AudioClip]:
@@ -129,7 +125,7 @@ def kfold_split(
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One JSON document configuring a full scoring run (workers come from SELDKIT_WORKERS)."""
+    """One JSON document configuring a full scoring run."""
 
     manifest_path: str
     predictor: dict
@@ -182,17 +178,6 @@ class RunConfig:
         return config
 
 
-def _worker_count() -> int:
-    value = os.environ.get(WORKERS_ENV, "1")
-    try:
-        workers = int(value)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError(f"{WORKERS_ENV} must be a positive integer, got {value!r}")
-    return workers
-
-
 def _score_entry(entry: ManifestEntry, annotation: ClipAnnotation, config: RunConfig, predictor):
     clip = read_wav(entry.clip_path)
     config.feature.check_rate(clip)
@@ -222,11 +207,10 @@ def _score_entry(entry: ManifestEntry, annotation: ClipAnnotation, config: RunCo
 def run_pipeline(config: RunConfig) -> dict:
     """Execute a scoring run and return the scores document.
 
-    The document is deterministic for a fixed config and seed: entries are
-    merged in manifest order whatever the worker pool does, and it carries
-    no timestamps or machine state.
+    Entries are scored one after another in manifest order. The document
+    is deterministic for a fixed config and seed: it carries no timestamps
+    or machine state.
     """
-    workers = _worker_count()
     manifest = load_manifest(config.manifest_path)
     label_files: dict = {}
     for e in manifest:
@@ -238,23 +222,14 @@ def run_pipeline(config: RunConfig) -> dict:
     annotations = {clip: read_labels(path, n_classes=config.n_classes) for clip, path in label_files.items()}
     predictor = make_predictor(config.predictor, annotations, n_classes=config.n_classes)
 
-    def job(entry):
+    per_entry = []
+    failures = []
+    for entry in manifest:
         try:
-            return entry, _score_entry(entry, annotations[entry.clip_path], config, predictor), None
+            per_entry.append(_score_entry(entry, annotations[entry.clip_path], config, predictor))
         except Exception as exc:  # reported per entry, run continues
             log.warning("entry %s failed: %s", entry.clip_path, exc)
-            return entry, None, f"{type(exc).__name__}: {exc}"
-
-    if workers == 1:
-        results = [job(e) for e in manifest]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(job, manifest.entries))
-
-    per_entry = [stats for _, stats, err in results if err is None]
-    failures = [
-        {"clip_path": entry.clip_path, "error": err} for entry, _, err in results if err is not None
-    ]
+            failures.append({"clip_path": entry.clip_path, "error": f"{type(exc).__name__}: {exc}"})
     doc: dict = {
         "n_entries": len(manifest),
         "n_scored": len(per_entry),

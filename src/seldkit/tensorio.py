@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 import typing
 from pathlib import Path
 
@@ -54,11 +55,17 @@ def typed_value(doc: dict, key: str, types: tuple, kind: str, where: str, defaul
 
     The type must match exactly, not by isinstance, so a JSON ``true`` is
     no number. Any other value raises ValueError naming ``where``, the key
-    and ``kind``, the JSON type wanted.
+    and ``kind``, the JSON type wanted. Where a float is wanted, so is an
+    integer that a float holds: a larger one raises ValueError too.
     """
     value = doc.get(key, default)
     if type(value) not in types:
         raise ValueError(f"{where} {key} must be a JSON {kind}, got {value!r}")
+    if float in types and type(value) is int and abs(value) > sys.float_info.max:
+        raise ValueError(
+            f"{where} {key} must be a JSON {kind} within the float range, "
+            f"got an integer of {len(str(abs(value)))} digits"
+        )
     return value
 
 
@@ -79,7 +86,8 @@ def config_from_doc(config_cls, doc, where: str):
     field takes a JSON integer, ``float`` a number, ``tuple`` an array,
     ``str`` a string and ``dict`` an object; a dataclass-typed field is read
     from its object the same way, and ``X | None`` also takes null. Any other
-    key or value raises ValueError naming ``where`` and the key.
+    key or value raises ValueError naming ``where`` and the key, and a
+    ValueError of ``config_cls`` itself is raised again prefixed with ``where``.
     """
     fields = dataclasses.fields(config_cls)
     required = [f.name for f in fields if f.default is f.default_factory is dataclasses.MISSING]
@@ -99,7 +107,10 @@ def config_from_doc(config_cls, doc, where: str):
             values[name] = store(typed_value(doc, name, types, kind, where))
         else:
             raise TypeError(f"{config_cls.__name__}.{name}: no JSON type for the annotation {hints[name]}")
-    return config_cls(**values)
+    try:
+        return config_cls(**values)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 HEADER_KEYS = ("dims", "dtype", "channel_names", "config")

@@ -368,6 +368,49 @@ class TestConfigFieldTypes:
             RunConfig.from_dict({**RUN_DOC, key: value})
 
     @pytest.mark.parametrize(
+        "read, message",
+        [
+            (lambda: RunConfig.from_dict({**RUN_DOC, "tta": {"unify_deg": 200}}),
+             "run config tta: unify_deg must be in (0, 180), got 200.0"),
+            (lambda: RunConfig.from_dict({**RUN_DOC, "feature": {"hop": 700}}),
+             "run config feature: hop 700 does not divide one 100 ms label frame (2400 samples at 24000 Hz)"),
+            (lambda: RunConfig.from_dict({**RUN_DOC, "augment": {"bandpass_hi_range": [2000, 13000]}}),
+             "run config: augment.bandpass_hi_range ends at 13000, not below 12000 Hz, "
+             "half the feature sample_rate 24000"),
+            (lambda: make_predictor({"kind": "oracle", "jitter_deg": 90}, annotations={}),
+             "oracle predictor: jitter_deg must be in [0, 90), got 90.0"),
+            (lambda: scene_spec_from_json({"duration_s": 0}),
+             "scene spec: duration_s must be finite and positive, got 0.0"),
+        ],
+        ids=["tta", "feature", "run", "oracle", "scene"],
+    )
+    def test_a_range_check_of_the_config_names_the_document(self, read, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read()
+
+    @pytest.mark.parametrize(
+        "read, message",
+        [
+            (lambda big: RunConfig.from_dict({**RUN_DOC, "tta": {"unify_deg": big}}),
+             "run config tta unify_deg must be a JSON number within the float range, got an integer of 401 digits"),
+            (lambda big: RunConfig.from_dict({**RUN_DOC, "tta": None, "decode_threshold": -big}),
+             "run config decode_threshold must be a JSON number within the float range, "
+             "got an integer of 401 digits"),
+            (lambda big: make_predictor({"kind": "constant", "value": big}),
+             "constant predictor value must be a JSON number within the float range, got an integer of 401 digits"),
+            (lambda big: scene_spec_from_json({"duration_s": 2.0, "events": [dict(EVENT, onset_s=big)]}),
+             "scene spec event 0 onset_s must be a JSON number within the float range, got an integer of 401 digits"),
+            (lambda big: RunConfig.from_dict({**RUN_DOC, "augment": {"gain_db_range": [0, big]}}),
+             f"run config augment: gain_db_range must be finite: (0, {10 ** 400})"),
+        ],
+        ids=["tta", "decode_threshold", "constant", "scene_event", "augment"],
+    )
+    def test_an_integer_no_float_holds_names_the_document_and_key(self, read, message):
+        # JSON integers are unbounded; float() of this one raises a bare OverflowError
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read(json.loads("1" + "0" * 400))
+
+    @pytest.mark.parametrize(
         "spec, message",
         [
             ({"kind": "oracle", "jitter_deg": True}, "oracle predictor jitter_deg must be a JSON number, got True"),

@@ -535,14 +535,16 @@ class TestRunPipeline:
         write_scores(run_pipeline(config), out2)
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_worker_pool_matches_serial(self, small_dataset, monkeypatch):
+    @pytest.mark.parametrize("workers", [None, "1", "3", "0", "abc"])
+    def test_workers_variable_is_not_read(self, small_dataset, monkeypatch, workers):
+        # entries are scored one after another, whatever SELDKIT_WORKERS holds
         _, manifest_path = small_dataset
         config = self.config(manifest_path)
-        monkeypatch.setenv("SELDKIT_WORKERS", "1")
-        serial = run_pipeline(config)
-        monkeypatch.setenv("SELDKIT_WORKERS", "3")
-        pooled = run_pipeline(config)
-        assert serial == pooled
+        monkeypatch.delenv("SELDKIT_WORKERS", raising=False)
+        unset = run_pipeline(config)
+        if workers is not None:
+            monkeypatch.setenv("SELDKIT_WORKERS", workers)
+        assert run_pipeline(config) == unset
 
     def test_predictor_gets_run_feature_config(self, small_dataset):
         # a constant predictor fires in every label frame; class 0 has no
@@ -630,13 +632,6 @@ class TestRunPipeline:
         config = self.config(manifest_path, predictor={"kind": "oracle", "jiter_deg": 30})
         with pytest.raises(ValueError, match="oracle predictor does not read jiter_deg"):
             run_pipeline(config)
-
-    @pytest.mark.parametrize("value", ["0", "-1", "abc"])
-    def test_workers_must_be_a_positive_integer(self, small_dataset, monkeypatch, value):
-        _, manifest_path = small_dataset
-        monkeypatch.setenv("SELDKIT_WORKERS", value)
-        with pytest.raises(ValueError, match=f"SELDKIT_WORKERS must be a positive integer, got '{value}'"):
-            run_pipeline(self.config(manifest_path))
 
     def test_clip_with_two_label_files_rejected(self, small_dataset, tmp_path):
         root, manifest_path = small_dataset
@@ -775,6 +770,31 @@ class TestRunPipeline:
         assert result["n_scored"] == 3
         assert len(result["failures"]) == 1
         assert "missing.wav" in result["failures"][0]["clip_path"]
+
+    def test_failures_listed_in_manifest_order(self, small_dataset, tmp_path):
+        # entries 0 and 2 fail, 1 and 3 score as a manifest of those two alone
+        _, manifest_path = small_dataset
+        from seldkit.manifest import load_manifest
+
+        first, second = load_manifest(manifest_path).entries[:2]
+        clip, _ = two_event_scene(seed=101)
+        samples = clip.samples.copy()
+        samples[0, 99] = np.nan
+        write_wav(tmp_path / "nan.wav", AudioClip(samples))
+        missing = ManifestEntry(str(tmp_path / "missing.wav"), first.label_path, "real")
+        nan = ManifestEntry(str(tmp_path / "nan.wav"), second.label_path, "real")
+        save_manifest(DatasetManifest((missing, first, nan, second)), tmp_path / "four.json")
+        save_manifest(DatasetManifest((first, second)), tmp_path / "two.json")
+        result = run_pipeline(self.config(tmp_path / "four.json"))
+        assert [f["clip_path"] for f in result["failures"]] == [missing.clip_path, nan.clip_path]
+        assert result["failures"][0]["error"].startswith("FileNotFoundError: ")
+        assert result["failures"][1]["error"] == (
+            f"ValueError: {nan.clip_path}: non-finite sample at channel 0, sample 99"
+        )
+        scored = run_pipeline(self.config(tmp_path / "two.json"))
+        assert result["n_entries"] == 4 and result["n_scored"] == scored["n_scored"] == 2
+        for key in ("scores", "per_class"):
+            assert result[key] == scored[key]
 
     @pytest.mark.parametrize("tta", [None, {}], ids=["direct", "tta"])
     def test_non_finite_prediction_fails_entry(self, small_dataset, tmp_path, tta):
