@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.signal import butter, resample_poly, sosfilt
 
 from .audio import AudioClip
 
@@ -75,6 +74,8 @@ def pitch_shift(clip: AudioClip, semitones: float) -> AudioClip:
     """
     if abs(semitones) > 12:
         raise ValueError(f"|semitones| must be <= 12, got {semitones}")
+    from scipy.signal import resample_poly  # here, not at the top: scipy.signal is most of the import time
+
     factor = 2.0 ** (semitones / 12.0)
     ratio = Fraction(1.0 / factor).limit_denominator(1000)
     shifted = resample_poly(clip.samples, ratio.numerator, ratio.denominator, axis=1)
@@ -90,6 +91,8 @@ def band_pass(clip: AudioClip, f_lo: float, f_hi: float) -> AudioClip:
     nyquist = clip.sample_rate / 2.0
     if not (0.0 < f_lo < f_hi < nyquist):
         raise ValueError(f"need 0 < f_lo < f_hi < {nyquist}, got ({f_lo}, {f_hi})")
+    from scipy.signal import butter, sosfilt  # here, not at the top: scipy.signal is most of the import time
+
     sos = np.vstack(
         [
             butter(2, f_lo, btype="highpass", fs=clip.sample_rate, output="sos"),

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import irfft, next_fast_len, rfft
 
 from .audio import AudioClip, read_wav_mono
 from .geometry import Direction, dir_to_unit
@@ -160,7 +160,14 @@ def synth_srir(d: Direction, config: SrirSynthConfig, rng: np.random.Generator) 
 
 
 def render_event(sample: LibrarySample, srir: np.ndarray, sample_rate: int = 24000) -> AudioClip:
-    """Convolve a dry mono sample with a 4-channel IR (full linear convolution)."""
+    """Convolve a dry mono sample with a 4-channel IR (full linear convolution).
+
+    The convolution is done with ``scipy.fft``: real FFTs of both operands
+    at the next fast length, their product, the inverse FFT, then the first
+    ``len(sample) + len(IR) - 1`` samples. A length-1 operand is a plain
+    broadcast product instead. These are the calls, in order, that
+    ``scipy.signal.fftconvolve`` makes, so the output bits are the same.
+    """
     if sample.sample_rate != sample_rate:
         raise ValueError(
             f"sample rate mismatch: sample at {sample.sample_rate}, IR at {sample_rate}"
@@ -168,8 +175,13 @@ def render_event(sample: LibrarySample, srir: np.ndarray, sample_rate: int = 240
     srir = np.asarray(srir, dtype=float)
     if srir.ndim != 2 or srir.shape[0] != 4:
         raise ValueError(f"IR must be shaped (4, length), got {srir.shape}")
-    out = fftconvolve(sample.waveform[np.newaxis, :], srir, axes=1)
-    return AudioClip(out, sample_rate)
+    x = sample.waveform[np.newaxis, :]
+    if x.shape[1] == 1 or srir.shape[1] == 1:
+        return AudioClip(x * srir, sample_rate)
+    n = x.shape[1] + srir.shape[1] - 1
+    nfft = next_fast_len(n, True)
+    out = irfft(rfft(x, nfft, axis=1) * rfft(srir, nfft, axis=1), nfft, axis=1)
+    return AudioClip(out[:, :n], sample_rate)
 
 
 def mix_scene(
@@ -224,8 +236,8 @@ def mix_scene(
 
     noise = rng.standard_normal((4, n))
     if active.any():
-        event_power = float(np.mean(np.sum(mix[:, active] ** 2, axis=0)))
-        noise_power = float(np.mean(np.sum(noise[:, active] ** 2, axis=0)))
+        event_power = float(np.mean(np.sum(mix**2, axis=0)[active]))
+        noise_power = float(np.mean(np.sum(noise**2, axis=0)[active]))
         noise *= math.sqrt(event_power * 10.0 ** (-spec.snr_db / 10.0) / noise_power)
     clip = AudioClip(mix + noise, sr)
     return clip, ClipAnnotation(tuple(labels), n_classes=n_classes)

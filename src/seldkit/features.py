@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import get_window
 
 from .audio import AudioClip
 from .geometry import Direction, unit_to_dir
@@ -76,6 +75,18 @@ class FeatureConfig:
         return self.n_frames(n_samples) // self.frames_per_label
 
 
+def hann_window(m: int) -> np.ndarray:
+    """Periodic Hann window of ``m`` >= 1 samples, as ``get_window("hann", m)`` builds it.
+
+    It is scipy's ``general_cosine`` arithmetic: 0.5 + 0.5 cos over ``m + 1``
+    points from -pi to pi, last point dropped; ``m == 1`` gives ``[1.0]``.
+    The window bits, and so the ``.feat`` bytes, equal scipy's.
+    """
+    if m == 1:
+        return np.ones(1)
+    return (0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, m + 1)))[:-1]
+
+
 def stft(samples, config: FeatureConfig) -> np.ndarray:
     """Hann-windowed STFT of one channel, shaped (frames, nfft//2 + 1).
 
@@ -90,7 +101,7 @@ def stft(samples, config: FeatureConfig) -> np.ndarray:
     pads = (pad, config.window - pad)
     xp = np.pad(x, pads, mode="reflect") if x.size > 1 else np.pad(x, pads, mode="edge")
     n_frames = config.n_frames(x.size)
-    win = get_window("hann", config.window, fftbins=True)
+    win = hann_window(config.window)
     frames = np.lib.stride_tricks.sliding_window_view(xp, config.window)
     frames = frames[:: config.hop][:n_frames] * win
     return np.fft.rfft(frames, n=config.nfft, axis=1)

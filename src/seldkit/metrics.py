@@ -17,7 +17,7 @@ minimum-total-angular-distance assignment.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -60,7 +60,7 @@ class ClassStats:
     seg_i: int = 0
 
     def __add__(self, other: "ClassStats") -> "ClassStats":
-        return ClassStats(*(a + b for a, b in zip(astuple(self), astuple(other))))
+        return ClassStats(*(getattr(self, f.name) + getattr(other, f.name) for f in fields(self)))
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import seldkit
 from seldkit.audio import AudioClip
 from seldkit.augment import (
     AugmentConfig,
@@ -230,3 +235,21 @@ class TestAugmentWaveform:
         clip = tone_clip(440.0, duration_s=0.1)
         out = augment_waveform(clip, config, np.random.default_rng(seed))
         assert out.samples.shape == clip.samples.shape
+
+
+def test_scipy_signal_loads_only_for_waveform_augmentation():
+    # scipy.signal, with the scipy.stats it pulls in, was most of the import
+    # time, so no start-up path may load it; band_pass imports it when called
+    script = (
+        "import sys\n"
+        "import seldkit, seldkit.cli, seldkit.pipeline, seldkit.emulate\n"
+        "from seldkit.audio import AudioClip\n"
+        "from seldkit import augment\n"
+        "print('scipy.signal' in sys.modules)\n"
+        "augment.band_pass(AudioClip([[0.0] * 100] * 4), 100.0, 1000.0)\n"
+        "print('scipy.signal' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(seldkit.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False", "True"]

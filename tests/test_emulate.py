@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from scipy.signal import fftconvolve
 
 from seldkit.emulate import (
     LibrarySample,
@@ -114,6 +116,21 @@ class TestRenderEvent:
             out = render_event(LibrarySample("s", 0, x), ir)
             for ch in range(4):
                 np.testing.assert_allclose(out.samples[ch], conv_reference(x, ir[ch]), atol=1e-10)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_sample=st.integers(1, 3000), n_ir=st.integers(1, 3000), seed=st.integers(0, 2**32 - 1))
+    @example(n_sample=1, n_ir=500, seed=0)
+    @example(n_sample=500, n_ir=1, seed=0)
+    @example(n_sample=1, n_ir=1, seed=0)
+    @example(n_sample=40, n_ir=2400, seed=0)
+    def test_bytes_equal_scipy_fftconvolve(self, n_sample, n_ir, seed):
+        rng = np.random.default_rng(seed)
+        sample = LibrarySample("s", 0, rng.standard_normal(n_sample))
+        srir = rng.standard_normal((4, n_ir))
+        out = render_event(sample, srir).samples
+        ref = fftconvolve(sample.waveform[np.newaxis, :], srir, axes=1)
+        assert out.shape == ref.shape
+        assert out.tobytes() == ref.tobytes()
 
     def test_silence_in_silence_out(self):
         out = render_event(LibrarySample("z", 0, np.zeros(100)), np.ones((4, 10)))

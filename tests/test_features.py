@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.signal import get_window
 
 from seldkit.audio import AudioClip
 from seldkit.emulate import foa_encode_gains
@@ -10,6 +11,7 @@ from seldkit.features import (
     FeatureConfig,
     doa_from_features,
     extract_features,
+    hann_window,
     mel_filterbank,
     stft,
 )
@@ -72,6 +74,11 @@ class TestLabelGrid:
         cfg = FeatureConfig(hop=hop)
         features = extract_features(AudioClip(np.zeros((4, n_samples))), cfg)
         assert cfg.label_frames(n_samples) == features.shape[1] // cfg.frames_per_label
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 64, 255, 256, 511, 512, 1024, 1199, 1200, 1201, 2048])
+def test_hann_window_bits_equal_scipy(m):
+    assert hann_window(m).tobytes() == get_window("hann", m, fftbins=True).tobytes()
 
 
 class TestStft:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -318,6 +319,23 @@ def clip_events(cells):
 def stats_fields(st_):
     return (st_.tp, st_.fp, st_.fn, st_.ref_count, st_.seg_s, st_.seg_d, st_.seg_i,
             st_.loc_match_count)
+
+
+class_stats = st.builds(
+    ClassStats,
+    *(st.integers(0, 10**6) for _ in range(3)),
+    st.floats(0.0, 1e6, allow_nan=False),
+    *(st.integers(0, 10**6) for _ in range(5)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=class_stats, b=class_stats)
+def test_class_stats_sum_equals_astuple_form(a, b):
+    reference = ClassStats(*(x + y for x, y in zip(dataclasses.astuple(a), dataclasses.astuple(b))))
+    total = a + b
+    assert dataclasses.astuple(total) == dataclasses.astuple(reference)
+    assert [type(v) for v in dataclasses.astuple(total)] == [type(v) for v in dataclasses.astuple(reference)]
 
 
 class TestMetricInvariants:
