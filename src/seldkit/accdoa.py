@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Direction, unit_to_dir, unit_vectors
+from .geometry import Direction, unit_vectors, vector_directions
 from .labels import ClipAnnotation, read_table, write_table
 
 MAX_ACTIVITY = math.sqrt(3.0)
@@ -98,7 +98,12 @@ def encode(annotation: ClipAnnotation, label_frames: int) -> np.ndarray:
 def decode(seq, threshold: float = 0.5) -> list[DetectedEvent]:
     """Decode events from a sequence: active wherever the vector norm exceeds the threshold.
 
-    A NaN or infinite value raises ValueError rather than reading as inactive.
+    Events come in (frame, class) order, each with the direction of its
+    cell's vector (``geometry.vector_directions``, bit-equal to
+    ``unit_to_dir`` cell by cell) and its norm as the activity. A NaN or
+    infinite value raises ValueError rather than reading as inactive, and
+    so does a finite vector whose norm overflows; both name the frame and
+    the class.
     """
     if not 0.0 < threshold < MAX_ACTIVITY:
         raise ValueError(f"threshold must be in (0, sqrt(3)), got {threshold}")
@@ -108,14 +113,19 @@ def decode(seq, threshold: float = 0.5) -> list[DetectedEvent]:
     bad = np.argwhere(~np.isfinite(arr))
     if len(bad):
         raise ValueError(f"non-finite sequence value at frame {bad[0][0]}, class {bad[0][1]}")
-    norms = np.linalg.norm(arr, axis=2)
-    events = []
-    for frame, class_id in zip(*np.nonzero(norms > threshold)):
-        v = arr[frame, class_id]
-        events.append(
-            DetectedEvent(int(frame), int(class_id), unit_to_dir(v), float(norms[frame, class_id]))
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(arr, axis=2)
+    bad = np.argwhere(np.isinf(norms))
+    if len(bad):
+        raise ValueError(f"vector norm overflows at frame {bad[0][0]}, class {bad[0][1]}")
+    frames, classes = np.nonzero(norms > threshold)
+    directions = vector_directions(arr[frames, classes])
+    return [
+        DetectedEvent(frame, class_id, direction, activity)
+        for frame, class_id, direction, activity in zip(
+            frames.tolist(), classes.tolist(), directions, norms[frames, classes].tolist()
         )
-    return events
+    ]
 
 
 def write_events(events, path) -> None:

@@ -15,6 +15,11 @@ from scipy.io import wavfile
 FOA_CHANNELS = ("w", "x", "y", "z")
 
 
+def _check_rate(sample_rate) -> None:
+    if int(sample_rate) <= 0:
+        raise ValueError(f"sample_rate must be positive, got {sample_rate}")
+
+
 @dataclass(frozen=True)
 class AudioClip:
     """Immutable 4-channel FOA waveform, samples shaped (4, n)."""
@@ -26,8 +31,7 @@ class AudioClip:
         s = np.asarray(self.samples, dtype=float)
         if s.ndim != 2 or s.shape[0] != 4:
             raise ValueError(f"FOA clip needs shape (4, n), got {np.shape(self.samples)}")
-        if int(self.sample_rate) <= 0:
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
+        _check_rate(self.sample_rate)
         object.__setattr__(self, "samples", s)
         object.__setattr__(self, "sample_rate", int(self.sample_rate))
 
@@ -38,6 +42,19 @@ class AudioClip:
     @property
     def duration_s(self) -> float:
         return self.n_samples / self.sample_rate
+
+
+@dataclass(frozen=True)
+class WavInfo:
+    """The rate and length of a checked FOA WAV file, without its samples.
+
+    It stands in for an ``AudioClip`` where only ``sample_rate`` and
+    ``n_samples`` are read: a scoring run or ``tta.run_tta`` with no model
+    that reads features.
+    """
+
+    sample_rate: int
+    n_samples: int
 
 
 def _normalize_pcm(data: np.ndarray) -> np.ndarray:
@@ -52,30 +69,50 @@ def _normalize_pcm(data: np.ndarray) -> np.ndarray:
     return data.astype(float)
 
 
-def read_wav_array(path) -> tuple[np.ndarray, int]:
-    """Read a WAV file as a float array shaped (channels, n) plus its rate.
+def _read_stored(path) -> tuple[np.ndarray, int]:
+    """The samples of a WAV file as stored, shaped (n, channels) or (n,) for mono, and its rate.
 
     NaN or infinite samples (possible only in float WAVs) raise ValueError
     naming the path and the first bad (channel, sample).
     """
     sr, data = wavfile.read(str(path))
-    data = _normalize_pcm(np.atleast_1d(data))
-    if data.ndim == 1:
-        data = data[np.newaxis, :]
-    else:
-        data = data.T
-    if not np.isfinite(data).all():
-        ch, n = np.argwhere(~np.isfinite(data))[0]
+    data = np.atleast_1d(data)
+    if data.dtype.kind == "f" and not np.isfinite(data).all():
+        ch, n = np.argwhere(~np.isfinite(np.atleast_2d(data.T)))[0]
         raise ValueError(f"{path}: non-finite sample at channel {ch}, sample {n}")
     return data, int(sr)
 
 
+def _read_foa(path) -> tuple[np.ndarray, int]:
+    """``_read_stored`` for a file that must hold 4 channels at a positive rate."""
+    data, sr = _read_stored(path)
+    channels = 1 if data.ndim == 1 else data.shape[1]
+    if channels != 4:
+        raise ValueError(f"{path}: expected 4 FOA channels, found {channels}")
+    _check_rate(sr)
+    return data, sr
+
+
 def read_wav(path) -> AudioClip:
-    """Read a 4-channel FOA WAV file."""
-    data, sr = read_wav_array(path)
-    if data.shape[0] != 4:
-        raise ValueError(f"{path}: expected 4 FOA channels, found {data.shape[0]}")
-    return AudioClip(data, sr)
+    """Read a 4-channel FOA WAV file as float64 samples.
+
+    The file is checked on its stored samples first: a NaN or infinite
+    sample raises ValueError naming the path and the first bad (channel,
+    sample), then a channel count other than 4 or a rate of 0 does. Only
+    then are the samples scaled (integer PCM) and converted.
+    """
+    data, sr = _read_foa(path)
+    return AudioClip(_normalize_pcm(data).T, sr)
+
+
+def read_wav_info(path) -> WavInfo:
+    """Check a 4-channel FOA WAV file as ``read_wav`` does, and give only its rate and length.
+
+    Every error ``read_wav`` raises is raised here, with the same
+    message; the samples are never converted to float64.
+    """
+    data, sr = _read_foa(path)
+    return WavInfo(sr, len(data))
 
 
 def write_wav(path, clip: AudioClip) -> None:
@@ -85,10 +122,10 @@ def write_wav(path, clip: AudioClip) -> None:
 
 def read_wav_mono(path) -> tuple[np.ndarray, int]:
     """Read a single-channel WAV file as a 1-D float array plus its rate."""
-    data, sr = read_wav_array(path)
-    if data.shape[0] != 1:
-        raise ValueError(f"{path}: expected mono, found {data.shape[0]} channels")
-    return data[0], sr
+    data, sr = _read_stored(path)
+    if data.ndim != 1:
+        raise ValueError(f"{path}: expected mono, found {data.shape[1]} channels")
+    return _normalize_pcm(data), sr
 
 
 def write_wav_mono(path, samples, sample_rate: int) -> None:

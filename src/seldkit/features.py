@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import AudioClip
+from .audio import AudioClip, WavInfo
 from .geometry import Direction, unit_to_dir
 from .labels import LABEL_FRAME_S
 
@@ -62,7 +62,7 @@ class FeatureConfig:
         """STFT frames per 100 ms label frame (4 at the default hop), an exact quotient."""
         return int(LABEL_FRAME_S * self.sample_rate) // self.hop
 
-    def check_rate(self, clip: AudioClip) -> None:
+    def check_rate(self, clip: AudioClip | WavInfo) -> None:
         """Raise ValueError unless ``clip`` is sampled at this config's rate."""
         if clip.sample_rate != self.sample_rate:
             raise ValueError(f"clip rate {clip.sample_rate} != config rate {self.sample_rate}")

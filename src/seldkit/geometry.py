@@ -7,7 +7,9 @@ plane and must lie in [-90, 90]. All public interfaces are in degrees.
 
 A direction becomes Cartesian in one place: ``dir_to_unit`` gives one
 validated ``UnitVec3`` and ``unit_vectors`` an ``(n, 3)`` array of many,
-both from the same expressions, so the two agree bit for bit.
+both from the same expressions, so the two agree bit for bit. The way
+back is one place too: ``unit_to_dir`` for one vector and
+``vector_directions`` for the rows of an array, which agree bit for bit.
 """
 
 from __future__ import annotations
@@ -79,12 +81,25 @@ def unit_vectors(directions) -> np.ndarray:
     return np.array([_cartesian(d) for d in directions], dtype=float).reshape(-1, 3)
 
 
+def _unit_direction(x: float, y: float, z: float) -> Direction:
+    horiz = math.hypot(x, y)
+    az = 0.0 if horiz == 0.0 else math.degrees(math.atan2(y, x))
+    el = math.degrees(math.atan2(z, horiz))
+    return Direction(az, el)
+
+
+def _undefined(n: float) -> ValueError:
+    if n == 0.0:
+        return ValueError("undefined direction: zero vector")
+    return ValueError(f"undefined direction: vector norm {n} is not finite")
+
+
 def unit_to_dir(v) -> Direction:
     """Convert a vector to a direction; inverse of :func:`dir_to_unit`.
 
     Accepts a ``UnitVec3`` or any length-3 array-like and normalizes it.
-    The azimuth of the poles (x = y = 0) is defined as 0. A zero vector
-    has no direction and raises ``ValueError``.
+    The azimuth of the poles (x = y = 0) is defined as 0. A vector whose
+    norm is 0, or not finite, has no direction and raises ``ValueError``.
     """
     if isinstance(v, UnitVec3):
         x, y, z = v.x, v.y, v.z
@@ -92,12 +107,27 @@ def unit_to_dir(v) -> Direction:
         x, y, z = (float(c) for c in np.asarray(v, dtype=float).reshape(3))
     n = math.sqrt(x * x + y * y + z * z)
     if n == 0.0 or not math.isfinite(n):
-        raise ValueError("undefined direction: zero vector")
-    x, y, z = x / n, y / n, z / n
-    horiz = math.hypot(x, y)
-    az = 0.0 if horiz == 0.0 else math.degrees(math.atan2(y, x))
-    el = math.degrees(math.atan2(z, horiz))
-    return Direction(az, el)
+        raise _undefined(n)
+    return _unit_direction(x / n, y / n, z / n)
+
+
+def vector_directions(vectors) -> list[Direction]:
+    """The directions of the rows of an ``(n, 3)`` array; ``[]`` when empty.
+
+    Item ``i`` holds the bits of ``unit_to_dir(vectors[i])``: the norms and
+    the normalization are array arithmetic in the same order, which rounds
+    as Python's does, while the trigonometry stays in ``math`` per row,
+    since numpy's does not round as ``math``'s does. The first row whose
+    norm is 0 or not finite raises ``unit_to_dir``'s ValueError.
+    """
+    v = np.asarray(vectors, dtype=float).reshape(-1, 3)
+    x, y, z = v.T
+    with np.errstate(over="ignore"):
+        n = np.sqrt(x * x + y * y + z * z)
+    bad = (n == 0.0) | ~np.isfinite(n)
+    if bad.any():
+        raise _undefined(float(n[bad.argmax()]))
+    return [_unit_direction(*row) for row in (v / n[:, np.newaxis]).tolist()]
 
 
 def angle_between(u, v) -> np.ndarray:

@@ -95,13 +95,23 @@ def write_table(rows, path) -> None:
         csv.writer(f).writerows(rows)
 
 
-def _parse_label(row) -> EventLabel:
-    return EventLabel(int(row[0]), int(row[1]), int(row[2]), Direction(float(row[3]), float(row[4])))
-
-
 def read_labels(path, n_classes: int = 13) -> ClipAnnotation:
-    """Parse a label CSV file. Malformed rows report their line number."""
-    events = read_table(path, LABEL_COLUMNS, _parse_label)
+    """Parse a label CSV file. Malformed rows report their line number.
+
+    An event keeps its direction over many label frames, so the rows of
+    one ``(azimuth, elevation)`` text pair share one ``Direction``, built
+    from the first of them; a text pair that fails to parse is never
+    shared, so each row giving it names its own line.
+    """
+    directions: dict = {}
+
+    def parse(row) -> EventLabel:
+        direction = directions.get((row[3], row[4]))
+        if direction is None:
+            direction = directions[row[3], row[4]] = Direction(float(row[3]), float(row[4]))
+        return EventLabel(int(row[0]), int(row[1]), int(row[2]), direction)
+
+    events = read_table(path, LABEL_COLUMNS, parse)
     try:
         return ClipAnnotation(tuple(events), n_classes=n_classes)
     except ValueError as exc:

@@ -3,10 +3,14 @@
 A run walks a dataset manifest, and for every entry: load the clip and its
 labels, optionally augment the waveform, extract features, predict
 (directly or through rotation TTA), decode into events, and score against
-the labels. The waveform is augmented and features are extracted only
-for a predictor that reads them (``predict.reads_features``); the
-oracle, constant and external predictors do not, so they are given None,
-and neither the augmented clip nor its features are ever computed. With
+the labels. Every entry's WAV is read and checked (channels, rate,
+finite samples), but its samples are converted to float64, the waveform
+augmented and features extracted only for a predictor that reads them
+(``predict.reads_features``); for any other the run takes only the
+clip's rate and length (``audio.read_wav_info``). The oracle, constant
+and external predictors read no features, so they are given None, and
+neither the float64 clip, the augmented clip nor its features are ever
+computed. With
 such a predictor, ``augment`` and ``seed`` change nothing in the scores;
 the augment ranges are still checked when the run config loads.
 Per-class stats are merged across entries and finalized into one scores
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .accdoa import decode
-from .audio import AudioClip, read_wav
+from .audio import AudioClip, read_wav, read_wav_info
 from .augment import AugmentConfig, augment_waveform
 from .features import FeatureConfig, extract_features
 from .labels import ClipAnnotation, read_labels
@@ -179,7 +183,9 @@ class RunConfig:
 
 
 def _score_entry(entry: ManifestEntry, annotation: ClipAnnotation, config: RunConfig, predictor):
-    clip = read_wav(entry.clip_path)
+    # every entry's WAV is checked, but its samples are converted only for a model that reads them
+    reading = reads_features(predictor)
+    clip = read_wav(entry.clip_path) if reading else read_wav_info(entry.clip_path)
     config.feature.check_rate(clip)
     label_frames = config.feature.label_frames(clip.n_samples)
     if annotation.max_frame >= label_frames:
@@ -189,7 +195,6 @@ def _score_entry(entry: ManifestEntry, annotation: ClipAnnotation, config: RunCo
         )
     # the augmented clip feeds only the features; the config checks keep
     # every draw valid, so skipping it changes no score
-    reading = reads_features(predictor)
     if config.augment is not None and reading:
         rng = np.random.default_rng(seed_material(config.seed, entry.clip_path))
         clip = augment_waveform(clip, config.augment, rng)

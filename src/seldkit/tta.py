@@ -27,7 +27,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .accdoa import MAX_ACTIVITY, DetectedEvent
-from .audio import AudioClip
+from .audio import AudioClip, WavInfo
 from .features import FeatureConfig, extract_features
 from .geometry import unit_to_dir
 from .predict import check_prediction, reads_features
@@ -265,7 +265,7 @@ def aggregate(candidates: CandidateSet, config: TtaConfig | None = None) -> list
 
 def run_tta(
     predictor,
-    clip: AudioClip,
+    clip: AudioClip | WavInfo,
     identity,
     config: TtaConfig | None = None,
     feature_config: FeatureConfig | None = None,
@@ -278,7 +278,9 @@ def run_tta(
     predicts on its own rotated copy of them (``apply_to_features``),
     which equals the features of the rotated audio. A model that does not
     read features, such as the built-in oracle, constant and external
-    predictors, is given None. ``predictor`` follows the predictor
+    predictors, is given None; with no reading model, ``clip`` may be an
+    ``audio.WavInfo`` in place of the clip, since only its rate and length
+    are read. ``predictor`` follows the predictor
     contract (see seldkit.predict) and is given the clip's label-frame
     count, ``feature_config.label_frames(clip.n_samples)``; ``identity``
     names the clip and any rotation already applied to it, so rotation-
@@ -305,6 +307,8 @@ def run_tta(
     base_pattern = pattern_by_id(identity.pattern_id)
     feature_config.check_rate(clip)
     reading = [reads_features(model) for model in predictors]
+    if any(reading) and not isinstance(clip, AudioClip):
+        raise TypeError(f"a model that reads features needs the clip's samples, got {type(clip).__name__}")
     features = extract_features(clip, feature_config) if any(reading) else None
     label_frames = feature_config.label_frames(clip.n_samples)
     predictions = []

@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from seldkit.accdoa import DetectedEvent, decode, encode, read_events, write_events
-from seldkit.geometry import Direction, angular_distance
+from seldkit.geometry import Direction, angular_distance, unit_to_dir
 from seldkit.labels import ClipAnnotation, EventLabel
 
 
@@ -77,6 +77,16 @@ class TestDecode:
         with pytest.raises(ValueError, match="non-finite sequence value at frame 2, class 1"):
             decode(seq)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("vector", [[1e200, 0.0, 0.0], [0.0, -1e155, 1e155], [1e300, 1e300, 1e300]])
+    def test_overflowing_norm_named(self, vector):
+        # finite values whose squared norm overflows float64, without a RuntimeWarning
+        seq = np.zeros((3, 2, 3))
+        seq[1, 1] = vector
+        seq[2, 0] = [0.9, 0.0, 0.0]
+        with pytest.raises(ValueError, match=r"^vector norm overflows at frame 1, class 1$"):
+            decode(seq)
+
     def test_monotone_in_threshold(self, rng):
         seq = rng.uniform(-1, 1, size=(20, 13, 3))
         taus = [0.2, 0.5, 0.8, 1.1, 1.5]
@@ -134,6 +144,68 @@ def test_decode_encode_round_trips_any_grid(label_frames, n_classes, data):
         az, el = cells[(ev.frame, ev.class_id)]
         assert angular_distance(ev.direction, Direction(az, el)) < 1e-9
         assert ev.activity == pytest.approx(1.0, abs=1e-12)
+
+
+def decode_per_cell(seq, threshold=0.5):
+    """``decode`` as one ``unit_to_dir`` call per active cell: the reference for the array form."""
+    arr = np.asarray(seq, dtype=float)
+    norms = np.linalg.norm(arr, axis=2)
+    events = []
+    for frame, class_id in zip(*np.nonzero(norms > threshold)):
+        v = arr[frame, class_id]
+        events.append(
+            DetectedEvent(int(frame), int(class_id), unit_to_dir(v), float(norms[frame, class_id]))
+        )
+    return events
+
+
+def event_bits(events):
+    cells = [(ev.frame, ev.class_id) for ev in events]
+    columns = (
+        [ev.direction.azimuth for ev in events],
+        [ev.direction.elevation for ev in events],
+        [ev.activity for ev in events],
+    )
+    return cells, [np.array(column, dtype=float).tobytes() for column in columns]
+
+
+component = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.5]) | st.floats(-1.0, 1.0)
+# poles (x = y = 0), signed zeros, the axes and norms up to sqrt(3)
+edge_vectors = [
+    (0.0, 0.0, 1.0), (0.0, 0.0, -0.7), (-0.0, 0.0, 0.9), (0.0, -0.0, -1.0), (-0.0, -0.0, 0.6),
+    (1.0, 0.0, 0.0), (-1.0, 0.0, -0.0), (0.0, 1.0, 0.0), (-0.0, -1.0, -0.0), (0.0, -0.0, 0.0),
+    (1.0, 1.0, 1.0), (-1.0, -1.0, -1.0), (1.0, -1.0, 1.0), (-1.0, 1.0, -0.0),
+]
+
+
+@st.composite
+def decode_cases(draw):
+    threshold = draw(st.sampled_from([0.5, 0.1, 1.7]) | st.floats(0.01, 1.72))
+    frames, classes = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+
+    def just_above(v, ulps):
+        # the vector scaled to a norm a few ulps above the threshold
+        n = math.sqrt(sum(c * c for c in v))
+        return tuple(c * (threshold / n) * (1.0 + ulps * 2.0**-52) for c in v) if n else v
+
+    near = st.builds(just_above, st.tuples(component, component, component), st.integers(0, 4))
+    cells = draw(
+        st.lists(
+            st.sampled_from(edge_vectors) | st.tuples(component, component, component) | near,
+            min_size=frames * classes,
+            max_size=frames * classes,
+        )
+    )
+    return np.array(cells, dtype=float).reshape(frames, classes, 3), threshold
+
+
+@settings(max_examples=200, deadline=None)
+@example((np.array(edge_vectors).reshape(2, 7, 3), 0.5))
+@example((np.array(edge_vectors).reshape(7, 2, 3), 0.01))
+@given(decode_cases())
+def test_decode_bits_equal_per_cell_reference(case):
+    seq, threshold = case
+    assert event_bits(decode(seq, threshold)) == event_bits(decode_per_cell(seq, threshold))
 
 
 def test_round_trip_any_threshold(rng):

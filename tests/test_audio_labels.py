@@ -1,9 +1,12 @@
+import csv
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.io import wavfile
 
-from seldkit.audio import AudioClip, read_wav, read_wav_mono, write_wav, write_wav_mono
+from seldkit.audio import AudioClip, WavInfo, read_wav, read_wav_info, read_wav_mono, write_wav, write_wav_mono
 from seldkit.geometry import Direction
 from seldkit.labels import ClipAnnotation, EventLabel, read_labels, write_labels
 
@@ -83,6 +86,86 @@ class TestWavIO:
         write_wav_mono(tmp_path / "m.wav", rng.standard_normal(100), 24000)
         with pytest.raises(ValueError, match="4 FOA channels"):
             read_wav(tmp_path / "m.wav")
+
+
+def read_either(read, path):
+    """What ``read`` gives for ``path``: (rate, length), or the error's type and message."""
+    try:
+        result = read(path)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return result.sample_rate, result.n_samples
+
+
+def wav_with_rate(path, data, sample_rate):
+    """Write ``data`` with scipy, then patch the header's rate and byte rate, which scipy will not write as 0."""
+    wavfile.write(path, 24000, data)
+    raw = bytearray(path.read_bytes())
+    (block_align,) = struct.unpack("<H", raw[32:34])
+    raw[24:32] = struct.pack("<II", sample_rate, sample_rate * block_align)
+    path.write_bytes(bytes(raw))
+
+
+class TestWavChecksOnStoredSamples:
+    """``read_wav_info`` checks a file as ``read_wav`` does, without converting its samples."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_first_bad_value_in_channel_sample_order(self, tmp_path, rng, dtype):
+        # stored frame-major, channel 2's value comes first; reported channel-major, channel 0's does
+        samples = (rng.standard_normal((4, 600)) * 0.1).astype(dtype)
+        samples[2, 10] = np.nan
+        samples[0, 500] = np.inf
+        path = tmp_path / "bad.wav"
+        wavfile.write(path, 24000, samples.T)
+        for read in (read_wav, read_wav_info):
+            with pytest.raises(ValueError, match=r"bad\.wav: non-finite sample at channel 0, sample 500$"):
+                read(path)
+
+    def test_mono_non_finite_named_on_channel_0(self, tmp_path):
+        x = np.zeros(50, dtype=np.float32)
+        x[[7, 30]] = np.nan
+        path = tmp_path / "m.wav"
+        wavfile.write(path, 24000, x)
+        for read in (read_wav, read_wav_info, read_wav_mono):
+            with pytest.raises(ValueError, match=r"m\.wav: non-finite sample at channel 0, sample 7$"):
+                read(path)
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.int32, np.uint8, np.float32])
+    @pytest.mark.parametrize("channels", [4, 1, 2])
+    @pytest.mark.parametrize("rate", [24000, 16000, 0])
+    def test_both_paths_agree(self, tmp_path, rng, dtype, channels, rate):
+        info = np.iinfo(dtype) if np.issubdtype(dtype, np.integer) else None
+        if info is None:
+            data = rng.uniform(-1, 1, (37, channels)).astype(dtype)
+        else:
+            data = rng.integers(info.min, info.max, (37, channels), endpoint=True).astype(dtype)
+        path = tmp_path / "x.wav"
+        wav_with_rate(path, data if channels > 1 else data[:, 0], rate)
+        got = read_either(read_wav_info, path)
+        assert got == read_either(read_wav, path)
+        if channels == 4 and rate:
+            assert got == (rate, 37)
+            assert read_wav_info(path) == WavInfo(rate, 37)
+        elif channels == 4:
+            assert got == (ValueError, "sample_rate must be positive, got 0")
+        else:
+            assert got == (ValueError, f"{path}: expected 4 FOA channels, found {channels}")
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.int32, np.uint8, np.float32])
+    def test_mono_read_unchanged(self, tmp_path, rng, dtype):
+        # the samples of the reference: scaled as read_wav scales one channel of a 4-channel file
+        info = np.iinfo(dtype) if np.issubdtype(dtype, np.integer) else None
+        if info is None:
+            x = rng.uniform(-1, 1, 41).astype(dtype)
+        else:
+            x = rng.integers(info.min, info.max, 41, endpoint=True).astype(dtype)
+        wavfile.write(tmp_path / "m.wav", 16000, x)
+        wavfile.write(tmp_path / "q.wav", 16000, np.repeat(x[:, np.newaxis], 4, axis=1))
+        back, sr = read_wav_mono(tmp_path / "m.wav")
+        assert sr == 16000 and back.dtype == np.float64
+        assert back.tobytes() == read_wav(tmp_path / "q.wav").samples[0].copy().tobytes()
+        with pytest.raises(ValueError, match=r"q\.wav: expected mono, found 4 channels"):
+            read_wav_mono(tmp_path / "q.wav")
 
 
 class TestAnnotation:
@@ -169,4 +252,56 @@ class TestLabelCSV:
         path = tmp_path / "az.csv"
         path.write_text(f"2,1,0,10.0,5.0\n3,1,0,{bad_az},10.0\n")
         with pytest.raises(ValueError, match=r"az\.csv:2: azimuth must be finite"):
+            read_labels(path)
+
+
+AZIMUTH_TEXTS = ["10", "10.0", "1e1", "0", "-0.0", "190", "-180", "180", "359.99999999999994", "-45.5", "0.1"]
+ELEVATION_TEXTS = ["0", "0.0", "-0.0", "45", "-90", "90", "89.99999999999999", "-12.5", "1e-320", "0.1"]
+
+
+def per_row_labels(path):
+    """Every row parsed on its own, one ``Direction`` each: the reference for shared directions."""
+    with open(path, newline="") as f:
+        rows = [row for row in csv.reader(f) if row]
+    labels = [(int(r[0]), int(r[1]), int(r[2]), Direction(float(r[3]), float(r[4]))) for r in rows]
+    return sorted(labels, key=lambda label: label[:3])
+
+
+class TestSharedDirections:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.dictionaries(
+            st.tuples(st.integers(0, 30), st.integers(0, 12), st.integers(0, 2)),
+            st.tuples(st.sampled_from(AZIMUTH_TEXTS), st.sampled_from(ELEVATION_TEXTS)),
+            max_size=40,
+        )
+    )
+    def test_equal_to_per_row_parse_in_bits(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("shared") / "labels.csv"
+        path.write_text("".join(f"{f},{c},{t},{az},{el}\n" for (f, c, t), (az, el) in rows.items()))
+        events = read_labels(path).events
+        expected = per_row_labels(path)
+        assert len(events) == len(expected)
+        for ev, (frame, class_id, track_id, direction) in zip(events, expected):
+            assert (ev.frame, ev.class_id, ev.track_id) == (frame, class_id, track_id)
+            assert ev.direction.azimuth.hex() == direction.azimuth.hex()
+            assert ev.direction.elevation.hex() == direction.elevation.hex()
+        # one Direction per distinct text pair
+        by_text = {}
+        for ev in events:
+            text = rows[(ev.frame, ev.class_id, ev.track_id)]
+            assert by_text.setdefault(text, ev.direction) is ev.direction
+
+    @pytest.mark.parametrize(
+        ("text", "message"),
+        [
+            ("2,1,0,inf,5.0\n", r"rep\.csv:3: azimuth must be finite"),
+            ("2,1,0,10.0,95\n", r"rep\.csv:3: elevation must be in \[-90, 90\]"),
+            ("-1,1,0,10.0,5.0\n", r"rep\.csv:3: frame must be >= 0"),
+        ],
+    )
+    def test_bad_row_repeating_earlier_text_names_its_line(self, tmp_path, text, message):
+        path = tmp_path / "rep.csv"
+        path.write_text("0,1,0,10.0,5.0\n1,1,0,10.0,5.0\n" + text)
+        with pytest.raises(ValueError, match=message):
             read_labels(path)

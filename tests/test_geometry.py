@@ -12,6 +12,7 @@ from seldkit.geometry import (
     dir_to_unit,
     unit_to_dir,
     unit_vectors,
+    vector_directions,
     wrap_azimuth,
 )
 
@@ -76,6 +77,19 @@ class TestDirUnitConversion:
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError, match="undefined direction"):
             unit_to_dir(np.zeros(3))
+
+    @pytest.mark.parametrize(
+        ("vector", "message"),
+        [
+            ([0.0, -0.0, 0.0], "undefined direction: zero vector"),
+            ([1e200, 0.0, 0.0], "undefined direction: vector norm inf is not finite"),
+            ([0.0, np.nan, 1.0], "undefined direction: vector norm nan is not finite"),
+        ],
+    )
+    def test_undefined_direction_says_why(self, vector, message):
+        for convert in (unit_to_dir, lambda v: vector_directions([[0.0, 0.0, 1.0], v])):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                convert(vector)
 
     @given(azimuths, st.floats(min_value=-89.999, max_value=89.999, allow_nan=False))
     def test_round_trip(self, az, el):

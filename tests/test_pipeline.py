@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import seldkit.audio
 import seldkit.augment
 import seldkit.pipeline
 import seldkit.tta
-from seldkit.audio import AudioClip, read_wav, write_wav
+from seldkit.audio import AudioClip, WavInfo, read_wav, read_wav_info, write_wav
 from seldkit.augment import AugmentConfig, augment_waveform
 from seldkit.geometry import Direction, angular_distance, dir_to_unit
 from seldkit.labels import read_labels, write_labels
@@ -906,6 +907,20 @@ def extractions(monkeypatch):
 
 
 @pytest.fixture
+def conversions(monkeypatch):
+    """Count the WAV sample arrays converted to float64."""
+    calls = []
+    original = seldkit.audio._normalize_pcm
+
+    def counting(data):
+        calls.append(data.shape)
+        return original(data)
+
+    monkeypatch.setattr(seldkit.audio, "_normalize_pcm", counting)
+    return calls
+
+
+@pytest.fixture
 def augmentations(monkeypatch):
     """Name every ``pitch_shift`` and ``band_pass`` call, in call order."""
     calls = []
@@ -970,6 +985,32 @@ class TestFeaturesOnlyForReadingModels:
         assert augmentations == []
         assert augmented["n_scored"] == 3 and augmented["failures"] == []
         assert augmented == run_pipeline(self.config(manifest_path, predictor, tta))
+
+    @pytest.mark.parametrize("tta", [{}, None], ids=["tta", "direct"])
+    @pytest.mark.parametrize("kind", ["oracle", "constant", "external"])
+    def test_built_in_predictors_convert_no_samples(self, small_dataset, tmp_path, conversions, kind, tta):
+        root, manifest_path = small_dataset
+        result = run_pipeline(self.config(manifest_path, built_in_predictor(kind, root, tmp_path), tta))
+        assert result["n_scored"] == 3 and result["failures"] == []
+        assert conversions == []
+
+    @pytest.mark.parametrize("tta", [{}, None], ids=["tta", "direct"])
+    def test_reading_predictor_converts_each_entry_once(self, small_dataset, monkeypatch, conversions, tta):
+        _, manifest_path = small_dataset
+        monkeypatch.setattr(seldkit.pipeline, "make_predictor", lambda *a, **k: IntensityPredictor())
+        result = run_pipeline(self.config(manifest_path, {"kind": "constant"}, tta, augment={}))
+        assert result["n_scored"] == 3
+        assert conversions == [(120000, 4)] * 3
+
+    def test_tta_on_wav_info_equals_tta_on_the_clip(self, tmp_path):
+        clip, annotation = two_event_scene(seed=12)
+        write_wav(tmp_path / "c.wav", clip)
+        oracle = OraclePredictor({"clip": annotation}, OraclePredictorConfig(jitter_deg=5.0))
+        info = read_wav_info(tmp_path / "c.wav")
+        assert info == WavInfo(clip.sample_rate, clip.n_samples)
+        assert run_tta(oracle, info, ClipIdentity("clip")) == run_tta(oracle, clip, ClipIdentity("clip"))
+        with pytest.raises(TypeError, match="needs the clip's samples, got WavInfo"):
+            run_tta([oracle, IntensityPredictor()], info, ClipIdentity("clip"))
 
     def test_mixed_ensemble_extracts_once_and_feeds_only_the_reader(self, extractions):
         clip, annotation = two_event_scene(seed=12)
