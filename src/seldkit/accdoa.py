@@ -8,11 +8,12 @@ activity; inactive cells are zero. Decoding thresholds the vector norm.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Direction, unit_vectors, vector_directions
+from .geometry import Direction, unit_vectors, vector_angles
 from .labels import ClipAnnotation, read_table, write_table
 
 MAX_ACTIVITY = math.sqrt(3.0)
@@ -35,32 +36,92 @@ class DetectedEvent:
             raise ValueError(f"activity must be positive and finite, got {self.activity}")
 
 
+class EventTable(Sequence):
+    """Detections as columns: ``frame``, ``class_id``, ``azimuth``, ``elevation``, ``activity``.
+
+    What ``decode``, ``aggregate`` and ``run_tta`` return and
+    ``metrics.evaluate_stats`` reads: one row per detection, as read-only
+    arrays, so no per-event object is built on the scoring path. The
+    azimuths are wrapped into (-180, 180], as a ``Direction`` holds them.
+    The table is also a read-only ``Sequence[DetectedEvent]``: indexing or
+    iterating makes the event of a row, and a table equals the list (or
+    any sequence) of its events, as its ``repr`` is that list's.
+    ``EventTable.from_events`` gives the table of any detections.
+    """
+
+    __slots__ = ("frame", "class_id", "azimuth", "elevation", "activity")
+
+    def __init__(self, frame, class_id, azimuth, elevation, activity):
+        columns = [np.asarray(frame, dtype=np.intp), np.asarray(class_id, dtype=np.intp)]
+        columns += [np.asarray(column, dtype=float) for column in (azimuth, elevation, activity)]
+        if len({column.shape for column in columns}) != 1 or columns[0].ndim != 1:
+            raise ValueError(f"event columns must be 1-D of one length, got {[c.shape for c in columns]}")
+        for name, column in zip(self.__slots__, columns):
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    @classmethod
+    def from_events(cls, events) -> "EventTable":
+        """The table of ``DetectedEvent`` objects, in their order; a table is returned as it is."""
+        if isinstance(events, EventTable):
+            return events
+        events = list(events)
+        return cls(
+            [ev.frame for ev in events],
+            [ev.class_id for ev in events],
+            [ev.direction.azimuth for ev in events],
+            [ev.direction.elevation for ev in events],
+            [ev.activity for ev in events],
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError("an EventTable is read-only")
+
+    def __len__(self) -> int:
+        return len(self.frame)
+
+    def __iter__(self):
+        columns = (getattr(self, name).tolist() for name in self.__slots__)
+        for frame, class_id, azimuth, elevation, activity in zip(*columns):
+            yield DetectedEvent(frame, class_id, Direction(azimuth, elevation), activity)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(self)[index]
+        i = range(len(self))[index]  # an int in range, or IndexError
+        return DetectedEvent(
+            int(self.frame[i]), int(self.class_id[i]), Direction(float(self.azimuth[i]), float(self.elevation[i])),
+            float(self.activity[i]),
+        )
+
+    def __eq__(self, other):
+        if isinstance(other, EventTable):
+            return len(self) == len(other) and all(
+                np.array_equal(getattr(self, name), getattr(other, name)) for name in self.__slots__
+            )
+        if isinstance(other, Sequence) and not isinstance(other, (str, bytes)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
 class EncodingIndex:
     """An annotation's event cells and distinct directions, ready to encode under any direction map.
 
-    Index a clip once; each ``encode`` call then converts every distinct
-    direction once and scatters the unit vectors into the events' cells.
-    Directions are distinct by their exact float bits, not by ``==``:
-    elevations 0.0 and -0.0 compare equal but encode to z = 0.0 and -0.0.
+    Reads the annotation's columns (``labels.ClipAnnotation``); each
+    ``encode`` call then converts every distinct direction once and
+    scatters the unit vectors into the events' cells.
     """
 
     def __init__(self, annotation: ClipAnnotation):
-        events = annotation.events  # sorted by (frame, class, track)
         self.n_classes = annotation.n_classes
-        self.frames = np.fromiter((ev.frame for ev in events), dtype=np.intp, count=len(events))
-        self.classes = np.fromiter((ev.class_id for ev in events), dtype=np.intp, count=len(events))
+        self.frames, self.classes = annotation.frame, annotation.class_id  # sorted by (frame, class, track)
         # an event sharing its (frame, class) cell with the event before it
-        self.repeats = np.zeros(len(events), dtype=bool)
+        self.repeats = np.zeros(len(self.frames), dtype=bool)
         self.repeats[1:] = (self.frames[1:] == self.frames[:-1]) & (self.classes[1:] == self.classes[:-1])
-        slots: dict = {}
-        self.directions: list[Direction] = []
-        self.inverse = np.empty(len(events), dtype=np.intp)
-        for i, ev in enumerate(events):
-            key = (ev.direction.azimuth.hex(), ev.direction.elevation.hex())
-            if key not in slots:
-                slots[key] = len(self.directions)
-                self.directions.append(ev.direction)
-            self.inverse[i] = slots[key]
+        self.directions, self.inverse = annotation.directions, annotation.inverse
 
     def encode(self, label_frames: int, transform=None) -> np.ndarray:
         """The sequence of the events with each direction ``d`` mapped to ``transform(d)``.
@@ -95,15 +156,16 @@ def encode(annotation: ClipAnnotation, label_frames: int) -> np.ndarray:
     return EncodingIndex(annotation).encode(label_frames)
 
 
-def decode(seq, threshold: float = 0.5) -> list[DetectedEvent]:
+def decode(seq, threshold: float = 0.5) -> EventTable:
     """Decode events from a sequence: active wherever the vector norm exceeds the threshold.
 
-    Events come in (frame, class) order, each with the direction of its
-    cell's vector (``geometry.vector_directions``, bit-equal to
-    ``unit_to_dir`` cell by cell) and its norm as the activity. A NaN or
-    infinite value raises ValueError rather than reading as inactive, and
-    so does a finite vector whose norm overflows; both name the frame and
-    the class.
+    Returns an ``EventTable``, equal to the list of ``DetectedEvent``
+    objects it holds. Events come in (frame, class) order, each with the
+    azimuth and elevation of its cell's vector (``geometry.vector_angles``,
+    bit-equal to ``unit_to_dir`` cell by cell) and its norm as the
+    activity. A NaN or infinite value raises ValueError rather than
+    reading as inactive, and so does a finite vector whose norm overflows;
+    both name the frame and the class.
     """
     if not 0.0 < threshold < MAX_ACTIVITY:
         raise ValueError(f"threshold must be in (0, sqrt(3)), got {threshold}")
@@ -119,13 +181,8 @@ def decode(seq, threshold: float = 0.5) -> list[DetectedEvent]:
     if len(bad):
         raise ValueError(f"vector norm overflows at frame {bad[0][0]}, class {bad[0][1]}")
     frames, classes = np.nonzero(norms > threshold)
-    directions = vector_directions(arr[frames, classes])
-    return [
-        DetectedEvent(frame, class_id, direction, activity)
-        for frame, class_id, direction, activity in zip(
-            frames.tolist(), classes.tolist(), directions, norms[frames, classes].tolist()
-        )
-    ]
+    azimuth, elevation = vector_angles(arr[frames, classes])
+    return EventTable(frames, classes, azimuth, elevation, norms[frames, classes])
 
 
 def write_events(events, path) -> None:

@@ -5,11 +5,11 @@ left, z up. Azimuth is measured counterclockwise from the front axis and
 normalized into (-180, 180]; elevation is measured up from the horizontal
 plane and must lie in [-90, 90]. All public interfaces are in degrees.
 
-A direction becomes Cartesian in one place: ``dir_to_unit`` gives one
-validated ``UnitVec3`` and ``unit_vectors`` an ``(n, 3)`` array of many,
-both from the same expressions, so the two agree bit for bit. The way
-back is one place too: ``unit_to_dir`` for one vector and
-``vector_directions`` for the rows of an array, which agree bit for bit.
+A direction becomes Cartesian in one place, ``angle_unit_vectors`` of
+azimuth and elevation columns: ``unit_vectors`` of many directions and
+``dir_to_unit`` of one call it, so all agree bit for bit. The way back is
+one place too, ``vector_angles`` of the rows of an array, which
+``unit_to_dir`` calls for one vector.
 """
 
 from __future__ import annotations
@@ -62,30 +62,35 @@ class UnitVec3:
         return np.array([self.x, self.y, self.z], dtype=float)
 
 
-def _cartesian(d: Direction) -> tuple[float, float, float]:
-    az = math.radians(d.azimuth)
-    el = math.radians(d.elevation)
-    return math.cos(az) * math.cos(el), math.sin(az) * math.cos(el), math.sin(el)
+def _cos_sin(radians: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``math.cos`` and ``math.sin`` of every element: numpy's do not round as ``math``'s do."""
+    values = radians.tolist()
+    cos = np.fromiter(map(math.cos, values), float, len(values))
+    return cos, np.fromiter(map(math.sin, values), float, len(values))
+
+
+def angle_unit_vectors(azimuth, elevation) -> np.ndarray:
+    """The unit vectors of azimuth and elevation columns (degrees) as one array shaped (n, 3).
+
+    Row ``i`` is ``(cos az cos el, sin az cos el, sin el)`` with each angle
+    in radians: ``np.radians`` is the one product ``math.radians`` takes,
+    and the cosines and sines are ``math``'s, so row ``i`` holds the bits
+    of ``math``'s arithmetic on ``azimuth[i]`` and ``elevation[i]``.
+    """
+    cos_az, sin_az = _cos_sin(np.radians(np.asarray(azimuth, dtype=float)).reshape(-1))
+    cos_el, sin_el = _cos_sin(np.radians(np.asarray(elevation, dtype=float)).reshape(-1))
+    return np.stack([cos_az * cos_el, sin_az * cos_el, sin_el], axis=1)
+
+
+def unit_vectors(directions) -> np.ndarray:
+    """The unit vectors of many directions as one array shaped (n, 3); (0, 3) when empty."""
+    directions = list(directions)
+    return angle_unit_vectors([d.azimuth for d in directions], [d.elevation for d in directions])
 
 
 def dir_to_unit(d: Direction) -> UnitVec3:
     """Convert a direction to its unit vector (x front, y left, z up)."""
-    return UnitVec3(*_cartesian(d))
-
-
-def unit_vectors(directions) -> np.ndarray:
-    """The unit vectors of many directions as one array shaped (n, 3); (0, 3) when empty.
-
-    Row ``i`` holds the bits of ``dir_to_unit(directions[i]).as_array()``.
-    """
-    return np.array([_cartesian(d) for d in directions], dtype=float).reshape(-1, 3)
-
-
-def _unit_direction(x: float, y: float, z: float) -> Direction:
-    horiz = math.hypot(x, y)
-    az = 0.0 if horiz == 0.0 else math.degrees(math.atan2(y, x))
-    el = math.degrees(math.atan2(z, horiz))
-    return Direction(az, el)
+    return UnitVec3(*unit_vectors([d])[0].tolist())
 
 
 def _undefined(n: float) -> ValueError:
@@ -94,31 +99,16 @@ def _undefined(n: float) -> ValueError:
     return ValueError(f"undefined direction: vector norm {n} is not finite")
 
 
-def unit_to_dir(v) -> Direction:
-    """Convert a vector to a direction; inverse of :func:`dir_to_unit`.
+def vector_angles(vectors) -> tuple[np.ndarray, np.ndarray]:
+    """The azimuths and elevations of the rows of an ``(n, 3)`` array, as two float arrays.
 
-    Accepts a ``UnitVec3`` or any length-3 array-like and normalizes it.
-    The azimuth of the poles (x = y = 0) is defined as 0. A vector whose
-    norm is 0, or not finite, has no direction and raises ``ValueError``.
-    """
-    if isinstance(v, UnitVec3):
-        x, y, z = v.x, v.y, v.z
-    else:
-        x, y, z = (float(c) for c in np.asarray(v, dtype=float).reshape(3))
-    n = math.sqrt(x * x + y * y + z * z)
-    if n == 0.0 or not math.isfinite(n):
-        raise _undefined(n)
-    return _unit_direction(x / n, y / n, z / n)
-
-
-def vector_directions(vectors) -> list[Direction]:
-    """The directions of the rows of an ``(n, 3)`` array; ``[]`` when empty.
-
-    Item ``i`` holds the bits of ``unit_to_dir(vectors[i])``: the norms and
-    the normalization are array arithmetic in the same order, which rounds
-    as Python's does, while the trigonometry stays in ``math`` per row,
-    since numpy's does not round as ``math``'s does. The first row whose
-    norm is 0 or not finite raises ``unit_to_dir``'s ValueError.
+    Each row is normalized; the azimuth is ``degrees(atan2(y, x))``
+    wrapped into (-180, 180] (0 at the poles, x = y = 0) and the elevation
+    ``degrees(atan2(z, hypot(x, y)))``. The norms, the normalization, the
+    degrees and the wrap are array arithmetic, which rounds as Python's
+    float arithmetic and ``wrap_azimuth`` do; ``hypot`` and ``atan2`` are
+    ``math``'s, since numpy's do not round as ``math``'s do. The first
+    row whose norm is 0 or not finite raises ValueError.
     """
     v = np.asarray(vectors, dtype=float).reshape(-1, 3)
     x, y, z = v.T
@@ -127,7 +117,28 @@ def vector_directions(vectors) -> list[Direction]:
     bad = (n == 0.0) | ~np.isfinite(n)
     if bad.any():
         raise _undefined(float(n[bad.argmax()]))
-    return [_unit_direction(*row) for row in (v / n[:, np.newaxis]).tolist()]
+    x, y, z = (v / n[:, np.newaxis]).T.tolist()
+    horiz = list(map(math.hypot, x, y))
+    azimuth = np.degrees(np.fromiter(map(math.atan2, y, x), float, len(x)))
+    azimuth[np.array(horiz) == 0.0] = 0.0
+    elevation = np.degrees(np.fromiter(map(math.atan2, z, horiz), float, len(x)))
+    azimuth %= 360.0  # wrap_azimuth, element by element
+    azimuth[azimuth > 180.0] -= 360.0
+    return azimuth, elevation
+
+
+def unit_to_dir(v) -> Direction:
+    """Convert a vector to a direction; inverse of :func:`dir_to_unit`.
+
+    Accepts a ``UnitVec3`` or any length-3 array-like and normalizes it
+    (``vector_angles`` of one row). The azimuth of the poles (x = y = 0)
+    is defined as 0. A vector whose norm is 0, or not finite, has no
+    direction and raises ``ValueError``.
+    """
+    if isinstance(v, UnitVec3):
+        v = (v.x, v.y, v.z)
+    azimuth, elevation = vector_angles(np.asarray(v, dtype=float).reshape(3))
+    return Direction(float(azimuth[0]), float(elevation[0]))
 
 
 def angle_between(u, v) -> np.ndarray:

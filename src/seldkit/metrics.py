@@ -20,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
-from .geometry import angle_between, unit_vectors
+from .accdoa import EventTable
+from .geometry import angle_between, angle_unit_vectors, unit_vectors
 
 
 @dataclass(frozen=True)
@@ -89,6 +89,9 @@ def match_frame(preds, refs):
     """
     if not preds or not refs:
         return [], list(range(len(preds))), list(range(len(refs)))
+    # here, not at the top: a run whose cells hold one event a side never needs scipy.optimize
+    from scipy.optimize import linear_sum_assignment
+
     pred_vecs = unit_vectors([p.direction for p in preds])
     ref_vecs = unit_vectors([r.direction for r in refs])
     cost = angle_between(pred_vecs[:, np.newaxis, :], ref_vecs[np.newaxis, :, :])
@@ -102,15 +105,24 @@ def match_frame(preds, refs):
 def evaluate_stats(pred_events, ref_annotation, config: MetricConfig | None = None) -> list[ClassStats]:
     """Score one clip's detections against its annotation, returning raw stats.
 
-    Stats from several clips may be summed class-wise before finalizing.
-    The result equals a walk over class x segment x frame that folds each
-    non-empty (frame, class) cell's ``match_frame`` into the class's
-    counters, floats included, computed in array form:
+    ``pred_events`` is an ``accdoa.EventTable``, as ``decode`` and
+    ``run_tta`` return, or any sequence of ``DetectedEvent`` objects,
+    read as the table ``EventTable.from_events`` makes of them; the
+    annotation is read by its columns. Stats from several clips may be
+    summed class-wise before finalizing. The result equals a walk over
+    class x segment x frame that folds each non-empty (frame, class)
+    cell's ``match_frame`` into the class's counters, floats included,
+    computed in array form:
 
     * events are grouped into cells, each class's cells in frame order;
+    * a reference's unit vector is computed once per distinct direction of
+      the annotation, and a prediction's from its azimuth and elevation,
+      as ``geometry.unit_vectors`` makes them;
     * the cells holding one prediction and one reference are matched in
-      one ``angle_between`` call, and ``match_frame`` runs only on cells
-      with two or more predictions or references on both sides;
+      one ``angle_between`` call; the cells with two or more predictions
+      or references on both sides are grouped by their two counts, each
+      group's cost matrices come from one stacked ``angle_between`` call,
+      and each cell is assigned on its own matrix as ``match_frame`` does;
     * per cell, a pair within the spatial threshold is a TP and one beyond
       it an FP plus an FN; each class sums its counts, its segment
       bookkeeping and, left to right in frame order, its pair distances.
@@ -121,19 +133,21 @@ def evaluate_stats(pred_events, ref_annotation, config: MetricConfig | None = No
     """
     config = config or MetricConfig()
     n_classes = config.n_classes
-    refs = list(ref_annotation.events)
-    for kind, events in (("prediction", pred_events), ("reference", refs)):
-        for ev in events:
-            if ev.class_id >= n_classes:
-                raise ValueError(f"{kind} class {ev.class_id} out of range for n_classes={n_classes}")
-    preds = [ev for ev in pred_events if ev.frame >= 0 and ev.class_id >= 0]
-    if not preds and not refs:
+    preds = EventTable.from_events(pred_events)
+    refs = ref_annotation
+    for kind, classes in (("prediction", preds.class_id), ("reference", refs.class_id)):
+        beyond = classes >= n_classes
+        if beyond.any():
+            raise ValueError(f"{kind} class {int(classes[beyond.argmax()])} out of range for n_classes={n_classes}")
+    scored = (preds.frame >= 0) & (preds.class_id >= 0)
+    p_frame, p_class = preds.frame[scored], preds.class_id[scored]
+    if not len(p_frame) and not len(refs.frame):
         return [ClassStats() for _ in range(n_classes)]
 
     # cell key class * span + frame: sorted keys give each class's cells in frame order
-    span = 1 + max(ev.frame for ev in preds + refs)
-    p_key = np.fromiter((ev.class_id * span + ev.frame for ev in preds), np.int64, len(preds))
-    r_key = np.fromiter((ev.class_id * span + ev.frame for ev in refs), np.int64, len(refs))
+    span = 1 + max(int(p_frame.max(initial=-1)), int(refs.frame.max(initial=-1)))
+    p_key = p_class.astype(np.int64) * span + p_frame
+    r_key = refs.class_id.astype(np.int64) * span + refs.frame
     p_order = np.argsort(p_key, kind="stable")  # events of a cell keep their input order
     r_order = np.argsort(r_key, kind="stable")
     cells = np.union1d(p_key, r_key)
@@ -144,19 +158,28 @@ def evaluate_stats(pred_events, ref_annotation, config: MetricConfig | None = No
     n_pairs = np.minimum(n_pred, n_ref)
     pair_first = np.cumsum(n_pairs) - n_pairs
 
+    # unit vectors: a reference's once per distinct direction, a prediction's from its own angles
+    r_vecs = unit_vectors(refs.directions)[refs.inverse]
+    p_vecs = angle_unit_vectors(preds.azimuth[scored], preds.elevation[scored])
+
     # matched distances, per cell in match_frame's pair order
     dist = np.empty(int(n_pairs.sum()))
     one = (n_pred == 1) & (n_ref == 1)
-    dist[pair_first[one]] = angle_between(
-        unit_vectors([preds[i].direction for i in p_order[p_first[one]]]),
-        unit_vectors([refs[i].direction for i in r_order[r_first[one]]]),
-    )
-    for cell in np.flatnonzero((n_pairs > 0) & ~one):
-        pairs, _, _ = match_frame(
-            [preds[i] for i in p_order[p_first[cell] : p_first[cell] + n_pred[cell]]],
-            [refs[i] for i in r_order[r_first[cell] : r_first[cell] + n_ref[cell]]],
-        )
-        dist[pair_first[cell] : pair_first[cell] + n_pairs[cell]] = [d for _, _, d in pairs]
+    dist[pair_first[one]] = angle_between(p_vecs[p_order[p_first[one]]], r_vecs[r_order[r_first[one]]])
+    multi = np.flatnonzero((n_pairs > 0) & ~one)
+    if len(multi):
+        from scipy.optimize import linear_sum_assignment  # as in match_frame
+
+        shape = n_pred[multi] * (1 + int(n_ref.max())) + n_ref[multi]
+        for group in np.unique(shape).tolist():
+            sel = multi[shape == group]
+            n_p, n_r = int(n_pred[sel[0]]), int(n_ref[sel[0]])
+            p_cells = p_vecs[p_order[p_first[sel, np.newaxis] + np.arange(n_p)]]
+            r_cells = r_vecs[r_order[r_first[sel, np.newaxis] + np.arange(n_r)]]
+            costs = angle_between(p_cells[:, :, np.newaxis, :], r_cells[:, np.newaxis, :, :])
+            for start, cost in zip(pair_first[sel].tolist(), costs):
+                rows, cols = linear_sum_assignment(cost)
+                dist[start : start + len(rows)] = cost[rows, cols]
 
     pair_cell = np.repeat(np.arange(len(cells)), n_pairs)
     tp = np.bincount(pair_cell[dist <= config.spatial_threshold_deg], minlength=len(cells))

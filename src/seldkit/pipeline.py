@@ -62,14 +62,9 @@ def segment_clip(clip: AudioClip, window_s: float = 5.0, hop_s: float = 1.0) -> 
 
 
 def _dominant_class(entry: ManifestEntry, n_classes: int) -> int:
-    """Stratification key: most frequent class in the entry's label file."""
-    annotation = read_labels(entry.label_path, n_classes=n_classes)
-    if not annotation.events:
-        return -1
-    counts: dict = {}
-    for ev in annotation.events:
-        counts[ev.class_id] = counts.get(ev.class_id, 0) + 1
-    return max(sorted(counts), key=lambda c: counts[c])
+    """Stratification key: most frequent class in the entry's label file, the smallest on a tie."""
+    classes = read_labels(entry.label_path, n_classes=n_classes).class_id
+    return int(np.bincount(classes).argmax()) if len(classes) else -1
 
 
 def kfold_split(

@@ -169,7 +169,8 @@ class OraclePredictor:
     def predict(self, features: np.ndarray | None, identity: ClipIdentity, label_frames: int) -> np.ndarray:
         if identity.clip_id not in self.indexes:
             raise ValueError(f"unknown clip identity {identity.clip_id!r}")
-        rotate = partial(apply_to_direction, p=pattern_by_id(identity.pattern_id))
+        # the identity pattern maps every direction to itself, bit for bit
+        rotate = partial(apply_to_direction, p=pattern_by_id(identity.pattern_id)) if identity.pattern_id else None
         seq = self.indexes[identity.clip_id].encode(label_frames, rotate)
         if self.config.jitter_deg > 0:
             rng = np.random.default_rng(

@@ -15,7 +15,8 @@ array pass; outliers are rejected and each cluster is averaged. Every
 cluster's frame, class, size, mean, activity and weight = member count x
 norm of the mean are arrays, and clusters are ranked per frame before
 any event is built: only the clusters within the track budget of their
-frame become detections and get a direction.
+frame become detections and get an azimuth and elevation, in one
+``EventTable``.
 """
 
 from __future__ import annotations
@@ -26,10 +27,10 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .accdoa import MAX_ACTIVITY, DetectedEvent
+from .accdoa import MAX_ACTIVITY, EventTable
 from .audio import AudioClip, WavInfo
 from .features import FeatureConfig, extract_features
-from .geometry import unit_to_dir
+from .geometry import vector_angles
 from .predict import check_prediction, reads_features
 from .rotation import all_patterns, apply_to_features, apply_to_vector, compose, inverse, pattern_by_id
 
@@ -179,7 +180,7 @@ def dbscan_sphere(points, eps_deg: float, min_pts: int) -> np.ndarray:
     return labels if pts.ndim == 3 else labels[0]
 
 
-def aggregate(candidates: CandidateSet, config: TtaConfig | None = None) -> list[DetectedEvent]:
+def aggregate(candidates: CandidateSet, config: TtaConfig | None = None) -> EventTable:
     """Cluster and average candidates into final detections.
 
     Cells with fewer than min_candidates candidates emit nothing. Within a
@@ -189,13 +190,15 @@ def aggregate(candidates: CandidateSet, config: TtaConfig | None = None) -> list
     Frames holding more than max_tracks events keep the top ones by
     weight = member count x norm of the mean, then class, then azimuth.
 
-    Cells of equal candidate count are clustered together: one stacked
-    ``dbscan_sphere`` call per distinct count. Every cluster's frame,
-    class, size, mean, activity and weight are arrays; clusters are
-    ranked per frame before any event is built, and only kept clusters
-    become a ``DetectedEvent`` with a direction. A candidate row of zero
-    norm, or with a non-finite value, has no direction and raises
-    ValueError naming its (frame, class) cell.
+    Returns an ``EventTable`` sorted by (frame, class, azimuth), equal to
+    the list of its ``DetectedEvent`` objects. Cells of equal candidate
+    count are clustered together: one stacked ``dbscan_sphere`` call per
+    distinct count. Every cluster's frame, class, size, mean, activity and
+    weight are arrays; clusters are ranked per frame first, and only kept
+    clusters, with those of a tie across the cut, get an azimuth and
+    elevation (``geometry.vector_angles``, bit-equal to ``unit_to_dir``).
+    A candidate row of zero norm, or with a non-finite value, has no
+    direction and raises ValueError naming its (frame, class) cell.
     """
     config = config or TtaConfig()
     keys, offsets, rows = candidates.keys, candidates.offsets, candidates.rows
@@ -225,13 +228,13 @@ def aggregate(candidates: CandidateSet, config: TtaConfig | None = None) -> list
         size = sizes[g, cluster]
         clusters.append((sel[g], size, sums[g, cluster] / size[:, np.newaxis]))
     if not clusters:
-        return []
+        return EventTable.from_events(())
     cell, size, mean = (np.concatenate(parts) for parts in zip(*clusters))
     # the dot kernel np.linalg.norm uses on one vector, so bit-equal to it
     activity = np.sqrt(np.matmul(mean[:, np.newaxis, :], mean[:, :, np.newaxis]))[:, 0, 0]
     live = activity != 0.0
     if not live.any():
-        return []
+        return EventTable.from_events(())
     cell, size, mean, activity = cell[live], size[live], mean[live], activity[live]
     frame, class_id = keys[cell].T
     weight = size * activity
@@ -245,22 +248,17 @@ def aggregate(candidates: CandidateSet, config: TtaConfig | None = None) -> list
     # a (weight, class) tie across the cut is split by azimuth: only its
     # clusters need a direction before the cut
     tie = np.cumsum(new_frame | np.r_[True, (weight[1:] != weight[:-1]) | (class_id[1:] != class_id[:-1])])
-    directions: dict = {}
-
-    def direction(i):
-        if i not in directions:
-            directions[i] = unit_to_dir(mean[i])
-        return directions[i]
-
-    for last in np.flatnonzero((rank[:-1] == config.max_tracks - 1) & (tie[1:] == tie[:-1])).tolist():
+    cut_ties = np.flatnonzero((rank[:-1] == config.max_tracks - 1) & (tie[1:] == tie[:-1]))
+    placed = np.flatnonzero(keep | np.isin(tie, tie[cut_ties]))
+    azimuth, elevation = np.zeros(len(order)), np.zeros(len(order))
+    azimuth[placed], elevation[placed] = vector_angles(mean[placed])
+    for last in cut_ties.tolist():
         lo, hi = np.searchsorted(tie, [tie[last], tie[last] + 1])
         keep[lo:hi] = False
-        keep[sorted(range(lo, hi), key=lambda i: direction(i).azimuth)[: last + 1 - lo]] = True
-    events = [
-        DetectedEvent(int(frame[i]), int(class_id[i]), direction(i), float(activity[i]))
-        for i in np.flatnonzero(keep).tolist()
-    ]
-    return sorted(events, key=lambda e: (e.frame, e.class_id, e.direction.azimuth))
+        keep[lo + np.argsort(azimuth[lo:hi], kind="stable")[: last + 1 - lo]] = True
+    kept = np.flatnonzero(keep)
+    kept = kept[np.lexsort((azimuth[kept], class_id[kept], frame[kept]))]  # stable, as sorted() is
+    return EventTable(frame[kept], class_id[kept], azimuth[kept], elevation[kept], activity[kept])
 
 
 def run_tta(
@@ -270,8 +268,10 @@ def run_tta(
     config: TtaConfig | None = None,
     feature_config: FeatureConfig | None = None,
     n_classes: int | None = None,
-) -> list[DetectedEvent]:
+) -> EventTable:
     """Full TTA: predict under all 16 rotations, de-rotate, cluster, aggregate.
+
+    Returns ``aggregate``'s ``EventTable``.
 
     Features are extracted once, and only when some model reads them
     (``predict.reads_features``); for a reading model each pattern

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,22 @@ from seldkit.geometry import Direction, dir_to_unit
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def unit_to_dir_reference(v) -> Direction:
+    """``unit_to_dir`` as one vector's scalar ``math``: the reference for the array forms."""
+    x, y, z = (float(c) for c in np.asarray(v, dtype=float).reshape(3))
+    n = math.sqrt(x * x + y * y + z * z)
+    x, y, z = x / n, y / n, z / n
+    horiz = math.hypot(x, y)
+    az = 0.0 if horiz == 0.0 else math.degrees(math.atan2(y, x))
+    return Direction(az, math.degrees(math.atan2(z, horiz)))
+
+
+def dir_to_unit_reference(d: Direction) -> tuple[float, float, float]:
+    """``dir_to_unit`` as one direction's scalar ``math``: the reference for the array forms."""
+    az, el = math.radians(d.azimuth), math.radians(d.elevation)
+    return math.cos(az) * math.cos(el), math.sin(az) * math.cos(el), math.sin(el)
 
 
 def plane_wave_clip(direction: Direction, n_samples: int = 12000, seed: int = 0) -> AudioClip:

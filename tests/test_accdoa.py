@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from seldkit.accdoa import DetectedEvent, decode, encode, read_events, write_events
+from seldkit.accdoa import DetectedEvent, EventTable, decode, encode, read_events, write_events
 from seldkit.geometry import Direction, angular_distance, unit_to_dir
 from seldkit.labels import ClipAnnotation, EventLabel
+
+from conftest import unit_to_dir_reference
 
 
 def annotation_from_cells(cells, n_classes=13):
@@ -206,6 +208,72 @@ def decode_cases(draw):
 def test_decode_bits_equal_per_cell_reference(case):
     seq, threshold = case
     assert event_bits(decode(seq, threshold)) == event_bits(decode_per_cell(seq, threshold))
+
+
+# azimuth edges: -180 (y = -0.0 behind), signed zeros and a tiny negative y
+# behind the listener, whose azimuth rounds to -180 and wraps to 180 or stays near it
+azimuth_edge_vectors = [
+    (-1.0, -0.0, 0.0), (-0.8, 0.0, -0.0), (0.9, -0.0, 0.0), (-0.0, -0.0, 0.7), (0.7, 0.0, -0.0),
+    (-1.0, -1e-300, 0.0), (-0.9, -1e-17, 0.1), (-1.0, -3e-14, 0.0), (-1.0, 1e-17, 0.0), (-0.6, -5e-324, 0.0),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@example((np.array(azimuth_edge_vectors).reshape(5, 2, 3), 0.5))
+@example((np.array(edge_vectors).reshape(2, 7, 3), 0.5))
+@given(decode_cases())
+def test_decode_table_bits_equal_scalar_unit_to_dir(case):
+    seq, threshold = case
+    table = decode(seq, threshold)
+    norms = np.linalg.norm(seq, axis=2)
+    cells = np.argwhere(norms > threshold)
+    expected = [unit_to_dir_reference(seq[f, c]) for f, c in cells]
+    assert isinstance(table, EventTable)
+    assert (table.frame.tolist(), table.class_id.tolist()) == (cells[:, 0].tolist(), cells[:, 1].tolist())
+    assert table.azimuth.tobytes() == np.array([d.azimuth for d in expected], dtype=float).tobytes()
+    assert table.elevation.tobytes() == np.array([d.elevation for d in expected], dtype=float).tobytes()
+    assert table.activity.tobytes() == norms[norms > threshold].tobytes()
+
+
+class TestEventTable:
+    def table(self):
+        return decode(encode(annotation_from_cells([(0, 1, 40.0, 10.0), (3, 0, -120.0, -0.0)]), 5))
+
+    def test_a_sequence_of_its_events(self):
+        table = self.table()
+        events = [
+            DetectedEvent(0, 1, Direction(40.0, 10.0), 1.0),
+            DetectedEvent(3, 0, Direction(-120.0, -0.0), 1.0),
+        ]
+        assert len(table) == 2 and table[-1] == table[1]
+        assert [(e.frame, e.class_id) for e in table] == [(0, 1), (3, 0)]
+        assert table[1:] == [table[1]]
+        for got, want in zip(table, events):
+            assert got.frame == want.frame and got.class_id == want.class_id
+            assert angular_distance(got.direction, want.direction) < 1e-9
+        with pytest.raises(IndexError):
+            table[2]
+
+    def test_equal_to_the_list_of_its_events(self):
+        table = self.table()
+        events = list(table)
+        assert table == events and events == table and table == tuple(events)
+        assert table != events[:1] and table != events[::-1]
+        assert repr(table) == repr(events)
+        assert EventTable.from_events(events) == table
+        assert EventTable.from_events(table) is table
+        assert decode(np.zeros((4, 3, 3))) == []
+
+    def test_read_only(self):
+        table = self.table()
+        with pytest.raises(AttributeError):
+            table.frame = np.zeros(2)
+        with pytest.raises(ValueError):
+            table.azimuth[0] = 1.0
+
+    def test_columns_of_one_length(self):
+        with pytest.raises(ValueError, match="1-D of one length"):
+            EventTable([0, 1], [0], [0.0], [0.0], [1.0])
 
 
 def test_round_trip_any_threshold(rng):

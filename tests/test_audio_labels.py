@@ -1,4 +1,5 @@
 import csv
+import re
 import struct
 
 import numpy as np
@@ -8,7 +9,7 @@ from scipy.io import wavfile
 
 from seldkit.audio import AudioClip, WavInfo, read_wav, read_wav_info, read_wav_mono, write_wav, write_wav_mono
 from seldkit.geometry import Direction
-from seldkit.labels import ClipAnnotation, EventLabel, read_labels, write_labels
+from seldkit.labels import LABEL_COLUMNS, ClipAnnotation, EventLabel, read_labels, read_table, write_labels
 
 
 class TestAudioClip:
@@ -305,3 +306,124 @@ class TestSharedDirections:
         path.write_text("0,1,0,10.0,5.0\n1,1,0,10.0,5.0\n" + text)
         with pytest.raises(ValueError, match=message):
             read_labels(path)
+
+
+def read_labels_reference(path, n_classes=13):
+    """The object reader ``read_labels`` replaced: one ``EventLabel`` per row, rows of
+    one text pair sharing a ``Direction``, then the annotation's checks in sorted order."""
+    directions = {}
+
+    def parse(row):
+        direction = directions.get((row[3], row[4]))
+        if direction is None:
+            direction = directions[row[3], row[4]] = Direction(float(row[3]), float(row[4]))
+        return EventLabel(int(row[0]), int(row[1]), int(row[2]), direction)
+
+    events = sorted(read_table(path, LABEL_COLUMNS, parse), key=lambda e: (e.frame, e.class_id, e.track_id))
+    seen = set()
+    for ev in events:
+        key = (ev.frame, ev.class_id, ev.track_id)
+        if key in seen:
+            raise ValueError(f"{path}: duplicate (frame, class, track) label {key}")
+        seen.add(key)
+        if ev.class_id >= n_classes:
+            raise ValueError(f"{path}: class_id {ev.class_id} out of range for n_classes={n_classes}")
+    return tuple(events)
+
+
+# one bad row of each kind; "dup" repeats the (frame, class, track) of a good row
+BAD_ROWS = {
+    "columns": "4,1,0,10.0",
+    "wide": "4,1,0,10.0,5.0,1",
+    "frame": "4.5,1,0,10.0,5.0",
+    "negative class": "4,-1,0,10.0,5.0",
+    "negative track": "4,1,-2,10.0,5.0",
+    "nan azimuth": "4,1,0,nan,5.0",
+    "elevation 91": "4,1,0,10.0,91",
+    "class": "4,9,0,10.0,5.0",
+    "dup": None,
+}
+
+
+class TestLabelReadErrors:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        good=st.dictionaries(
+            st.tuples(st.integers(0, 20), st.integers(0, 8), st.integers(0, 2)),
+            st.sampled_from(["10.0,5.0", "-45,0", "180,-0.0"]),
+            min_size=1,
+            max_size=12,
+        ),
+        bad=st.lists(st.tuples(st.sampled_from(sorted(BAD_ROWS)), st.integers(0, 12)), max_size=3),
+        n_classes=st.sampled_from([5, 9, 13]),
+    )
+    def test_first_offender_raises_the_reference_message(self, tmp_path_factory, good, bad, n_classes):
+        rows = [f"{f},{c},{t},{text}" for (f, c, t), text in good.items()]
+        for kind, position in bad:
+            row = BAD_ROWS[kind] or f"{rows[position % len(rows)].rsplit(',', 2)[0]},33,-10"
+            rows.insert(position % (len(rows) + 1), row)
+        path = tmp_path_factory.mktemp("labels") / "bad.csv"
+        path.write_text("\n".join(rows) + "\n")
+        try:
+            expected = read_labels_reference(path, n_classes)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                read_labels(path, n_classes)
+            assert str(raised.value) == str(exc)
+        else:
+            assert read_labels(path, n_classes).events == expected
+
+    @pytest.mark.parametrize(
+        ("text", "message"),
+        [
+            ("0,1,0,10,0\n1,2,0,10,0,7\n", r"^{path}:2: expected 5 columns \(frame,class_id,track_id,azimuth,elevation\), got 6$"),
+            ("0,1,0,10,0\nx,2,0,10,0\n", r"^{path}:2: invalid literal for int\(\) with base 10: 'x'$"),
+            ("0,1,0,10,0\n1,2,-1,10,0\n", r"^{path}:2: track_id must be >= 0, got -1$"),
+            ("0,1,0,10,0\n1,2,0,nan,0\n", r"^{path}:2: azimuth must be finite, got nan$"),
+            ("0,1,0,10,91\n", r"^{path}:1: elevation must be in \[-90, 90\], got 91.0$"),
+            ("3,1,0,10,0\n0,4,0,10,0\n3,1,0,20,0\n", r"^{path}: duplicate \(frame, class, track\) label \(3, 1, 0\)$"),
+            ("5,13,0,10,0\n0,1,0,10,0\n0,1,0,20,0\n", r"^{path}: duplicate \(frame, class, track\) label \(0, 1, 0\)$"),
+            ("3,1,0,10,0\n0,13,0,10,0\n3,1,0,20,0\n", r"^{path}: class_id 13 out of range for n_classes=13$"),
+        ],
+    )
+    def test_messages(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message.format(path=re.escape(str(path)))):
+            read_labels(path)
+
+    def test_id_beyond_64_bits_named(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text(f"{2**70},1,0,10,0\n")
+        with pytest.raises(ValueError, match=r"big\.csv: a frame, class or track id does not fit in 64 bits$"):
+            read_labels(path)
+
+
+class TestAnnotationColumns:
+    def test_columns_sorted_with_shared_directions(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_text("5,1,0,10,0\n1,2,1,-30,5\n1,2,0,10,0\n")
+        annotation = read_labels(path)
+        assert annotation.frame.tolist() == [1, 1, 5]
+        assert annotation.class_id.tolist() == [2, 2, 1]
+        assert annotation.track_id.tolist() == [0, 1, 0]
+        assert [annotation.directions[i] for i in annotation.inverse] == [
+            Direction(10, 0), Direction(-30, 5), Direction(10, 0)
+        ]
+        assert len(annotation.directions) == 2 and annotation.max_frame == 5
+        events = annotation.events
+        assert events[0].direction is events[2].direction
+        assert annotation == ClipAnnotation(reversed(events)) and annotation.events is events
+
+    def test_columns_read_only(self):
+        annotation = ClipAnnotation((EventLabel(0, 1, 0, Direction(0, 0)),))
+        with pytest.raises(ValueError):
+            annotation.frame[0] = 3
+
+    def test_equality_and_hash_follow_the_events(self):
+        d = Direction(10, 0)
+        a = ClipAnnotation((EventLabel(0, 1, 0, d), EventLabel(2, 1, 0, d)), n_classes=4)
+        b = ClipAnnotation((EventLabel(2, 1, 0, Direction(10, 0)), EventLabel(0, 1, 0, Direction(10, 0))), n_classes=4)
+        assert a == b and hash(a) == hash(b)
+        assert a != ClipAnnotation(a.events, n_classes=5)
+        assert repr(a) == f"ClipAnnotation(events={a.events!r}, n_classes=4)"

@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import seldkit
 from seldkit.accdoa import encode, read_events
 from seldkit.audio import read_wav, write_wav, write_wav_mono
 from seldkit.cli import main, parse_model_spec
@@ -365,3 +371,50 @@ def test_help_lists_all_verbs(runner):
     result = run_ok(runner, ["--help"])
     for verb in ("features", "rotate", "augment", "emulate", "dataset", "accdoa", "tta", "eval", "pipeline"):
         assert verb in result.output
+
+
+def test_scipy_optimize_loads_only_for_a_multi_event_cell(tmp_path):
+    # scipy.optimize costs about 0.35 s per process; emulating, rotating,
+    # extracting features and an oracle-direct run assign no multi-event
+    # cell, so none of them may load it; match_frame imports it when called
+    script = textwrap.dedent(
+        """
+        import json, sys
+        from pathlib import Path
+        import numpy as np
+        from click.testing import CliRunner
+        from seldkit.audio import write_wav_mono
+        from seldkit.cli import main
+        from seldkit.manifest import DatasetManifest, ManifestEntry, save_manifest
+
+        def run(*args):
+            result = CliRunner().invoke(main, list(args), catch_exceptions=False)
+            assert result.exit_code == 0, result.output
+
+        write_wav_mono("s0.wav", np.random.default_rng(0).standard_normal(24000) * 0.2, 24000)
+        Path("lib.json").write_text(json.dumps({"samples": [{"sample_id": "s0", "class_id": 3, "path": "s0.wav"}]}))
+        event = {"class_id": 3, "sample_id": "s0", "onset_s": 0.5, "azimuth": 45.0, "elevation": 10.0}
+        Path("scene.json").write_text(json.dumps({"duration_s": 2.0, "snr_db": 30.0, "seed": 1, "events": [event]}))
+        run("emulate", "--spec", "scene.json", "--library", "lib.json", "--out-prefix", "emu")
+        run("rotate", "--pattern", "6", "--in", "emu.wav", "--labels", "emu.csv", "--out-prefix", "rot")
+        run("features", "extract", "--in", "emu.wav", "--out", "emu.feat")
+        save_manifest(DatasetManifest((ManifestEntry("emu.wav", "emu.csv", "emulated"),)), "m.json")
+        Path("run.json").write_text(json.dumps({"manifest": "m.json", "predictor": {"kind": "oracle"}, "tta": None}))
+        run("pipeline", "run", "--config", "run.json", "--out", "scores.json")
+        assert json.loads(Path("scores.json").read_text())["n_scored"] == 1
+        print("scipy.optimize" in sys.modules)
+        from seldkit.accdoa import DetectedEvent
+        from seldkit.geometry import Direction
+        from seldkit.labels import EventLabel
+        from seldkit.metrics import match_frame
+        d = Direction(0.0, 0.0)
+        match_frame([DetectedEvent(0, 0, d, 1.0)] * 2, [EventLabel(0, 0, 0, d)])
+        print("scipy.optimize" in sys.modules)
+        """
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(seldkit.__file__).resolve().parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False", "True"]

@@ -8,13 +8,16 @@ from seldkit.geometry import (
     Direction,
     UnitVec3,
     angle_between,
+    angle_unit_vectors,
     angular_distance,
     dir_to_unit,
     unit_to_dir,
     unit_vectors,
-    vector_directions,
+    vector_angles,
     wrap_azimuth,
 )
+
+from conftest import dir_to_unit_reference, unit_to_dir_reference
 
 azimuths = st.floats(min_value=-720.0, max_value=720.0, allow_nan=False)
 elevations = st.floats(min_value=-90.0, max_value=90.0, allow_nan=False)
@@ -87,7 +90,7 @@ class TestDirUnitConversion:
         ],
     )
     def test_undefined_direction_says_why(self, vector, message):
-        for convert in (unit_to_dir, lambda v: vector_directions([[0.0, 0.0, 1.0], v])):
+        for convert in (unit_to_dir, lambda v: vector_angles([[0.0, 0.0, 1.0], v])):
             with pytest.raises(ValueError, match=f"^{message}$"):
                 convert(vector)
 
@@ -106,6 +109,46 @@ class TestDirUnitConversion:
         got = unit_vectors(ds)
         assert got.shape == (len(ds), 3) and got.dtype == np.float64
         assert got.tobytes() == expected.tobytes()
+
+
+# the azimuth's edges: -180 (y = -0.0 behind), signed zeros, the poles and
+# a tiny negative y behind the listener, whose azimuth rounds to or near -180
+edge_vectors = [
+    (-1.0, -0.0, 0.0), (-1.0, 0.0, 0.0), (1.0, -0.0, 0.0), (0.0, 0.0, 1.0), (-0.0, -0.0, -1.0),
+    (-1.0, -1e-300, 0.0), (-1.0, -1e-17, 0.0), (-1.0, -2.5e-14, 0.3), (-1.0, 1e-17, -0.0),
+    (-0.5, -5e-324, 0.0), (1.0, -1e-300, 0.0), (1e-300, -1e-300, 1.0),
+]
+component = st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300, -1e-17]) | st.floats(-1e3, 1e3)
+# a vector with a direction: its norm, as Python computes it, neither underflows nor overflows
+directed = st.tuples(component, component, component).filter(lambda v: 0.0 < math.sqrt(sum(c * c for c in v)) < math.inf)
+
+
+class TestArrayForms:
+    @example(edge_vectors)
+    @given(st.lists(directed, max_size=12))
+    def test_vector_angles_bits_equal_scalar_reference(self, vectors):
+        azimuth, elevation = vector_angles(np.array(vectors, dtype=float).reshape(-1, 3))
+        expected = [unit_to_dir_reference(v) for v in vectors]
+        assert azimuth.tobytes() == np.array([d.azimuth for d in expected], dtype=float).tobytes()
+        assert elevation.tobytes() == np.array([d.elevation for d in expected], dtype=float).tobytes()
+        # the array wrap rounds as wrap_azimuth does
+        assert all(wrap_azimuth(az) == az for az in azimuth.tolist())
+
+    @example(edge_directions)
+    @given(st.lists(st.sampled_from(edge_directions) | st.builds(Direction, azimuths, elevations), max_size=12))
+    def test_angle_unit_vectors_bits_equal_scalar_reference(self, ds):
+        got = angle_unit_vectors([d.azimuth for d in ds], [d.elevation for d in ds])
+        expected = np.array([dir_to_unit_reference(d) for d in ds], dtype=float).reshape(-1, 3)
+        assert got.shape == (len(ds), 3) and got.tobytes() == expected.tobytes()
+
+    def test_unit_to_dir_is_one_row_of_vector_angles(self):
+        for v in edge_vectors:
+            d = unit_to_dir(v)
+            assert (d.azimuth.hex(), d.elevation.hex()) == tuple(
+                float(a[0]).hex() for a in vector_angles(np.array([v]))
+            )
+            expected = unit_to_dir_reference(v)
+            assert (d.azimuth.hex(), d.elevation.hex()) == (expected.azimuth.hex(), expected.elevation.hex())
 
 
 class TestAngularDistance:

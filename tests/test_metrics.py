@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from seldkit.accdoa import DetectedEvent
+from seldkit.accdoa import DetectedEvent, EventTable
 from seldkit.geometry import Direction, angular_distance
 from seldkit.labels import ClipAnnotation, EventLabel
 from seldkit.metrics import (
@@ -506,15 +506,17 @@ class TestArrayFormScoring:
         assert evaluate_stats(preds, annotation, config) == evaluate_stats_reference(preds, annotation, config)
 
     def test_match_frame_only_for_multi_event_cells(self, monkeypatch):
-        import seldkit.metrics as metrics_module
+        # match_frame's assignment runs on the cost matrix of each multi-event cell, and on no other
+        import scipy.optimize
 
         calls = []
+        assign = scipy.optimize.linear_sum_assignment
 
-        def counting_match_frame(preds, refs):
-            calls.append((len(preds), len(refs)))
-            return match_frame(preds, refs)
+        def counting_assignment(cost):
+            calls.append(cost.shape)
+            return assign(cost)
 
-        monkeypatch.setattr(metrics_module, "match_frame", counting_match_frame)
+        monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", counting_assignment)
         preds = [pred(0, 0, 10, 0), pred(1, 1, 50, 0), pred(2, 0, 0, 0),  # one-to-one cells
                  pred(3, 0, 0, 0),  # prediction only
                  pred(5, 1, 0, 0), pred(5, 1, 90, 0),  # two predictions, one reference
@@ -530,3 +532,36 @@ class TestArrayFormScoring:
         assert (stats[0].tp, stats[0].fp, stats[0].fn, stats[1].tp, stats[1].fp, stats[1].fn) == (
             3, 1, 1, 1, 2, 2
         )
+
+
+def stats_bits(stats):
+    """Every field of every class's stats, the float error sum by its bits."""
+    return [tuple(v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(s)) for s in stats]
+
+
+class TestTableForm:
+    @settings(max_examples=150, deadline=None)
+    @given(clip=scored_clips(), data=st.data())
+    def test_table_and_object_forms_give_equal_stats_in_bits(self, clip, data):
+        preds, annotation, config = clip
+        # the annotation's rows in any order, each with a direction of its own
+        events = annotation.events
+        order = data.draw(st.permutations(range(len(events))))
+        rows = [events[i] for i in order]
+        columns = ClipAnnotation.from_columns(
+            [ev.frame for ev in rows],
+            [ev.class_id for ev in rows],
+            [ev.track_id for ev in rows],
+            [ev.direction for ev in rows],
+            np.arange(len(rows)),
+            annotation.n_classes,
+        )
+        assert columns == annotation
+        expected = stats_bits(evaluate_stats_reference(preds, annotation, config))
+        assert stats_bits(evaluate_stats(EventTable.from_events(preds), columns, config)) == expected
+        assert stats_bits(evaluate_stats(preds, annotation, config)) == expected
+
+    def test_out_of_range_class_named_in_table_form(self):
+        table = EventTable.from_events([pred(0, 0, 10, 0), pred(1, 5, 10, 0), pred(2, 7, 10, 0)])
+        with pytest.raises(ValueError, match=r"^prediction class 5 out of range for n_classes=2$"):
+            evaluate_stats(table, ClipAnnotation((ref(0, 0, 0, 0),), n_classes=2), CFG2)

@@ -32,7 +32,7 @@ from seldkit.predict import (
     seed_material,
 )
 from seldkit.rotation import all_patterns, apply_to_audio, apply_to_features, pattern_by_id, rotate_annotation
-from seldkit.accdoa import decode, encode
+from seldkit.accdoa import DetectedEvent, decode, encode
 from seldkit.features import FeatureConfig, extract_features
 from seldkit.tensorio import save_tensor
 from seldkit.labels import ClipAnnotation, EventLabel
@@ -130,6 +130,15 @@ class TestKfold:
             entries.append(ManifestEntry(f"c{i}.wav", str(label_path), "emulated"))
         folds = kfold_split(DatasetManifest(tuple(entries)), k=4, n_classes=2)
         assert [len(f) for f in folds] == [2, 2, 2, 2]
+
+    def test_dominant_class_tie_goes_to_the_smallest_class(self, tmp_path):
+        label_path = tmp_path / "tie.csv"
+        # classes 3 and 1 twice each, class 4 once
+        label_path.write_text("0,3,0,10,0\n1,3,0,10,0\n0,1,0,50,0\n2,1,0,50,0\n3,4,0,0,0\n")
+        entry = ManifestEntry("tie.wav", str(label_path), "emulated")
+        assert seldkit.pipeline._dominant_class(entry, n_classes=5) == 1
+        label_path.write_text("")
+        assert seldkit.pipeline._dominant_class(entry, n_classes=5) == -1
 
     def test_room_mode_one_room_per_fold(self):
         manifest, _ = manifest_with_classes([0] * 8, rooms=["r1", "r2", "r3", "r4"] * 2)
@@ -948,6 +957,38 @@ def built_in_predictor(kind, root, pred_dir):
                 save_tensor(pred_dir / f"scene{i}.p{p.id:02d}.acc", seq)
         predictor["dir"] = str(pred_dir)
     return predictor
+
+
+def count_constructions(monkeypatch) -> dict:
+    """From now on, count the ``EventLabel``, ``DetectedEvent`` and ``Direction`` objects built."""
+    counts = {}
+    for cls in (EventLabel, DetectedEvent, Direction):
+        counts[cls.__name__] = 0
+
+        def counting(self, _original=cls.__post_init__, _name=cls.__name__):
+            counts[_name] += 1
+            _original(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    return counts
+
+
+class TestScoringPathBuildsNoEventObjects:
+    @pytest.mark.parametrize(("kind", "tta"), [("oracle", None), ("external", {})], ids=["oracle-direct", "external-tta"])
+    def test_run_builds_no_event_and_one_direction_per_text_pair(self, small_dataset, tmp_path, monkeypatch, kind, tta):
+        root, manifest_path = small_dataset
+        config = RunConfig.from_dict(
+            {"manifest": str(manifest_path), "predictor": built_in_predictor(kind, root, tmp_path), "tta": tta}
+        )
+        text_pairs = 0
+        for i in range(3):
+            rows = (root / f"scene{i}.csv").read_text().splitlines()
+            text_pairs += len({tuple(row.split(",")[3:]) for row in rows})
+        counts = count_constructions(monkeypatch)
+        result = run_pipeline(config)
+        assert result["n_scored"] == 3 and result["failures"] == []
+        assert counts["EventLabel"] == 0 and counts["DetectedEvent"] == 0
+        assert 0 < counts["Direction"] <= text_pairs
 
 
 class RecordingPredictor:
