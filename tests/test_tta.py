@@ -281,6 +281,36 @@ class TestStackedDbscan:
     def test_empty_stack(self):
         assert dbscan_sphere(np.zeros((3, 0, 3)), 15.0, 2).shape == (3, 0)
 
+    @pytest.mark.parametrize("n", [2, 3, 5, 9, 17, 33, 48, 65])
+    @pytest.mark.parametrize("min_pts", [2, 3])
+    def test_chain_cells_in_one_stack(self, n, min_pts):
+        # n points 3 deg apart along a great circle, each within eps = 4 deg
+        # of the next only, so the core points form one path
+        rng = np.random.default_rng(n)
+        basis, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        angles = np.radians(3.0 * np.arange(n))
+        chain = np.cos(angles)[:, np.newaxis] * basis[0] + np.sin(angles)[:, np.newaxis] * basis[1]
+        # the two ends hold indices 0 and 1: with min_pts 2 the far end is a
+        # core n - 1 links from index 0, and short of the full closure it
+        # roots a second cluster (n = 2**k + 1 needs all k squarings)
+        ends_first = np.r_[0, 2 + rng.permutation(n - 2), 1]
+        shuffled = rng.permutation(n)
+        # a Fibonacci lattice: all n points further apart than eps
+        k = np.arange(n) + 0.5
+        z, phi = 1.0 - 2.0 * k / n, np.pi * (1.0 + 5.0**0.5) * k
+        spread = np.stack([np.sqrt(1.0 - z**2) * np.cos(phi), np.sqrt(1.0 - z**2) * np.sin(phi), z], axis=1)
+        cells = [np.empty((n, 3)), np.empty((n, 3)), np.tile(chain[0], (n, 1)), spread]
+        cells[0][ends_first] = chain
+        cells[1][shuffled] = chain
+        labels = dbscan_sphere(np.stack(cells), 4.0, min_pts)
+        if n >= min_pts:
+            assert labels[:3].tolist() == [[0] * n] * 3
+        assert labels[3].tolist() == [-1] * n
+        for cell, got in zip(cells, labels):
+            np.testing.assert_array_equal(got, dbscan_reference(cell, 4.0, min_pts))
+            np.testing.assert_array_equal(got, dbscan_expansion_reference(cell, 4.0, min_pts))
+            np.testing.assert_array_equal(got, dbscan_sphere(cell, 4.0, min_pts))
+
 
 class TestCollectCandidates:
     def base_sequence(self):
@@ -578,6 +608,40 @@ class TestStackedAggregate:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=r"zero-norm or non-finite .* cell \(4, 2\)"):
                 aggregate(CandidateSet(cells))
+
+    def test_degenerate_row_names_first_bad_cell_in_key_order(self):
+        # the first bad cell in (frame, class) order holds more candidates
+        # than the later one, which is below min_candidates and checked too
+        cells = {
+            (1, 3): np.array([[0.0, 0.9, 0.0]] * 11 + [[0.0, 0.0, 0.0]]),
+            (2, 0): np.tile([0.9, 0.0, 0.0], (16, 1)),
+            (5, 1): np.array([[np.nan, 0.0, 0.0]] + [[1.0, 0.0, 0.0]] * 4),
+        }
+        with pytest.raises(ValueError, match=r"zero-norm or non-finite .* cell \(1, 3\)"):
+            aggregate(CandidateSet(cells), TtaConfig(min_candidates=8))
+
+    def test_ensemble_sized_cells(self):
+        # two- and three-model cells (32 and 48 rows) in frames 0-3,
+        # one-model cells (16 rows) in frames 4-7; up to 10 clusters a frame
+        rng = np.random.default_rng(5)
+
+        def cell(n):
+            # two jittered sources in turn, every third row a stray
+            centers = [dir_to_unit(random_direction(rng, max_abs_el=80.0)).as_array() for _ in range(2)]
+            rows = [
+                rng.standard_normal(3) if i % 3 == 2 else centers[i % 3] + rng.standard_normal(3) * 0.08
+                for i in range(n)
+            ]
+            return np.array(rows) * rng.uniform(0.3, 1.0, (n, 1))
+
+        ensemble = {(frame, c): cell(32 + 16 * (c % 2)) for frame in range(4) for c in range(5)}
+        single = {(frame, c): cell(16) for frame in range(4, 8) for c in range(5)}
+        config = TtaConfig(min_candidates=8, max_tracks=3)
+        both = aggregate(CandidateSet({**ensemble, **single}), config)
+        assert repr(both) == repr(aggregate_reference({**ensemble, **single}, config))
+        alone = aggregate(CandidateSet(single), config)
+        assert len(alone) > 0
+        assert repr(alone) == repr([event for event in both if event.frame >= 4])
 
 
 class TestRunTta:
