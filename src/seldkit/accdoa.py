@@ -107,53 +107,34 @@ class EventTable(Sequence):
         return repr(list(self))
 
 
-class EncodingIndex:
-    """An annotation's event cells and distinct directions, ready to encode under any direction map.
-
-    Reads the annotation's columns (``labels.ClipAnnotation``); each
-    ``encode`` call then converts every distinct direction once and
-    scatters the unit vectors into the events' cells.
-    """
-
-    def __init__(self, annotation: ClipAnnotation):
-        self.n_classes = annotation.n_classes
-        self.frames, self.classes = annotation.frame, annotation.class_id  # sorted by (frame, class, track)
-        # an event sharing its (frame, class) cell with the event before it
-        self.repeats = np.zeros(len(self.frames), dtype=bool)
-        self.repeats[1:] = (self.frames[1:] == self.frames[:-1]) & (self.classes[1:] == self.classes[:-1])
-        self.directions, self.inverse = annotation.directions, annotation.inverse
-
-    def encode(self, label_frames: int, transform=None) -> np.ndarray:
-        """The sequence of the events with each direction ``d`` mapped to ``transform(d)``.
-
-        Raises ValueError at the first event, in (frame, class, track)
-        order, that lies past the sequence or shares its cell with another.
-        """
-        bad = self.repeats | (self.frames >= label_frames)
-        if bad.any():
-            i = int(bad.argmax())
-            frame, class_id = int(self.frames[i]), int(self.classes[i])
-            if frame >= label_frames:
-                raise ValueError(f"event frame {frame} outside sequence of {label_frames} frames")
-            raise ValueError(
-                f"cannot encode two class-{class_id} events in frame {frame}: "
-                "single-track sequences hold one vector per class"
-            )
-        mapped = self.directions if transform is None else map(transform, self.directions)
-        seq = np.zeros((label_frames, self.n_classes, 3))
-        seq[self.frames, self.classes] = unit_vectors(mapped)[self.inverse]
-        return seq
-
-
 def encode(annotation: ClipAnnotation, label_frames: int) -> np.ndarray:
-    """Encode ground truth as an ACCDOA sequence (see ``EncodingIndex``).
+    """Encode ground truth as an ACCDOA sequence.
 
-    A single-track sequence holds one vector per (frame, class), so two
-    same-class tracks in one frame cannot be represented and raise
-    ValueError, as does an event past ``label_frames``; the clustering
-    TTA stage is the mechanism that emits same-class multiples.
+    Reads the annotation's columns (``labels.ClipAnnotation``): each
+    distinct direction is converted once and its unit vector scattered
+    into the cells of its events. A single-track sequence holds one vector
+    per (frame, class), so two same-class tracks in one frame cannot be
+    represented and raise ValueError, as does an event past
+    ``label_frames``; the first such event in (frame, class, track) order
+    names the error. The clustering TTA stage is the mechanism that emits
+    same-class multiples.
     """
-    return EncodingIndex(annotation).encode(label_frames)
+    frames, classes = annotation.frame, annotation.class_id  # sorted by (frame, class, track)
+    # an event past the sequence, or sharing its (frame, class) cell with the event before it
+    bad = frames >= label_frames
+    bad[1:] |= (frames[1:] == frames[:-1]) & (classes[1:] == classes[:-1])
+    if bad.any():
+        i = int(bad.argmax())
+        frame, class_id = int(frames[i]), int(classes[i])
+        if frame >= label_frames:
+            raise ValueError(f"event frame {frame} outside sequence of {label_frames} frames")
+        raise ValueError(
+            f"cannot encode two class-{class_id} events in frame {frame}: "
+            "single-track sequences hold one vector per class"
+        )
+    seq = np.zeros((label_frames, annotation.n_classes, 3))
+    seq[frames, classes] = unit_vectors(annotation.directions)[annotation.inverse]
+    return seq
 
 
 def decode(seq, threshold: float = 0.5) -> EventTable:

@@ -249,8 +249,8 @@ def pipeline_run(config_path, out_path, seed):
     if seed is not None:
         config = dataclasses.replace(config, seed=seed)
     base = Path(config_path).parent
-    if not Path(config.manifest_path).is_absolute():
-        config = dataclasses.replace(config, manifest_path=str(base / config.manifest_path))
+    if not Path(config.manifest).is_absolute():
+        config = dataclasses.replace(config, manifest=str(base / config.manifest))
     result = run_pipeline(config)
     write_scores(result, out_path)
     if result["failures"]:

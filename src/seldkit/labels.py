@@ -74,6 +74,16 @@ class ClipAnnotation:
         annotation._events = None
         return annotation
 
+    def with_directions(self, directions) -> "ClipAnnotation":
+        """This annotation with ``directions[j]`` in place of distinct direction ``j``; the
+        read-only id and ``inverse`` columns are shared, and nothing is re-sorted or re-checked."""
+        directions = tuple(directions)
+        if len(directions) != len(self.directions):
+            raise ValueError(f"expected {len(self.directions)} directions, got {len(directions)}")
+        annotation = ClipAnnotation.__new__(ClipAnnotation)
+        annotation.__dict__.update(self.__dict__, directions=directions, _events=None)
+        return annotation
+
     def _set(self, frame, class_id, track_id, directions, inverse, n_classes) -> np.ndarray:
         """Store the columns in (frame, class_id, track_id) order; returns the sorting permutation."""
         order = np.lexsort((track_id, class_id, frame))  # stable, as sorted() is

@@ -15,7 +15,9 @@ such a predictor, ``augment`` and ``seed`` change nothing in the scores;
 the augment ranges are still checked when the run config loads.
 Per-class stats are merged across entries and finalized into one scores
 document. Entries that fail are reported and skipped; the
-run itself keeps going.
+run itself keeps going. A label file that is missing or does not parse
+fails every entry of its clip, and the predictor is built from the clips
+whose labels did parse.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .labels import ClipAnnotation, read_labels
 from .manifest import DatasetManifest, ManifestEntry, load_manifest
 from .metrics import MetricConfig, evaluate_stats, merge_stats, score_report
 from .predict import ClipIdentity, check_prediction, make_predictor, reads_features, seed_material
-from .tensorio import check_keys, config_from_doc, typed_value, write_json
+from .tensorio import config_from_doc, write_json
 from .tta import TtaConfig, run_tta
 
 log = logging.getLogger(__name__)
@@ -126,7 +128,7 @@ def kfold_split(
 class RunConfig:
     """One JSON document configuring a full scoring run."""
 
-    manifest_path: str
+    manifest: str
     predictor: dict
     seed: int = 0
     n_classes: int = 13
@@ -135,11 +137,6 @@ class RunConfig:
     tta: TtaConfig | None = TtaConfig()
     augment: AugmentConfig | None = None
     decode_threshold: float = 0.5
-
-    KEYS = frozenset(
-        ("manifest", "predictor", "seed", "n_classes", "feature", "metric", "tta", "augment",
-         "decode_threshold")
-    )
 
     def __post_init__(self):
         object.__setattr__(self, "metric", self.metric or MetricConfig(n_classes=self.n_classes))
@@ -161,14 +158,12 @@ class RunConfig:
         type raises ValueError naming the run config and the key. ``decode_threshold``
         thresholds direct predictions only, so setting it with TTA on raises
         ValueError: TTA reads ``tta.activity_threshold``."""
-        check_keys(doc, cls.KEYS, "run config", required=("manifest", "predictor"))
-        fields = {key: value for key, value in doc.items() if key != "manifest"}
-        fields["manifest_path"] = typed_value(doc, "manifest", (str,), "string", "run config")
-        if isinstance(doc.get("metric"), dict):  # a non-object fails in config_from_doc
-            if "n_classes" in doc["metric"]:
+        metric = doc.get("metric") if isinstance(doc, dict) else None
+        if isinstance(metric, dict):  # a non-object fails in config_from_doc
+            if "n_classes" in metric:
                 raise ValueError("metric.n_classes is not a run config key; set the top-level n_classes")
-            fields["metric"] = {**doc["metric"], "n_classes": doc.get("n_classes", cls.n_classes)}
-        config = config_from_doc(cls, fields, "run config")
+            doc = {**doc, "metric": {**metric, "n_classes": doc.get("n_classes", cls.n_classes)}}
+        config = config_from_doc(cls, doc, "run config")
         if config.tta is not None and "decode_threshold" in doc:
             raise ValueError(
                 "decode_threshold is read only with \"tta\": null; "
@@ -209,9 +204,10 @@ def run_pipeline(config: RunConfig) -> dict:
 
     Entries are scored one after another in manifest order. The document
     is deterministic for a fixed config and seed: it carries no timestamps
-    or machine state.
+    or machine state. A clip listed with two label files, or an external
+    predictor's clips sharing a file stem, fail the whole run.
     """
-    manifest = load_manifest(config.manifest_path)
+    manifest = load_manifest(config.manifest)
     label_files: dict = {}
     for e in manifest:
         first = label_files.setdefault(e.clip_path, e.label_path)
@@ -219,13 +215,20 @@ def run_pipeline(config: RunConfig) -> dict:
             raise ValueError(
                 f"clip {e.clip_path!r} is listed with two label files: {first!r} and {e.label_path!r}"
             )
-    annotations = {clip: read_labels(path, n_classes=config.n_classes) for clip, path in label_files.items()}
+    annotations, label_errors = {}, {}
+    for clip, path in label_files.items():
+        try:
+            annotations[clip] = read_labels(path, n_classes=config.n_classes)
+        except Exception as exc:  # fails the clip's entries below
+            label_errors[clip] = exc
     predictor = make_predictor(config.predictor, annotations, n_classes=config.n_classes)
 
     per_entry = []
     failures = []
     for entry in manifest:
         try:
+            if entry.clip_path in label_errors:
+                raise label_errors[entry.clip_path]
             per_entry.append(_score_entry(entry, annotations[entry.clip_path], config, predictor))
         except Exception as exc:  # reported per entry, run continues
             log.warning("entry %s failed: %s", entry.clip_path, exc)

@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, replace
-from functools import partial
 from pathlib import Path
 from typing import Protocol
 
 import numpy as np
 
-from .accdoa import MAX_ACTIVITY, EncodingIndex
-from .rotation import apply_to_direction, pattern_by_id
+from .accdoa import MAX_ACTIVITY, encode
+from .rotation import pattern_by_id, rotate_annotation
 from .tensorio import config_from_doc, load_tensor, typed_value
 
 
@@ -153,25 +152,27 @@ class OraclePredictor:
     audio. Optional direction jitter (seeded per clip and pattern) and a
     fixed emitted activity roughen it into a controllable imperfect model.
 
-    Each clip is indexed once (``accdoa.EncodingIndex``), so a prediction
-    rotates and converts only the clip's distinct directions. The output
-    equals ``encode(rotate_annotation(annotation, pattern), frames)``
-    bit for bit, and encoding errors (two same-class events in a frame,
-    an event past the clip) raise from ``predict`` with encode's messages.
+    A prediction is ``encode(rotate_annotation(annotation, pattern), frames)``,
+    which rotates and converts only the clip's distinct directions; the
+    identity pattern skips the rotation. Encoding errors (two same-class
+    events in a frame, an event past the clip) raise from ``predict`` with
+    encode's messages.
     """
 
     reads_features = False
 
     def __init__(self, annotations: dict, config: OraclePredictorConfig | None = None):
-        self.indexes = {clip_id: EncodingIndex(a) for clip_id, a in annotations.items()}
+        self.annotations = dict(annotations)
         self.config = config or OraclePredictorConfig()
 
     def predict(self, features: np.ndarray | None, identity: ClipIdentity, label_frames: int) -> np.ndarray:
-        if identity.clip_id not in self.indexes:
+        annotation = self.annotations.get(identity.clip_id)
+        if annotation is None:
             raise ValueError(f"unknown clip identity {identity.clip_id!r}")
         # the identity pattern maps every direction to itself, bit for bit
-        rotate = partial(apply_to_direction, p=pattern_by_id(identity.pattern_id)) if identity.pattern_id else None
-        seq = self.indexes[identity.clip_id].encode(label_frames, rotate)
+        if identity.pattern_id:
+            annotation = rotate_annotation(annotation, pattern_by_id(identity.pattern_id))
+        seq = encode(annotation, label_frames)
         if self.config.jitter_deg > 0:
             rng = np.random.default_rng(
                 seed_material(self.config.seed, identity.clip_id, identity.pattern_id)

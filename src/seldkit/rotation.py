@@ -15,7 +15,7 @@ label annotations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -135,11 +135,9 @@ def apply_to_direction(d: Direction, p: RotationPattern) -> Direction:
 
 
 def rotate_annotation(annotation: ClipAnnotation, p: RotationPattern) -> ClipAnnotation:
-    """Rotate every event direction of an annotation; frames, classes and tracks stay."""
-    return ClipAnnotation(
-        tuple(replace(ev, direction=apply_to_direction(ev.direction, p)) for ev in annotation.events),
-        n_classes=annotation.n_classes,
-    )
+    """Rotate each distinct direction of an annotation once; the frame, class and track
+    columns stay, shared with the result (``ClipAnnotation.with_directions``)."""
+    return annotation.with_directions([apply_to_direction(d, p) for d in annotation.directions])
 
 
 def apply_to_vector(vec, p: RotationPattern) -> np.ndarray:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import sys
 import typing
 from pathlib import Path
@@ -151,7 +152,7 @@ def load_tensor(path) -> tuple[np.ndarray, dict]:
         )
     dims = tuple(dims)
     flat = np.fromfile(str(path), dtype="<f4")
-    if flat.size != int(np.prod(dims)):
+    if flat.size != math.prod(dims):
         raise ValueError(f"{path}: payload has {flat.size} values, header says {dims}")
     if not np.isfinite(flat).all():
         raise ValueError(f"{path}: non-finite payload values")

@@ -16,9 +16,11 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in lines:
             terminalreporter.line(line)
+from seldkit.accdoa import DetectedEvent
 from seldkit.emulate import LibrarySample, SampleLibrary, SceneEvent, SceneSpec, foa_encode_gains, mix_scene
 from seldkit.features import doa_from_features
 from seldkit.geometry import Direction, dir_to_unit
+from seldkit.labels import EventLabel
 
 
 @pytest.fixture
@@ -50,6 +52,20 @@ def plane_wave_clip(direction: Direction, n_samples: int = 12000, seed: int = 0)
 
 def random_direction(rng, max_abs_el: float = 80.0) -> Direction:
     return Direction(rng.uniform(-180.0, 180.0), rng.uniform(-max_abs_el, max_abs_el))
+
+
+def count_constructions(monkeypatch) -> dict:
+    """From now on, count the ``EventLabel``, ``DetectedEvent`` and ``Direction`` objects built."""
+    counts = {}
+    for cls in (EventLabel, DetectedEvent, Direction):
+        counts[cls.__name__] = 0
+
+        def counting(self, _original=cls.__post_init__, _name=cls.__name__):
+            counts[_name] += 1
+            _original(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    return counts
 
 
 def two_event_scene(seed: int = 0, n_classes: int = 13):

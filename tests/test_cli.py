@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -14,8 +15,9 @@ import seldkit
 from seldkit.accdoa import encode, read_events
 from seldkit.audio import read_wav, write_wav, write_wav_mono
 from seldkit.cli import main, parse_model_spec
-from seldkit.labels import read_labels, write_labels
+from seldkit.labels import ClipAnnotation, read_labels, write_labels
 from seldkit.manifest import DatasetManifest, ManifestEntry, load_manifest, save_manifest
+from seldkit.rotation import all_patterns, apply_to_direction
 from seldkit.predict import ConstantPredictor, ExternalFilePredictor, OraclePredictorConfig, make_predictor
 from seldkit.tensorio import load_tensor, save_tensor
 
@@ -67,6 +69,26 @@ class TestRotateCli:
         np.testing.assert_allclose(rotated.samples[0], original.samples[0], atol=1e-7)
         labels = read_labels(f"{prefix}.csv")
         assert len(labels.events) == len(annotation.events)
+
+    def test_labels_equal_per_event_rotation_for_all_patterns(self, runner, scene_files, tmp_path):
+        # repeated, respelled and signed-zero direction texts
+        wav, _, _ = scene_files
+        rows = ["0,2,0,30,10", "1,2,0,30,10", "1,5,1,30.0,10", "2,5,1,180,-0.0", "3,5,1,-180.0,0",
+                "4,0,0,-90,-45.5", "4,2,2,1e1,90", "7,12,0,-0.0,-90"]
+        (tmp_path / "in.csv").write_text("\n".join(rows) + "\n")
+        annotation = read_labels(tmp_path / "in.csv")
+        for p in all_patterns():
+            reference = ClipAnnotation(
+                tuple(replace(ev, direction=apply_to_direction(ev.direction, p)) for ev in annotation.events)
+            )
+            write_labels(reference, tmp_path / "ref.csv")
+            prefix = tmp_path / f"rot{p.id}"
+            run_ok(
+                runner,
+                ["rotate", "--pattern", str(p.id), "--in", str(wav), "--labels", str(tmp_path / "in.csv"),
+                 "--out-prefix", str(prefix)],
+            )
+            assert Path(f"{prefix}.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 class TestAugmentCli:

@@ -95,7 +95,7 @@ RUN_DOC = {
     "tta": {"min_pts": 2},
     "augment": {"gain_db_range": [-3.0, 3.0]},
 }
-RUN_LOCATIONS = [((), "run config", RunConfig.KEYS, ("manifest", "predictor"), ALL)] + [
+RUN_LOCATIONS = [((), "run config", [f.name for f in dataclasses.fields(RunConfig)], ("manifest", "predictor"), ALL)] + [
     # a sub-config's keys are its dataclass fields; predictor keys are make_predictor's
     ((key,), f"run config {key}", [f.name for f in dataclasses.fields(config_cls)], (), ("add", "replace"))
     for key, config_cls in (("feature", FeatureConfig), ("metric", MetricConfig), ("tta", TtaConfig),
@@ -296,7 +296,7 @@ class TestReaders:
         args = ["pipeline", "run", "--config", str(tmp_path / "run.json"), "--out", str(tmp_path / "s.json")]
         CliRunner().invoke(main, args + ["--seed", "7"])
         assert seen[0].seed == 7
-        assert seen[0].manifest_path == str(tmp_path / "m.json")
+        assert seen[0].manifest == str(tmp_path / "m.json")
 
     def test_pipeline_run_rejects_a_non_object_document(self, tmp_path):
         (tmp_path / "run.json").write_text("[]")

@@ -62,6 +62,14 @@ class TestTensorIO:
         with pytest.raises(ValueError, match="header says"):
             load_tensor(path)
 
+    def test_size_beyond_64_bits_rejected(self, tmp_path):
+        # 2**32 * 2**32 wraps to 0 in int64 arithmetic, the size of an empty payload
+        path = tmp_path / "t.feat"
+        path.write_bytes(b"")
+        (tmp_path / "t.feat.json").write_text(json.dumps({"dims": [2**32, 2**32]}))
+        with pytest.raises(ValueError, match=r"t\.feat: payload has 0 values, header says"):
+            load_tensor(path)
+
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
     def test_non_finite_payload_rejected(self, tmp_path, value):
         seq = np.zeros((10, 13, 3))

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import re
 import shutil
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -38,7 +39,7 @@ from seldkit.tensorio import save_tensor
 from seldkit.labels import ClipAnnotation, EventLabel
 from seldkit.tta import TtaConfig, aggregate, collect_candidates, run_tta
 
-from conftest import IntensityPredictor, two_event_scene
+from conftest import IntensityPredictor, count_constructions, two_event_scene
 
 
 class TestSegmentClip:
@@ -307,7 +308,7 @@ class TestPredictors:
 
 
 def encode_reference(annotation, label_frames):
-    """``encode`` as the per-event loop that ``EncodingIndex`` replaced."""
+    """``encode`` as a per-event loop over ``EventLabel`` objects."""
     seq = np.zeros((label_frames, annotation.n_classes, 3))
     occupied = set()
     for ev in annotation.events:
@@ -431,7 +432,7 @@ class TestOracleArrayForm:
         oracle = OraclePredictor({"c": annotation})
         seq = oracle.predict(np.zeros((7, 8, 2)), ClipIdentity("c"), 2)
         assert np.signbit(seq[:, 0, 2]).tolist() == [False, True]
-        assert len(oracle.indexes["c"].directions) == 2
+        assert len(oracle.annotations["c"].directions) == 2
 
     @pytest.mark.parametrize("pattern_id", [0, 7, 12])
     def test_two_same_class_events_in_a_frame_raise_encode_message(self, pattern_id):
@@ -781,6 +782,33 @@ class TestRunPipeline:
         assert len(result["failures"]) == 1
         assert "missing.wav" in result["failures"][0]["clip_path"]
 
+    def test_bad_label_files_fail_their_entries(self, small_dataset, tmp_path):
+        # a malformed and a missing label file fail their clips' entries, in
+        # manifest order; the other entries score as a manifest of them alone
+        _, manifest_path = small_dataset
+        from seldkit.manifest import load_manifest
+
+        first, second, third = load_manifest(manifest_path).entries
+        rows = Path(second.label_path).read_text().splitlines()
+        rows[3] = ",".join(rows[3].split(",")[:3])
+        (tmp_path / "bad.csv").write_text("\n".join(rows) + "\n")
+        malformed = ManifestEntry(second.clip_path, str(tmp_path / "bad.csv"), "real")
+        missing = ManifestEntry(third.clip_path, str(tmp_path / "missing.csv"), "real")
+        save_manifest(DatasetManifest((missing, first, malformed, first, missing)), tmp_path / "m.json")
+        save_manifest(DatasetManifest((first, first)), tmp_path / "good.json")
+        result = run_pipeline(self.config(tmp_path / "m.json"))
+        assert result["n_entries"] == 5 and result["n_scored"] == 2
+        assert [f["clip_path"] for f in result["failures"]] == [third.clip_path, second.clip_path, third.clip_path]
+        assert result["failures"][0]["error"].startswith("FileNotFoundError: ")
+        assert str(tmp_path / "missing.csv") in result["failures"][0]["error"]
+        assert result["failures"][1]["error"] == (
+            f"ValueError: {tmp_path / 'bad.csv'}:4: expected 5 columns "
+            "(frame,class_id,track_id,azimuth,elevation), got 3"
+        )
+        scored = run_pipeline(self.config(tmp_path / "good.json"))
+        for key in ("scores", "per_class"):
+            assert result[key] == scored[key]
+
     def test_failures_listed_in_manifest_order(self, small_dataset, tmp_path):
         # entries 0 and 2 fail, 1 and 3 score as a manifest of those two alone
         _, manifest_path = small_dataset
@@ -959,20 +987,6 @@ def built_in_predictor(kind, root, pred_dir):
     return predictor
 
 
-def count_constructions(monkeypatch) -> dict:
-    """From now on, count the ``EventLabel``, ``DetectedEvent`` and ``Direction`` objects built."""
-    counts = {}
-    for cls in (EventLabel, DetectedEvent, Direction):
-        counts[cls.__name__] = 0
-
-        def counting(self, _original=cls.__post_init__, _name=cls.__name__):
-            counts[_name] += 1
-            _original(self)
-
-        monkeypatch.setattr(cls, "__post_init__", counting)
-    return counts
-
-
 class TestScoringPathBuildsNoEventObjects:
     @pytest.mark.parametrize(("kind", "tta"), [("oracle", None), ("external", {})], ids=["oracle-direct", "external-tta"])
     def test_run_builds_no_event_and_one_direction_per_text_pair(self, small_dataset, tmp_path, monkeypatch, kind, tta):
@@ -989,6 +1003,20 @@ class TestScoringPathBuildsNoEventObjects:
         assert result["n_scored"] == 3 and result["failures"] == []
         assert counts["EventLabel"] == 0 and counts["DetectedEvent"] == 0
         assert 0 < counts["Direction"] <= text_pairs
+
+    def test_oracle_tta_run_builds_no_event_and_one_direction_per_text_pair_and_pattern(
+        self, small_dataset, monkeypatch
+    ):
+        # read_labels builds one Direction per text pair, and each of the 15
+        # rotated predictions of a clip one per distinct direction
+        root, manifest_path = small_dataset
+        config = RunConfig.from_dict({"manifest": str(manifest_path), "predictor": {"kind": "oracle"}})
+        text_pairs = sum(len(read_labels(root / f"scene{i}.csv").directions) for i in range(3))
+        counts = count_constructions(monkeypatch)
+        result = run_pipeline(config)
+        assert result["n_scored"] == 3 and result["failures"] == []
+        assert counts["EventLabel"] == 0 and counts["DetectedEvent"] == 0
+        assert counts["Direction"] == 16 * text_pairs
 
 
 class RecordingPredictor:

@@ -40,10 +40,12 @@ def run_document_table() -> list[tuple[list[str], str]]:
 
 
 def test_run_document_table_lists_every_key():
+    import dataclasses
+
     from seldkit.pipeline import RunConfig
 
     keys = [key for row_keys, _ in run_document_table() for key in row_keys]
-    assert sorted(keys) == sorted(RunConfig.KEYS)
+    assert sorted(keys) == sorted(f.name for f in dataclasses.fields(RunConfig))
 
 
 def test_run_document_table_lists_every_sub_config_field():
@@ -73,6 +75,6 @@ def test_minimal_run_document_loads():
     match = re.search(r"```json\n(.*?)```", section, re.DOTALL)
     assert match, "README has no json block after 'A minimal `run.json`:'"
     config = RunConfig.from_dict(json.loads(match.group(1)))
-    assert config.manifest_path == "manifest.json"
+    assert config.manifest == "manifest.json"
     assert config.predictor == {"kind": "oracle", "jitter_deg": 0.0}
     assert config.tta == TtaConfig()

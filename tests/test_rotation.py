@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from seldkit.audio import AudioClip
 from seldkit.features import FeatureConfig, doa_from_features, extract_features
 from seldkit.geometry import Direction, angular_distance, dir_to_unit
-from seldkit.labels import ClipAnnotation, EventLabel
+from seldkit.labels import ClipAnnotation, EventLabel, read_labels
 from seldkit.rotation import (
     all_patterns,
     apply_to_audio,
@@ -18,7 +18,7 @@ from seldkit.rotation import (
     rotate_annotation,
 )
 
-from conftest import plane_wave_clip, random_direction, two_event_scene
+from conftest import count_constructions, plane_wave_clip, random_direction, two_event_scene
 
 AZ_MAPS = ("phi", "-phi", "90-phi", "phi+90", "phi-90", "-phi-90", "180-phi", "phi+180")
 
@@ -262,3 +262,20 @@ class TestAnnotationAction:
             assert cells_of(back) == cells_of(annotation)
             for ev, ev_back in zip(annotation.events, back.events):
                 assert angular_distance(ev.direction, ev_back.direction) < 1e-9
+
+    def test_rotates_each_distinct_direction_once(self, tmp_path, monkeypatch):
+        # three text pairs over five rows: one Direction each per pattern, no EventLabel
+        rows = ["0,1,0,30,10", "1,1,0,30,10", "2,1,0,30.0,10", "2,4,1,-90,-0.0", "3,4,1,-90,-0.0"]
+        (tmp_path / "a.csv").write_text("\n".join(rows) + "\n")
+        annotation = read_labels(tmp_path / "a.csv")
+        counts = count_constructions(monkeypatch)
+        for p in all_patterns():
+            rotated = rotate_annotation(annotation, p)
+            for name in ("frame", "class_id", "track_id", "inverse"):
+                assert getattr(rotated, name) is getattr(annotation, name)
+        assert counts == {"Direction": 16 * 3, "EventLabel": 0, "DetectedEvent": 0}
+
+    def test_with_directions_needs_one_per_distinct_direction(self):
+        annotation = annotation_of({(0, 1, 0): (30.0, 10.0), (1, 1, 0): (40.0, 10.0)})
+        with pytest.raises(ValueError, match="expected 2 directions, got 1"):
+            annotation.with_directions([Direction(0.0, 0.0)])
