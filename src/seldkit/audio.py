@@ -7,6 +7,8 @@ SN3D gain normalization, 24 kHz by default. WAV files are read in PCM
 
 from __future__ import annotations
 
+import struct
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,9 +17,9 @@ from scipy.io import wavfile
 FOA_CHANNELS = ("w", "x", "y", "z")
 
 
-def _check_rate(sample_rate) -> None:
+def _check_rate(sample_rate, where: str = "") -> None:
     if int(sample_rate) <= 0:
-        raise ValueError(f"sample_rate must be positive, got {sample_rate}")
+        raise ValueError(f"{where}sample_rate must be positive, got {sample_rate}")
 
 
 @dataclass(frozen=True)
@@ -72,10 +74,20 @@ def _normalize_pcm(data: np.ndarray) -> np.ndarray:
 def _read_stored(path) -> tuple[np.ndarray, int]:
     """The samples of a WAV file as stored, shaped (n, channels) or (n,) for mono, and its rate.
 
-    NaN or infinite samples (possible only in float WAVs) raise ValueError
-    naming the path and the first bad (channel, sample).
+    A file shorter than its header states, or malformed bytes scipy
+    cannot read, raise ValueError naming the path; so do NaN or infinite
+    samples (possible only in float WAVs), naming the first bad (channel,
+    sample). An OSError is raised as it is.
     """
-    sr, data = wavfile.read(str(path))
+    try:
+        with warnings.catch_warnings():
+            # scipy only warns when the data ends early; a chunk it skips stays a warning
+            warnings.filterwarnings("error", "Reached EOF prematurely", wavfile.WavFileWarning)
+            sr, data = wavfile.read(str(path))
+    except UnboundLocalError:  # scipy returns before binding: the RIFF size ends before fmt or data
+        raise ValueError(f"{path}: malformed WAV: no fmt or data chunk within the RIFF size") from None
+    except (ValueError, TypeError, ZeroDivisionError, struct.error, wavfile.WavFileWarning) as exc:
+        raise ValueError(f"{path}: malformed WAV: {exc}") from exc
     data = np.atleast_1d(data)
     if data.dtype.kind == "f" and not np.isfinite(data).all():
         ch, n = np.argwhere(~np.isfinite(np.atleast_2d(data.T)))[0]
@@ -89,7 +101,7 @@ def _read_foa(path) -> tuple[np.ndarray, int]:
     channels = 1 if data.ndim == 1 else data.shape[1]
     if channels != 4:
         raise ValueError(f"{path}: expected 4 FOA channels, found {channels}")
-    _check_rate(sr)
+    _check_rate(sr, f"{path}: ")
     return data, sr
 
 

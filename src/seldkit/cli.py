@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Verbs: features extract, rotate, augment, emulate, dataset sample-epoch,
-dataset kfold, accdoa decode, tta run, eval, pipeline run. Every verb
-accepts --seed; verbs that are fully deterministic ignore it. ``pipeline
-run`` scores its entries one after another. ``tta run --model`` takes
+dataset kfold, accdoa decode, tta run, eval, pipeline run. The verbs that
+draw random numbers take --seed: augment, emulate, dataset sample-epoch,
+dataset kfold and tta run. ``pipeline run`` scores its entries one after
+another. ``tta run --model`` takes
 ``oracle:<labels.csv>`` (the clip's own labels), ``constant[:<value>]`` or
 ``external:<dir>``.
 """
@@ -78,9 +79,8 @@ def features():
 @click.option("--in", "in_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--config", "config_path", type=click.Path(exists=True), help="FeatureConfig JSON.")
-@_seed_option
-def features_extract(in_path, out_path, config_path, seed):
-    """Extract the 7-channel feature tensor of a clip (deterministic; seed unused)."""
+def features_extract(in_path, out_path, config_path):
+    """Extract the 7-channel feature tensor of a clip."""
     config = _config_file(FeatureConfig, config_path, "feature config")
     clip = read_wav(in_path)
     tensor = extract_features(clip, config)
@@ -94,8 +94,7 @@ def features_extract(in_path, out_path, config_path, seed):
 @click.option("--labels", "labels_path", type=click.Path(exists=True))
 @click.option("--out-prefix", required=True)
 @click.option("--n-classes", type=int, default=13, show_default=True)
-@_seed_option
-def rotate(pattern, in_path, labels_path, out_prefix, n_classes, seed):
+def rotate(pattern, in_path, labels_path, out_prefix, n_classes):
     """Apply one rotation pattern to a clip and (optionally) its labels."""
     p = pattern_by_id(pattern)
     write_wav(f"{out_prefix}.wav", apply_to_audio(read_wav(in_path), p))
@@ -182,9 +181,8 @@ def accdoa():
 @click.option("--in", "in_path", required=True, type=click.Path(exists=True))
 @click.option("--tau", type=float, default=0.5, show_default=True, help="Activity threshold.")
 @click.option("--out", "out_path", required=True, type=click.Path())
-@_seed_option
-def accdoa_decode(in_path, tau, out_path, seed):
-    """Decode detections from a stored sequence (deterministic; seed unused)."""
+def accdoa_decode(in_path, tau, out_path):
+    """Decode detections from a stored sequence."""
     seq, _ = load_tensor(in_path)
     events = accdoa_mod.decode(seq, tau)
     accdoa_mod.write_events(events, out_path)
@@ -221,9 +219,8 @@ def tta_run(models, in_path, config_path, out_path, n_classes, seed):
 @click.option("--threshold", type=float, default=20.0, show_default=True, help="Spatial threshold, degrees.")
 @click.option("--segment-frames", type=int, default=10, show_default=True)
 @click.option("--n-classes", type=int, default=13, show_default=True)
-@_seed_option
-def eval_cmd(pred_path, ref_path, out_path, threshold, segment_frames, n_classes, seed):
-    """Score predicted events against reference labels (deterministic; seed unused)."""
+def eval_cmd(pred_path, ref_path, out_path, threshold, segment_frames, n_classes):
+    """Score predicted events against reference labels."""
     config = MetricConfig(
         spatial_threshold_deg=threshold, segment_frames=segment_frames, n_classes=n_classes
     )
@@ -242,12 +239,9 @@ def pipeline():
 @pipeline.command("run")
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--seed", type=int, default=None, help="Overrides the config seed.")
-def pipeline_run(config_path, out_path, seed):
+def pipeline_run(config_path, out_path):
     """Run the full pipeline over a manifest and write scores JSON."""
     config = RunConfig.from_dict(read_json(config_path))
-    if seed is not None:
-        config = dataclasses.replace(config, seed=seed)
     base = Path(config_path).parent
     if not Path(config.manifest).is_absolute():
         config = dataclasses.replace(config, manifest=str(base / config.manifest))

@@ -136,21 +136,27 @@ class ClipAnnotation:
 def read_table(path, columns: tuple, parse) -> list:
     """Read a headerless CSV table, one ``parse(row)`` record per row.
 
-    Blank rows are skipped. A row without one value per column, or one
-    ``parse`` rejects with ValueError, raises ValueError naming the file
-    and line.
+    Blank rows are skipped. A row without one value per column, one
+    ``parse`` rejects with ValueError, or one csv cannot split, raises
+    ValueError naming the file and line; so does text that is not UTF-8,
+    naming the file.
     """
     records = []
-    with open(path, newline="") as f:
-        for lineno, row in enumerate(csv.reader(f), start=1):
-            if not row:
-                continue
-            try:
+    with open(path, newline="", encoding="utf-8") as f:
+        reader = csv.reader(f)
+        try:
+            for lineno, row in enumerate(reader, start=1):
+                if not row:
+                    continue
                 if len(row) != len(columns):
                     raise ValueError(f"expected {len(columns)} columns ({','.join(columns)}), got {len(row)}")
                 records.append(parse(row))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+        except UnicodeDecodeError as exc:  # a ValueError too, raised while reading, at no known line
+            raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
+        except csv.Error as exc:
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return records
 
 
@@ -161,7 +167,7 @@ def write_table(rows, path) -> None:
     to the same value, so write(read(f)) is byte-identical for a file
     written here.
     """
-    with open(path, "w", newline="") as f:
+    with open(path, "w", newline="", encoding="utf-8") as f:
         csv.writer(f).writerows(rows)
 
 

@@ -80,28 +80,6 @@ class SeldScores:
         return {"er20": self.er20, "f20": self.f20, "le_cd": self.le_cd, "lr_cd": self.lr_cd}
 
 
-def match_frame(preds, refs):
-    """Assign one frame's predictions to references of the same class.
-
-    Hungarian assignment minimizing total angular distance. Returns
-    (pairs, unmatched_pred_indices, unmatched_ref_indices) where pairs are
-    (pred_index, ref_index, distance_deg) triples.
-    """
-    if not preds or not refs:
-        return [], list(range(len(preds))), list(range(len(refs)))
-    # here, not at the top: a run whose cells hold one event a side never needs scipy.optimize
-    from scipy.optimize import linear_sum_assignment
-
-    pred_vecs = unit_vectors([p.direction for p in preds])
-    ref_vecs = unit_vectors([r.direction for r in refs])
-    cost = angle_between(pred_vecs[:, np.newaxis, :], ref_vecs[np.newaxis, :, :])
-    rows, cols = linear_sum_assignment(cost)
-    pairs = [(int(i), int(j), float(cost[i, j])) for i, j in zip(rows, cols)]
-    unmatched_preds = sorted(set(range(len(preds))) - set(rows.tolist()))
-    unmatched_refs = sorted(set(range(len(refs))) - set(cols.tolist()))
-    return pairs, unmatched_preds, unmatched_refs
-
-
 def evaluate_stats(pred_events, ref_annotation, config: MetricConfig | None = None) -> list[ClassStats]:
     """Score one clip's detections against its annotation, returning raw stats.
 
@@ -109,27 +87,24 @@ def evaluate_stats(pred_events, ref_annotation, config: MetricConfig | None = No
     ``run_tta`` return, or any sequence of ``DetectedEvent`` objects,
     read as the table ``EventTable.from_events`` makes of them; the
     annotation is read by its columns. Stats from several clips may be
-    summed class-wise before finalizing. The result equals a walk over
-    class x segment x frame that folds each non-empty (frame, class)
-    cell's ``match_frame`` into the class's counters, floats included,
-    computed in array form:
+    summed class-wise before finalizing. The recipe:
 
-    * events are grouped into cells, each class's cells in frame order;
-    * a reference's unit vector is computed once per distinct direction of
-      the annotation, and a prediction's from its azimuth and elevation,
-      as ``geometry.unit_vectors`` makes them;
-    * the cells holding one prediction and one reference are matched in
-      one ``angle_between`` call; the cells with two or more predictions
-      or references on both sides are grouped by their two counts, each
-      group's cost matrices come from one stacked ``angle_between`` call,
-      and each cell is assigned on its own matrix as ``match_frame`` does;
-    * per cell, a pair within the spatial threshold is a TP and one beyond
-      it an FP plus an FN; each class sums its counts, its segment
-      bookkeeping and, left to right in frame order, its pair distances.
+    * events are grouped into (frame, class) cells, each class's cells in
+      frame order, the events of a cell in their input order;
+    * each cell's predictions and references are matched by the
+      assignment with the minimum total great-circle distance, found by
+      ``scipy.optimize.linear_sum_assignment`` on the cell's cost matrix;
+      a cell with one event on each side is matched directly;
+    * a matched pair within the spatial threshold is a TP and one beyond
+      it an FP plus an FN; an unmatched prediction is an FP and an
+      unmatched reference an FN;
+    * every matched pair counts for LE_CD and LR_CD whatever its
+      distance; ER20 counts substitutions, deletions and insertions per
+      segment of ``segment_frames`` frames.
 
-    Predictions in a negative frame or class are not scored, as the walk
-    never reaches them. A prediction or reference of class ``n_classes``
-    or above raises ValueError.
+    Each class sums its pair distances one by one, in frame order. A
+    prediction in a negative frame or class is not scored; a prediction
+    or reference of class ``n_classes`` or above raises ValueError.
     """
     config = config or MetricConfig()
     n_classes = config.n_classes
@@ -162,13 +137,15 @@ def evaluate_stats(pred_events, ref_annotation, config: MetricConfig | None = No
     r_vecs = unit_vectors(refs.directions)[refs.inverse]
     p_vecs = angle_unit_vectors(preds.azimuth[scored], preds.elevation[scored])
 
-    # matched distances, per cell in match_frame's pair order
+    # matched distances, per cell in its assignment's pair order; a
+    # multi-event cell's cost matrices are grouped by their shape
     dist = np.empty(int(n_pairs.sum()))
     one = (n_pred == 1) & (n_ref == 1)
     dist[pair_first[one]] = angle_between(p_vecs[p_order[p_first[one]]], r_vecs[r_order[r_first[one]]])
     multi = np.flatnonzero((n_pairs > 0) & ~one)
     if len(multi):
-        from scipy.optimize import linear_sum_assignment  # as in match_frame
+        # here, not at the top: a run whose cells hold one event a side never needs scipy.optimize
+        from scipy.optimize import linear_sum_assignment
 
         shape = n_pred[multi] * (1 + int(n_ref.max())) + n_ref[multi]
         for group in np.unique(shape).tolist():
@@ -211,7 +188,7 @@ def evaluate_stats(pred_events, ref_annotation, config: MetricConfig | None = No
     stats = []
     for class_id, (c_tp, c_fp, c_fn, c_pairs, c_refs, seg_s, seg_d, seg_i) in enumerate(columns):
         lo, hi = pair_bounds[class_id], pair_bounds[class_id + 1]
-        # a left-to-right running sum, as the walk adds distances one by one
+        # a left-to-right running sum: the distances are added one by one
         loc_error_sum = float(np.cumsum(dist[lo:hi])[-1]) if hi > lo else 0.0
         stats.append(
             ClassStats(c_tp, c_fp, c_fn, loc_error_sum, c_pairs, c_refs, seg_s, seg_d, seg_i)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .accdoa import MAX_ACTIVITY, encode
 from .rotation import pattern_by_id, rotate_annotation
-from .tensorio import config_from_doc, load_tensor, typed_value
+from .tensorio import check_keys, config_from_doc, load_tensor, typed_value
 
 
 @dataclass(frozen=True)
@@ -226,37 +226,34 @@ class ExternalFilePredictor:
         )
 
 
-_PREDICTOR_KEYS = {"oracle": {"jitter_deg", "activity", "seed"}, "constant": {"value"}, "external": {"dir"}}
-
-
 def make_predictor(spec: dict, annotations: dict | None = None, n_classes: int = 13):
     """Build a predictor from its config mapping (the CLI parses ``--model`` strings into one).
 
     {"kind": "oracle", "jitter_deg": 3, "activity": 1, "seed": 0} (needs
-    ``annotations``), {"kind": "constant", "value": 0} or
-    {"kind": "external", "dir": "preds/"}. An unknown kind, a key the kind
-    does not read or a value of another JSON type (``value`` is a number,
-    ``dir`` a string) raises ValueError. ``annotations`` maps the run's
-    clip ids to their labels; an external predictor finds files by clip
-    stem, so two of those clips sharing a stem raise ValueError. No
-    predictor holds a label grid: each call is given its clip's count.
+    ``annotations``; its keys are ``OraclePredictorConfig``'s fields),
+    {"kind": "constant", "value": 0} or {"kind": "external", "dir": "preds/"}.
+    An unknown kind, a key the kind does not read or a value of another
+    JSON type (``value`` is a number, ``dir`` a string) raises ValueError.
+    ``annotations`` maps the run's clip ids to their labels; an external
+    predictor finds files by clip stem, so two of those clips sharing a
+    stem raise ValueError. No predictor holds a label grid: each call is
+    given its clip's count.
     """
     if not isinstance(spec, dict):
         raise TypeError(f"predictor spec must be a mapping, got {spec!r}")
     kind = spec.get("kind")
-    if kind not in _PREDICTOR_KEYS:
-        raise ValueError(f"unknown predictor kind {kind!r}")
-    unknown = sorted(set(spec) - {"kind"} - _PREDICTOR_KEYS[kind])
-    if unknown:
-        raise ValueError(f"{kind} predictor does not read {', '.join(unknown)}")
     where = f"{kind} predictor"
     if kind == "oracle":
+        config = config_from_doc(OraclePredictorConfig, {k: v for k, v in spec.items() if k != "kind"}, where)
         if annotations is None:
             raise ValueError("oracle predictor needs clip annotations")
-        config = config_from_doc(OraclePredictorConfig, {k: v for k, v in spec.items() if k != "kind"}, where)
         return OraclePredictor(annotations, config)
     if kind == "constant":
+        check_keys(spec, ("kind", "value"), where)
         return ConstantPredictor(n_classes, float(typed_value(spec, "value", (int, float), "number", where, 0.0)))
+    if kind != "external":
+        raise ValueError(f"unknown predictor kind {kind!r}")
+    check_keys(spec, ("kind", "dir"), where)
     directory = typed_value(spec, "dir", (str,), "string", where)
     clip_of_stem: dict = {}
     for clip_id in annotations or ():

@@ -24,16 +24,18 @@ import numpy as np
 
 def write_json(doc, path) -> None:
     """Write ``doc`` as canonical JSON: indent 2, sorted keys, trailing newline."""
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")
 
 
 def read_json(path):
-    """Read the JSON document at ``path``; text that is not JSON raises ValueError naming the file."""
-    with open(path) as f:
+    """Read the JSON document at ``path``; text that is not UTF-8 or not JSON raises ValueError naming the file."""
+    with open(path, encoding="utf-8") as f:
         try:
             return json.load(f)
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: not a JSON document: {exc}") from None
 

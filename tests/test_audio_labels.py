@@ -148,7 +148,7 @@ class TestWavChecksOnStoredSamples:
             assert got == (rate, 37)
             assert read_wav_info(path) == WavInfo(rate, 37)
         elif channels == 4:
-            assert got == (ValueError, "sample_rate must be positive, got 0")
+            assert got == (ValueError, f"{path}: sample_rate must be positive, got 0")
         else:
             assert got == (ValueError, f"{path}: expected 4 FOA channels, found {channels}")
 

@@ -395,10 +395,24 @@ def test_help_lists_all_verbs(runner):
         assert verb in result.output
 
 
+SEEDED_VERBS = (["augment"], ["emulate"], ["dataset", "sample-epoch"], ["dataset", "kfold"], ["tta", "run"])
+UNSEEDED_VERBS = (["features", "extract"], ["rotate"], ["accdoa", "decode"], ["eval"], ["pipeline", "run"])
+
+
+@pytest.mark.parametrize("verb", SEEDED_VERBS + UNSEEDED_VERBS, ids=" ".join)
+def test_only_verbs_that_draw_random_numbers_take_seed(runner, verb):
+    assert ("--seed" in run_ok(runner, [*verb, "--help"]).output) == (verb in SEEDED_VERBS)
+    if verb in UNSEEDED_VERBS:
+        result = runner.invoke(main, [*verb, "--seed", "1"])
+        assert result.exit_code == 2
+        assert "No such option" in result.output and "--seed" in result.output
+
+
 def test_scipy_optimize_loads_only_for_a_multi_event_cell(tmp_path):
     # scipy.optimize costs about 0.35 s per process; emulating, rotating,
     # extracting features and an oracle-direct run assign no multi-event
-    # cell, so none of them may load it; match_frame imports it when called
+    # cell, so none of them may load it; evaluate_stats imports it for a cell
+    # with two predictions and one reference
     script = textwrap.dedent(
         """
         import json, sys
@@ -427,10 +441,10 @@ def test_scipy_optimize_loads_only_for_a_multi_event_cell(tmp_path):
         print("scipy.optimize" in sys.modules)
         from seldkit.accdoa import DetectedEvent
         from seldkit.geometry import Direction
-        from seldkit.labels import EventLabel
-        from seldkit.metrics import match_frame
+        from seldkit.labels import ClipAnnotation, EventLabel
+        from seldkit.metrics import evaluate_stats
         d = Direction(0.0, 0.0)
-        match_frame([DetectedEvent(0, 0, d, 1.0)] * 2, [EventLabel(0, 0, 0, d)])
+        evaluate_stats([DetectedEvent(0, 0, d, 1.0)] * 2, ClipAnnotation((EventLabel(0, 0, 0, d),)))
         print("scipy.optimize" in sys.modules)
         """
     )

@@ -284,7 +284,7 @@ class TestReaders:
     def test_manifest_duration_kept_as_written(self, value):
         assert ManifestEntry("a.wav", "a.csv", "real", duration_s=value).duration_s is value
 
-    def test_pipeline_run_seed_overrides_the_document(self, tmp_path, monkeypatch):
+    def test_pipeline_run_keeps_the_document_seed_and_resolves_its_manifest(self, tmp_path, monkeypatch):
         seen = []
 
         def fake_run(config):
@@ -294,14 +294,14 @@ class TestReaders:
         monkeypatch.setattr("seldkit.cli.run_pipeline", fake_run)
         (tmp_path / "run.json").write_text(json.dumps({**RUN_DOC, "seed": 3}))
         args = ["pipeline", "run", "--config", str(tmp_path / "run.json"), "--out", str(tmp_path / "s.json")]
-        CliRunner().invoke(main, args + ["--seed", "7"])
-        assert seen[0].seed == 7
+        CliRunner().invoke(main, args)
+        assert seen[0].seed == 3
         assert seen[0].manifest == str(tmp_path / "m.json")
 
     def test_pipeline_run_rejects_a_non_object_document(self, tmp_path):
         (tmp_path / "run.json").write_text("[]")
         args = ["pipeline", "run", "--config", str(tmp_path / "run.json"), "--out", str(tmp_path / "s.json")]
-        result = CliRunner().invoke(main, args + ["--seed", "7"])
+        result = CliRunner().invoke(main, args)
         assert isinstance(result.exception, ValueError)
         assert str(result.exception) == "run config must be a JSON object, got list"
 

@@ -1,17 +1,21 @@
-"""The exact bytes of every file format seldkit writes, and CSV round trips."""
+"""The exact bytes of every file format seldkit writes, CSV round trips, and malformed files failing by name."""
 
+import re
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.io import wavfile
 
 from seldkit.accdoa import DetectedEvent, read_events, write_events
+from seldkit.audio import AudioClip, read_wav, read_wav_info, read_wav_mono, write_wav, write_wav_mono
 from seldkit.geometry import Direction
 from seldkit.labels import ClipAnnotation, EventLabel, read_labels, write_labels
-from seldkit.manifest import DatasetManifest, ManifestEntry, save_manifest
+from seldkit.manifest import DatasetManifest, ManifestEntry, load_manifest, save_manifest
 from seldkit.pipeline import write_scores
-from seldkit.tensorio import save_tensor
+from seldkit.tensorio import load_tensor, read_json, save_tensor
 
 
 class TestGoldenBytes:
@@ -111,3 +115,142 @@ class TestCsvRoundTrip:
         back, first, second = _round_trip(write_events, read_events, events)
         assert back == sorted(events, key=lambda e: (e.frame, e.class_id, e.direction.azimuth))
         assert second == first
+
+
+def _valid_files(directory: Path) -> dict:
+    """One valid file of each text format seldkit reads: name -> (file, reader of the file)."""
+    annotation = ClipAnnotation(
+        (EventLabel(0, 1, 0, Direction(180.0, -0.0)), EventLabel(12, 0, 1, Direction(-35.5, 1e-05)))
+    )
+    write_labels(annotation, directory / "labels.csv")
+    write_events(
+        [DetectedEvent(3, 2, Direction(-90.0, 45.0), 0.75), DetectedEvent(7, 0, Direction(0.5, -12.0), 1.0)],
+        directory / "events.csv",
+    )
+    save_manifest(
+        DatasetManifest(
+            (
+                ManifestEntry("a.wav", "a.csv", "real", fold_tag="f1", duration_s=2.5),
+                ManifestEntry("b.wav", "b.csv", "emulated", room_tag="r2"),
+            )
+        ),
+        directory / "m.json",
+    )
+    save_tensor(directory / "t.acc", np.zeros((2, 3)), channel_names=["a", "b", "c"], config={"hop": 240})
+    return {
+        "labels": (directory / "labels.csv", read_labels),
+        "events": (directory / "events.csv", read_events),
+        "manifest": (directory / "m.json", load_manifest),
+        "tensor header": (directory / "t.acc.json", lambda _: load_tensor(directory / "t.acc")),
+    }
+
+
+@st.composite
+def byte_mutations(draw):
+    """A function that flips, inserts or deletes one byte of a file, or cuts the file short."""
+    kind = draw(st.sampled_from(["flip", "insert", "delete", "cut"]))
+    where = draw(st.floats(0.0, 1.0, exclude_max=True))
+    value = draw(st.integers(1, 255))
+
+    def mutate(data: bytes) -> bytes:
+        at = int(where * len(data))
+        if kind == "flip":
+            return data[:at] + bytes([data[at] ^ value]) + data[at + 1 :]
+        if kind == "insert":
+            return data[:at] + bytes([value]) + data[at:]
+        if kind == "delete":
+            return data[:at] + data[at + 1 :]
+        return data[:at]
+
+    return mutate
+
+
+class TestMalformedFilesFailByName:
+    @settings(max_examples=400, deadline=None)
+    @given(name=st.sampled_from(["labels", "events", "manifest", "tensor header"]), mutate=byte_mutations())
+    def test_mutated_text_file_loads_or_names_itself(self, name, mutate):
+        with tempfile.TemporaryDirectory() as tmp:
+            path, read = _valid_files(Path(tmp))[name]
+            path.write_bytes(mutate(path.read_bytes()))
+            try:
+                read(path)
+            except ValueError as exc:
+                # a tensor header's errors name the header or, for its payload, the tensor
+                assert str(path).removesuffix(".json") in str(exc)
+
+    @pytest.mark.parametrize("read", [read_labels, read_events])
+    def test_table_not_utf8_named(self, tmp_path, read):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"0,1,0,10.0,\xff\r\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: not UTF-8 text: "):
+            read(path)
+
+    def test_table_row_csv_cannot_split_named_with_its_line(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("0,1,0,10.0,0.0\r\n0,2,0,10.0," + "1" * 200_000 + "\r\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: field larger than field limit"):
+            read_labels(path)
+
+    @pytest.mark.parametrize("read", [read_json, load_manifest])
+    def test_json_not_utf8_named(self, tmp_path, read):
+        path = tmp_path / "d.json"
+        path.write_bytes(b'{"entries": ["\xff"]}\n')
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: not UTF-8 text: "):
+            read(path)
+
+
+def _wav_bytes(directory: Path, write) -> bytes:
+    write(directory / "valid.wav")
+    return (directory / "valid.wav").read_bytes()
+
+
+def write_foa(path):
+    write_wav(path, AudioClip(np.linspace(-1, 1, 4 * 12).reshape(4, 12)))
+
+
+def write_mono(path):
+    write_wav_mono(path, np.linspace(-1, 1, 12), 24000)
+
+
+class TestMalformedWavFailsByName:
+    @pytest.mark.parametrize(
+        "write, read", [(write_foa, read_wav), (write_foa, read_wav_info), (write_mono, read_wav_mono)]
+    )
+    def test_every_cut_raises_a_value_error_naming_the_file(self, tmp_path, write, read):
+        data = _wav_bytes(tmp_path, write)
+        path = tmp_path / "cut.wav"
+        for length in range(len(data)):
+            path.write_bytes(data[:length])
+            with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: malformed WAV: "):
+                read(path)
+
+    def test_cut_on_a_frame_boundary_is_short_of_its_header(self, tmp_path):
+        # scipy only warns here, and the clip would load with 11 of its 12 samples
+        data = _wav_bytes(tmp_path, write_foa)
+        (tmp_path / "cut.wav").write_bytes(data[:-16])
+        with pytest.raises(ValueError, match="malformed WAV: Reached EOF prematurely"):
+            read_wav(tmp_path / "cut.wav")
+
+    def test_riff_size_before_the_data_chunk_named(self, tmp_path):
+        data = _wav_bytes(tmp_path, write_foa)
+        (tmp_path / "short_riff.wav").write_bytes(data[:4] + (4).to_bytes(4, "little") + data[8:])
+        with pytest.raises(ValueError, match=r"short_riff\.wav: malformed WAV: no fmt or data chunk within"):
+            read_wav(tmp_path / "short_riff.wav")
+
+    def test_zero_channels_named(self, tmp_path):
+        data = bytearray(_wav_bytes(tmp_path, write_foa))
+        data[22:24] = bytes(2)  # the fmt chunk's channel count
+        (tmp_path / "zero.wav").write_bytes(bytes(data))
+        with pytest.raises(ValueError, match=r"zero\.wav: malformed WAV: "):
+            read_wav(tmp_path / "zero.wav")
+
+    def test_unknown_chunk_stays_a_warning(self, tmp_path):
+        data = _wav_bytes(tmp_path, write_foa)
+        data_at = data.index(b"data")
+        extra = b"abcd" + (4).to_bytes(4, "little") + bytes(4)
+        riff_size = int.from_bytes(data[4:8], "little") + len(extra)
+        patched = data[:4] + riff_size.to_bytes(4, "little") + data[8:data_at] + extra + data[data_at:]
+        (tmp_path / "chunk.wav").write_bytes(patched)
+        with pytest.warns(wavfile.WavFileWarning, match="not understood"):
+            clip = read_wav(tmp_path / "chunk.wav")
+        assert np.array_equal(clip.samples, read_wav(tmp_path / "valid.wav").samples)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from seldkit.accdoa import DetectedEvent, EventTable
-from seldkit.geometry import Direction, angular_distance
+from seldkit.geometry import Direction, angle_between, angular_distance, unit_vectors
 from seldkit.labels import ClipAnnotation, EventLabel
 from seldkit.metrics import (
     ClassStats,
@@ -17,7 +17,6 @@ from seldkit.metrics import (
     evaluate,
     evaluate_stats,
     finalize,
-    match_frame,
     merge_stats,
     score_report,
 )
@@ -48,6 +47,8 @@ def ref(frame, class_id, az, el, track=0):
 
 
 class TestMatchFrame:
+    """The reference matcher, and ``evaluate_stats`` on one cell, against exhaustive search."""
+
     def test_empty(self):
         pairs, up, ur = match_frame([], [])
         assert (pairs, up, ur) == ([], [], [])
@@ -72,6 +73,10 @@ class TestMatchFrame:
             pairs, _, _ = match_frame(preds, refs)
             got = sum(d for _, _, d in pairs)
             assert got == pytest.approx(brute_min_cost(cost), abs=1e-9)
+            # every pair of one cell feeds LE_CD, so the error sum is the assignment's cost
+            stats = evaluate_stats(preds, ClipAnnotation(tuple(refs), n_classes=2), CFG2)
+            assert stats[0].loc_error_sum == pytest.approx(brute_min_cost(cost), abs=1e-9)
+            assert stats[0].loc_match_count == min(n_pred, n_ref)
 
 
 def _rand_angles(rng):
@@ -375,6 +380,27 @@ class TestMetricInvariants:
             assert a.loc_error_sum == pytest.approx(b.loc_error_sum, rel=1e-12, abs=1e-12)
 
 
+def match_frame(preds, refs):
+    """Assign one cell's predictions to its references, the matcher ``evaluate_stats`` must equal.
+
+    Hungarian assignment minimizing total angular distance. Returns
+    (pairs, unmatched_pred_indices, unmatched_ref_indices) where pairs are
+    (pred_index, ref_index, distance_deg) triples.
+    """
+    if not preds or not refs:
+        return [], list(range(len(preds))), list(range(len(refs)))
+    from scipy.optimize import linear_sum_assignment
+
+    pred_vecs = unit_vectors([p.direction for p in preds])
+    ref_vecs = unit_vectors([r.direction for r in refs])
+    cost = angle_between(pred_vecs[:, np.newaxis, :], ref_vecs[np.newaxis, :, :])
+    rows, cols = linear_sum_assignment(cost)
+    pairs = [(int(i), int(j), float(cost[i, j])) for i, j in zip(rows, cols)]
+    unmatched_preds = sorted(set(range(len(preds))) - set(rows.tolist()))
+    unmatched_refs = sorted(set(range(len(refs))) - set(cols.tolist()))
+    return pairs, unmatched_preds, unmatched_refs
+
+
 def accumulate(stats: ClassStats, matching, config: MetricConfig) -> tuple[int, int]:
     """Fold one frame's matching into the per-class counters.
 
@@ -402,7 +428,7 @@ def accumulate(stats: ClassStats, matching, config: MetricConfig) -> tuple[int, 
 
 
 def evaluate_stats_reference(pred_events, ref_annotation, config):
-    """The per-cell walk that ``evaluate_stats`` replaced: class x segment x frame,
+    """The per-cell walk that ``evaluate_stats`` must equal: class x segment x frame,
     ``match_frame`` folded into ``accumulate`` for every non-empty cell."""
     preds_by_cell: dict = {}
     for ev in pred_events:
@@ -506,7 +532,7 @@ class TestArrayFormScoring:
         assert evaluate_stats(preds, annotation, config) == evaluate_stats_reference(preds, annotation, config)
 
     def test_match_frame_only_for_multi_event_cells(self, monkeypatch):
-        # match_frame's assignment runs on the cost matrix of each multi-event cell, and on no other
+        # the assignment runs on the cost matrix of each multi-event cell, and on no other
         import scipy.optimize
 
         calls = []

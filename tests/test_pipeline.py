@@ -292,7 +292,7 @@ class TestPredictors:
         ],
     )
     def test_key_the_kind_does_not_read_rejected(self, spec, unread):
-        with pytest.raises(ValueError, match=f"{spec['kind']} predictor does not read {unread}$"):
+        with pytest.raises(ValueError, match=f"^unknown {spec['kind']} predictor keys: {unread}$"):
             make_predictor(spec, annotations={})
 
     @pytest.mark.parametrize("kind", ["oracle", "constant"])
@@ -641,7 +641,7 @@ class TestRunPipeline:
     def test_unread_predictor_key_fails_the_run(self, small_dataset):
         _, manifest_path = small_dataset
         config = self.config(manifest_path, predictor={"kind": "oracle", "jiter_deg": 30})
-        with pytest.raises(ValueError, match="oracle predictor does not read jiter_deg"):
+        with pytest.raises(ValueError, match="^unknown oracle predictor keys: jiter_deg$"):
             run_pipeline(config)
 
     def test_clip_with_two_label_files_rejected(self, small_dataset, tmp_path):
@@ -806,6 +806,28 @@ class TestRunPipeline:
             "(frame,class_id,track_id,azimuth,elevation), got 3"
         )
         scored = run_pipeline(self.config(tmp_path / "good.json"))
+        for key in ("scores", "per_class"):
+            assert result[key] == scored[key]
+
+    @pytest.mark.parametrize("tta", [None, {}], ids=["direct", "tta"])
+    def test_truncated_clip_fails_only_its_entry(self, small_dataset, tmp_path, tta):
+        # a WAV cut short of its header fails its entry by name, and the others
+        # score as a manifest of them alone
+        _, manifest_path = small_dataset
+        from seldkit.manifest import load_manifest
+
+        first, second, third = load_manifest(manifest_path).entries
+        data = Path(second.clip_path).read_bytes()
+        (tmp_path / "cut.wav").write_bytes(data[: len(data) - 16000])
+        cut = ManifestEntry(str(tmp_path / "cut.wav"), second.label_path, "real")
+        save_manifest(DatasetManifest((first, cut, third)), tmp_path / "m.json")
+        save_manifest(DatasetManifest((first, third)), tmp_path / "good.json")
+        result = run_pipeline(self.config(tmp_path / "m.json", tta=tta))
+        assert result["n_entries"] == 3 and result["n_scored"] == 2
+        [failure] = result["failures"]
+        assert failure["clip_path"] == str(tmp_path / "cut.wav")
+        assert failure["error"].startswith(f"ValueError: {tmp_path / 'cut.wav'}: malformed WAV: Reached EOF prematurely")
+        scored = run_pipeline(self.config(tmp_path / "good.json", tta=tta))
         for key in ("scores", "per_class"):
             assert result[key] == scored[key]
 
