@@ -5,6 +5,10 @@ event with its own synthetic spatial room impulse response (a direct path
 plus an exponentially decaying diffuse tail) and adding spatially diffuse
 ambient noise at a prescribed SNR. Real spatial IRs recorded as 4-channel
 WAVs can be dropped in through the same (4, length) array interface.
+
+The convolution runs on ``numpy.fft``, and a scene is mixed in two
+scene-sized buffers, the events and the noise, so emulating loads no part
+of scipy.
 """
 
 from __future__ import annotations
@@ -15,9 +19,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
 
-from .audio import AudioClip, read_wav_mono
+from .audio import AudioClip, _check_rate, read_wav_mono
 from .geometry import Direction, dir_to_unit
 from .labels import LABEL_FRAME_S, ClipAnnotation, EventLabel
 from .manifest import DatasetManifest, ManifestEntry
@@ -90,6 +93,11 @@ class LibrarySample:
             raise ValueError(f"sample {self.sample_id!r}: waveform must be non-empty 1-D")
         if self.class_id < 0:
             raise ValueError(f"sample {self.sample_id!r}: class_id must be >= 0")
+        if not np.isfinite(w).all():
+            # one NaN would turn every sample of a scene that plays it NaN, through the SNR scale
+            bad = int(np.argmin(np.isfinite(w)))
+            raise ValueError(f"sample {self.sample_id!r}: non-finite waveform value at sample {bad}")
+        _check_rate(self.sample_rate, f"sample {self.sample_id!r}: ")
         object.__setattr__(self, "waveform", w)
 
     @property
@@ -159,14 +167,29 @@ def synth_srir(d: Direction, config: SrirSynthConfig, rng: np.random.Generator) 
     return ir
 
 
+def _next_fast_len(n: int) -> int:
+    """The smallest 2**a * 3**b * 5**c >= n, as ``scipy.fft.next_fast_len(n, real=True)`` gives it."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the least power of two that takes p35 to n or beyond
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def render_event(sample: LibrarySample, srir: np.ndarray, sample_rate: int = 24000) -> AudioClip:
     """Convolve a dry mono sample with a 4-channel IR (full linear convolution).
 
-    The convolution is done with ``scipy.fft``: real FFTs of both operands
-    at the next fast length, their product, the inverse FFT, then the first
-    ``len(sample) + len(IR) - 1`` samples. A length-1 operand is a plain
-    broadcast product instead. These are the calls, in order, that
-    ``scipy.signal.fftconvolve`` makes, so the output bits are the same.
+    The convolution is done with ``numpy.fft``: real FFTs of both operands
+    at the next 5-smooth length, their product, the inverse FFT, then the
+    first ``len(sample) + len(IR) - 1`` samples. A length-1 operand is a
+    plain broadcast product instead. These are the calls, in order, that
+    ``scipy.signal.fftconvolve`` makes through ``scipy.fft``; numpy 2's FFT
+    is the same pocketfft, so the output bits are the same.
     """
     if sample.sample_rate != sample_rate:
         raise ValueError(
@@ -179,8 +202,8 @@ def render_event(sample: LibrarySample, srir: np.ndarray, sample_rate: int = 240
     if x.shape[1] == 1 or srir.shape[1] == 1:
         return AudioClip(x * srir, sample_rate)
     n = x.shape[1] + srir.shape[1] - 1
-    nfft = next_fast_len(n, True)
-    out = irfft(rfft(x, nfft, axis=1) * rfft(srir, nfft, axis=1), nfft, axis=1)
+    nfft = _next_fast_len(n)
+    out = np.fft.irfft(np.fft.rfft(x, nfft, axis=1) * np.fft.rfft(srir, nfft, axis=1), nfft, axis=1)
     return AudioClip(out[:, :n], sample_rate)
 
 
@@ -234,13 +257,28 @@ def mix_scene(
         for frame in range(first, last):
             labels.append(EventLabel(frame, ev.class_id, track_id, ev.direction))
 
+    # two scene-sized buffers: the events' power is taken before the noise is
+    # drawn, and the noise, scaled in place, takes the events and becomes the clip
+    if active.any():
+        event_power = _mean_power(mix, active)
     noise = rng.standard_normal((4, n))
     if active.any():
-        event_power = float(np.mean(np.sum(mix**2, axis=0)[active]))
-        noise_power = float(np.mean(np.sum(noise**2, axis=0)[active]))
-        noise *= math.sqrt(event_power * 10.0 ** (-spec.snr_db / 10.0) / noise_power)
-    clip = AudioClip(mix + noise, sr)
-    return clip, ClipAnnotation(tuple(labels), n_classes=n_classes)
+        noise *= math.sqrt(event_power * 10.0 ** (-spec.snr_db / 10.0) / _mean_power(noise, active))
+    noise += mix
+    return AudioClip(noise, sr), ClipAnnotation(tuple(labels), n_classes=n_classes)
+
+
+def _mean_power(x: np.ndarray, active: np.ndarray) -> float:
+    """The mean over the ``active`` samples of the power summed over the channels of ``x``.
+
+    The channels are summed row by row, which for a (4, n) array is
+    bit-equal to ``np.sum(x**2, axis=0)`` and holds one row-sized
+    temporary instead of a copy of ``x``.
+    """
+    power = x[0] ** 2
+    for row in x[1:]:
+        power += row**2
+    return float(np.mean(power[active]))
 
 
 def balance_classes(library: SampleLibrary, seed: int = 0) -> SampleLibrary:

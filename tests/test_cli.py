@@ -454,3 +454,39 @@ def test_scipy_optimize_loads_only_for_a_multi_event_cell(tmp_path):
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["False", "True"]
+
+
+def test_seldkit_loads_no_scipy_io_fft_special_or_sparse(tmp_path):
+    # scipy.io pulls in scipy.sparse and scipy.fft pulls in scipy.special, about
+    # 0.3 s and 29 MiB per process; seldkit reads and writes WAVs and convolves
+    # with numpy alone, so neither importing nor emulating and reading back a
+    # scene loads them
+    script = textwrap.dedent(
+        """
+        import json, sys
+        from pathlib import Path
+        import numpy as np
+        from click.testing import CliRunner
+        import seldkit.emulate, seldkit.pipeline
+        from seldkit.audio import read_wav, write_wav_mono
+        from seldkit.cli import main
+
+        unwanted = {"scipy.io", "scipy.fft", "scipy.special", "scipy.sparse"}
+        print(sorted(unwanted & set(sys.modules)))
+        write_wav_mono("s0.wav", np.random.default_rng(0).standard_normal(24000) * 0.2, 24000)
+        Path("lib.json").write_text(json.dumps({"samples": [{"sample_id": "s0", "class_id": 3, "path": "s0.wav"}]}))
+        event = {"class_id": 3, "sample_id": "s0", "onset_s": 0.5, "azimuth": 45.0, "elevation": 10.0}
+        Path("scene.json").write_text(json.dumps({"duration_s": 2.0, "seed": 1, "events": [event]}))
+        args = ["emulate", "--spec", "scene.json", "--library", "lib.json", "--out-prefix", "emu"]
+        result = CliRunner().invoke(main, args, catch_exceptions=False)
+        assert result.exit_code == 0, result.output
+        assert read_wav("emu.wav").n_samples == 48000
+        print(sorted(unwanted & set(sys.modules)))
+        """
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(seldkit.__file__).resolve().parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["[]", "[]"]

@@ -1,8 +1,10 @@
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import example, given, settings, strategies as st
 from scipy.signal import fftconvolve
 
@@ -12,6 +14,7 @@ from seldkit.emulate import (
     SceneEvent,
     SceneSpec,
     SrirSynthConfig,
+    _next_fast_len,
     balance_classes,
     foa_encode_gains,
     mix_scene,
@@ -149,7 +152,77 @@ class TestRenderEvent:
         np.testing.assert_allclose(twice, 2 * once, atol=1e-12)
 
 
+def test_next_fast_len_equals_scipy():
+    assert [_next_fast_len(n) for n in range(1, 2**17 + 1)] == [
+        scipy.fft.next_fast_len(n, True) for n in range(1, 2**17 + 1)
+    ]
+
+
+def mix_scene_reference(spec, library, srir_config):
+    """The samples of ``mix_scene``'s clip by its earlier formula.
+
+    It squares whole copies of the mix and the noise for their powers and
+    sums them into a third buffer, so it holds about 3.3 scene-sized buffers.
+    """
+    sr = srir_config.sample_rate
+    rng = np.random.default_rng(spec.seed)
+    n = round(spec.duration_s * sr)
+    mix = np.zeros((4, n))
+    active = np.zeros(n, dtype=bool)
+    for ev in spec.events:
+        rendered = render_event(library[ev.sample_id], synth_srir(ev.direction, srir_config, rng), sr).samples
+        onset_n = round(ev.onset_s * sr)
+        span = min(rendered.shape[1], n - onset_n)
+        mix[:, onset_n : onset_n + span] += rendered[:, :span]
+        active[onset_n : onset_n + span] = True
+    noise = rng.standard_normal((4, n))
+    if active.any():
+        event_power = float(np.mean(np.sum(mix**2, axis=0)[active]))
+        noise_power = float(np.mean(np.sum(noise**2, axis=0)[active]))
+        noise *= math.sqrt(event_power * 10.0 ** (-spec.snr_db / 10.0) / noise_power)
+    return mix + noise
+
+
+@st.composite
+def small_scenes(draw):
+    """(spec, library) of up to four events, in a scene of at most 0.5 s at 24 kHz."""
+    n = draw(st.integers(1, 12000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    samples, events = {}, []
+    for i in range(draw(st.integers(0, 4))):
+        length = draw(st.integers(1, n))
+        onset = draw(st.integers(0, n - length))
+        waveform = rng.standard_normal(length) * draw(st.sampled_from([0.0, 1e-3, 0.5]))
+        samples[f"s{i}"] = LibrarySample(f"s{i}", i, waveform)
+        direction = Direction(draw(st.floats(-180, 180)), draw(st.floats(-90, 90)))
+        events.append(SceneEvent(i, f"s{i}", onset / 24000, direction))
+    snr_db = draw(st.floats(-20.0, 60.0))
+    return SceneSpec(n / 24000, tuple(events), snr_db, draw(st.integers(0, 2**32 - 1))), SampleLibrary(samples)
+
+
 class TestMixScene:
+    @settings(max_examples=60, deadline=None)
+    @given(scene=small_scenes(), ir_length_s=st.sampled_from([0.01, 0.05]))
+    def test_bytes_equal_the_reference(self, scene, ir_length_s):
+        spec, library = scene
+        config = SrirSynthConfig(ir_length_s=ir_length_s)
+        clip, _ = mix_scene(spec, library, config)
+        assert clip.samples.tobytes() == mix_scene_reference(spec, library, config).tobytes()
+
+    def test_sixty_second_scene_holds_two_buffers(self):
+        # the reference formula peaks at about 3.33 scene-sized buffers
+        rng = np.random.default_rng(0)
+        library = SampleLibrary({f"s{i}": LibrarySample(f"s{i}", i, rng.standard_normal(48000) * 0.3) for i in range(3)})
+        events = tuple(SceneEvent(i % 3, f"s{i % 3}", 2.9 * i, Direction(17.0 * i - 170, 0)) for i in range(20))
+        spec = SceneSpec(60.0, events, seed=1)
+        tracemalloc.start()
+        try:
+            mix_scene(spec, library)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.75 * (4 * 60 * 24000 * 8)
+
     def library(self, rng):
         return SampleLibrary(
             {
@@ -235,6 +308,20 @@ class TestMixScene:
         spec = SceneSpec(1.0, (SceneEvent(0, "nope", 0.0, Direction(0, 0)),), seed=0)
         with pytest.raises(KeyError, match="nope"):
             mix_scene(spec, self.library(rng))
+
+
+class TestLibrarySample:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_waveform_names_the_sample(self, value):
+        # one NaN would turn every sample of a scene that plays it NaN
+        waveform = np.ones(10)
+        waveform[[3, 7]] = value
+        with pytest.raises(ValueError, match=r"^sample 'x': non-finite waveform value at sample 3$"):
+            LibrarySample("x", 0, waveform)
+
+    def test_rate_must_be_positive(self):
+        with pytest.raises(ValueError, match=r"^sample 'x': sample_rate must be positive, got 0$"):
+            LibrarySample("x", 0, np.ones(10), sample_rate=0)
 
 
 class TestBalanceClasses:

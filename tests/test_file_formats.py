@@ -1,7 +1,11 @@
 """The exact bytes of every file format seldkit writes, CSV round trips, and malformed files failing by name."""
 
+import json
 import re
+import struct
 import tempfile
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +14,17 @@ from hypothesis import given, settings, strategies as st
 from scipy.io import wavfile
 
 from seldkit.accdoa import DetectedEvent, read_events, write_events
-from seldkit.audio import AudioClip, read_wav, read_wav_info, read_wav_mono, write_wav, write_wav_mono
+from seldkit.audio import (
+    AudioClip,
+    WavFileWarning,
+    _read_stored,
+    read_wav,
+    read_wav_info,
+    read_wav_mono,
+    write_wav,
+    write_wav_mono,
+)
+from seldkit.emulate import load_library
 from seldkit.geometry import Direction
 from seldkit.labels import ClipAnnotation, EventLabel, read_labels, write_labels
 from seldkit.manifest import DatasetManifest, ManifestEntry, load_manifest, save_manifest
@@ -251,6 +265,257 @@ class TestMalformedWavFailsByName:
         riff_size = int.from_bytes(data[4:8], "little") + len(extra)
         patched = data[:4] + riff_size.to_bytes(4, "little") + data[8:data_at] + extra + data[data_at:]
         (tmp_path / "chunk.wav").write_bytes(patched)
-        with pytest.warns(wavfile.WavFileWarning, match="not understood"):
+        with pytest.warns(WavFileWarning, match=r"chunk\.wav: chunk b'abcd' not understood"):
             clip = read_wav(tmp_path / "chunk.wav")
         assert np.array_equal(clip.samples, read_wav(tmp_path / "valid.wav").samples)
+
+
+# the last 12 bytes of an extensible fmt chunk's subformat GUID, {XXXXXXXX-0000-0010-8000-00AA00389B71}
+GUID_TAIL = bytes.fromhex("00001000800000aa00389b71")
+
+
+def wav_bytes(samples: np.ndarray, tag: int, bits: int, extensible: bool = False, rate: int = 24000) -> bytes:
+    """A WAV holding ``samples`` (frames, channels) as ``bits``-bit samples of format ``tag`` (1 PCM, 3 float).
+
+    24-bit samples are given as int32 values in [-2**23, 2**23) and stored
+    in their low 3 bytes. An extensible file has a 40-byte fmt chunk whose
+    subformat GUID carries ``tag``.
+    """
+    frames, channels = samples.shape
+    if bits == 24:
+        raw = samples.astype("<i4").view(np.uint8).reshape(frames, channels, 4)[:, :, :3].tobytes()
+    else:
+        raw = samples.tobytes()
+    block_align = channels * bits // 8
+    fmt = struct.pack("<HHIIHH", 0xFFFE if extensible else tag, channels, rate, rate * block_align, block_align, bits)
+    if extensible:
+        fmt += struct.pack("<HHII", 22, bits, 0, tag) + GUID_TAIL
+    chunks = b"fmt " + struct.pack("<I", len(fmt)) + fmt + b"data" + struct.pack("<I", len(raw)) + raw
+    chunks += bytes(len(raw) % 2)  # the pad byte after an odd-sized chunk
+    return b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks
+
+
+def seeded_samples(dtype, frames: int, channels: int, seed: int = 0) -> np.ndarray:
+    """Seeded samples spanning ``dtype``'s range, shaped (frames, channels); int32 holds 24-bit values."""
+    rng = np.random.default_rng(seed)
+    if dtype == "i3":
+        return rng.integers(-(2**23), 2**23, (frames, channels)).astype(np.int32)
+    if np.dtype(dtype).kind == "f":
+        return rng.uniform(-1, 1, (frames, channels)).astype(dtype)
+    info = np.iinfo(dtype)
+    return rng.integers(info.min, info.max, (frames, channels), endpoint=True).astype(dtype)
+
+
+# (stored dtype, format tag, bits per sample) of every format the reader takes
+STORED_FORMATS = [
+    ("u1", 1, 8), ("<i2", 1, 16), ("i3", 1, 24), ("<i4", 1, 32), ("<f4", 3, 32), ("<f8", 3, 64),
+]
+
+
+class TestWavMatchesScipy:
+    """The reader's arrays and the writer's bytes equal ``scipy.io.wavfile``'s."""
+
+    @pytest.mark.parametrize("extensible", [False, True], ids=["plain", "extensible"])
+    @pytest.mark.parametrize("channels", [1, 4])
+    @pytest.mark.parametrize("dtype, tag, bits", STORED_FORMATS, ids=[f[0] for f in STORED_FORMATS])
+    def test_stored_samples_bit_equal(self, tmp_path, dtype, tag, bits, channels, extensible):
+        samples = seeded_samples(dtype, 37, channels)
+        path = tmp_path / "x.wav"
+        path.write_bytes(wav_bytes(samples, tag, bits, extensible, rate=16000))
+        stored, rate = _read_stored(path)
+        scipy_rate, scipy_stored = wavfile.read(path)
+        assert rate == scipy_rate == 16000
+        assert stored.dtype == scipy_stored.dtype
+        assert stored.shape == scipy_stored.shape == ((37, channels) if channels > 1 else (37,))
+        assert stored.tobytes() == scipy_stored.tobytes()
+
+    @pytest.mark.parametrize("channels", [1, 4])
+    def test_pcm24_left_justified(self, tmp_path, channels):
+        samples = seeded_samples("i3", 29, channels)
+        path = tmp_path / "x.wav"
+        path.write_bytes(wav_bytes(samples, 1, 24))
+        stored, _ = _read_stored(path)
+        assert np.array_equal(stored.reshape(29, channels), samples * 256)
+
+    def test_foa_writer_bytes_equal(self, tmp_path, rng):
+        clip = AudioClip(rng.standard_normal((4, 1001)))
+        write_wav(tmp_path / "ours.wav", clip)
+        wavfile.write(tmp_path / "scipy.wav", 24000, clip.samples.T.astype(np.float32))
+        assert (tmp_path / "ours.wav").read_bytes() == (tmp_path / "scipy.wav").read_bytes()
+
+    @pytest.mark.parametrize("n", [0, 1, 333])
+    def test_mono_writer_bytes_equal(self, tmp_path, rng, n):
+        x = rng.standard_normal(n)
+        write_wav_mono(tmp_path / "ours.wav", x, 16000)
+        wavfile.write(tmp_path / "scipy.wav", 16000, x.astype(np.float32))
+        assert (tmp_path / "ours.wav").read_bytes() == (tmp_path / "scipy.wav").read_bytes()
+
+
+class TestWavFormatsRejectedByName:
+    @pytest.mark.parametrize("riff", [b"RF64", b"RIFX"])
+    def test_rf64_and_rifx(self, tmp_path, riff):
+        path = tmp_path / "x.wav"
+        path.write_bytes(riff + wav_bytes(seeded_samples("<i2", 8, 4), 1, 16)[4:])
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: unsupported WAV: {riff.decode()} file"):
+            read_wav(path)
+
+    @pytest.mark.parametrize(
+        "tag, bits, extensible",
+        [(2, 16, False), (0x11, 4, False), (1, 12, False), (1, 64, False), (3, 16, False), (2, 16, True)],
+    )
+    def test_compressed_or_unread_depths(self, tmp_path, tag, bits, extensible):
+        path = tmp_path / "x.wav"
+        path.write_bytes(wav_bytes(np.zeros((4, 4), np.uint8), tag, bits, extensible))
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: unsupported WAV: format tag {tag:#06x}"):
+            read_wav(path)
+
+    def test_unknown_extensible_subformat(self, tmp_path):
+        data = bytearray(wav_bytes(seeded_samples("<i2", 8, 4), 1, 16, extensible=True))
+        data[-64 - 8 - 1] ^= 1  # the GUID's last byte: the data chunk's header and 64 bytes of samples follow
+        path = tmp_path / "x.wav"
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: unsupported WAV: extensible subformat"):
+            read_wav(path)
+
+    def test_block_align_that_does_not_fit_the_channels(self, tmp_path):
+        data = bytearray(wav_bytes(seeded_samples("<i2", 8, 4), 1, 16))
+        data[32:34] = struct.pack("<H", 6)
+        data[28:32] = struct.pack("<I", 6 * 24000)
+        path = tmp_path / "x.wav"
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match=r"malformed WAV: block align 6 does not fit 4 channels of 16 bits"):
+            read_wav(path)
+
+
+def stated_frames(data: bytes) -> int:
+    """The data chunk's size over the fmt chunk's block align, found by walking the chunks of a WAV."""
+    at, chunks = 12, {}
+    while at + 8 <= len(data):
+        size = int.from_bytes(data[at + 4 : at + 8], "little")
+        chunks.setdefault(data[at : at + 4], (at + 8, size))
+        at += 8 + size + size % 2
+    fmt_at = chunks[b"fmt "][0]
+    return chunks[b"data"][1] // int.from_bytes(data[fmt_at + 12 : fmt_at + 14], "little")
+
+
+def traced_peak(call):
+    """(what ``call()`` returns or raises, the peak bytes ``tracemalloc`` traced while it ran)."""
+    tracemalloc.start()
+    try:
+        try:
+            result = call()
+        except Exception as exc:  # returned, so the caller checks its type
+            result = exc
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# a read may hold the file's samples twice over (stored and float64) plus this much
+READ_MARGIN = 64 * 1024
+
+
+def valid_wavs() -> dict:
+    """Small valid WAVs of each stored kind: name -> (bytes, readers of the file)."""
+    foa, mono = (read_wav, read_wav_info), (read_wav_mono,)
+    files = {}
+    for channels, readers in ((4, foa), (1, mono)):
+        files[f"pcm16 {channels}"] = (wav_bytes(seeded_samples("<i2", 12, channels), 1, 16), readers)
+        files[f"pcm24 {channels}"] = (wav_bytes(seeded_samples("i3", 12, channels), 1, 24), readers)
+        files[f"float32 {channels}"] = (wav_bytes(seeded_samples("<f4", 12, channels), 3, 32), readers)
+        files[f"extensible {channels}"] = (wav_bytes(seeded_samples("<f4", 12, channels), 3, 32, True), readers)
+    return files
+
+
+VALID_WAVS = valid_wavs()
+
+
+def n_loaded(result) -> int:
+    if isinstance(result, tuple):  # read_wav_mono
+        return len(result[0])
+    return result.n_samples
+
+
+class TestMutatedWavFailsByName:
+    @settings(max_examples=600, deadline=None)
+    @given(name=st.sampled_from(sorted(VALID_WAVS)), which=st.integers(0, 1), mutate=byte_mutations())
+    def test_loads_its_stated_count_or_names_itself(self, name, which, mutate):
+        valid, readers = VALID_WAVS[name]
+        read = readers[which % len(readers)]
+        data = mutate(valid)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "m.wav")
+            path.write_bytes(data)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", WavFileWarning)  # a flipped chunk id is skipped
+                result, peak = traced_peak(lambda: read(path))
+        assert peak < len(data) + READ_MARGIN
+        if isinstance(result, Exception):
+            assert type(result) is ValueError, repr(result)
+            assert str(result).startswith(f"{path}: "), str(result)
+        else:
+            assert n_loaded(result) == stated_frames(data)
+
+    def test_huge_fmt_size_is_not_allocated(self, tmp_path):
+        # a 4-channel float WAV of 40 frames is 698 bytes; byte 19 is the top byte of the
+        # fmt chunk's size, so this flip states a 2.8 GB fmt chunk
+        path = tmp_path / "x.wav"
+        write_wav(path, AudioClip(np.zeros((4, 40))))
+        data = bytearray(path.read_bytes())
+        assert len(data) == 698
+        data[19] ^= 0xA7
+        path.write_bytes(bytes(data))
+        result, peak = traced_peak(lambda: read_wav(path))
+        assert peak < len(data) + READ_MARGIN
+        assert type(result) is ValueError
+        assert str(result) == f"{path}: malformed WAV: Reached EOF prematurely"
+
+
+def _tensor_files(directory: Path) -> Path:
+    save_tensor(directory / "t.acc", np.linspace(-1, 1, 24).reshape(2, 3, 4), config={"hop": 240})
+    return directory / "t.acc"
+
+
+def _library_files(directory: Path) -> dict:
+    """A sample library of two mono WAVs, float32 and PCM16: name -> path."""
+    write_wav_mono(directory / "s0.wav", np.linspace(-0.5, 0.5, 40), 24000)
+    (directory / "s1.wav").write_bytes(wav_bytes(seeded_samples("<i2", 30, 1), 1, 16))
+    samples = [{"sample_id": f"s{i}", "class_id": i, "path": f"s{i}.wav"} for i in range(2)]
+    (directory / "lib.json").write_text(json.dumps({"samples": samples}), encoding="utf-8")
+    return {name: directory / name for name in ("lib.json", "s0.wav", "s1.wav")}
+
+
+class TestMutatedPayloadAndLibrary:
+    @settings(max_examples=200, deadline=None)
+    @given(mutate=byte_mutations())
+    def test_tensor_payload_loads_or_names_itself(self, mutate):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = _tensor_files(Path(tmp))
+            path.write_bytes(mutate(path.read_bytes()))
+            try:
+                array, header = load_tensor(path)
+            except ValueError as exc:
+                assert str(exc).startswith(f"{path}: "), str(exc)
+            else:
+                assert array.shape == tuple(header["dims"])
+
+    @settings(max_examples=400, deadline=None)
+    @given(name=st.sampled_from(["lib.json", "s0.wav", "s1.wav"]), mutate=byte_mutations())
+    def test_library_loads_or_names_the_file_or_the_sample(self, name, mutate):
+        with tempfile.TemporaryDirectory() as tmp:
+            files = _library_files(Path(tmp))
+            files[name].write_bytes(mutate(files[name].read_bytes()))
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", WavFileWarning)
+                    library = load_library(files["lib.json"])
+            except ValueError as exc:
+                # a file names itself; the library's key and type errors name the
+                # document, and a sample's errors its index
+                where = "sample library" if name == "lib.json" else f"sample library sample {name[1]}"
+                assert str(files[name]) in str(exc) or where in str(exc), str(exc)
+            except FileNotFoundError as exc:
+                # a mutated path names another file, one that is not there
+                assert name == "lib.json" and Path(exc.filename) not in files.values(), str(exc)
+            else:
+                assert all(np.isfinite(s.waveform).all() for s in library.samples.values())
