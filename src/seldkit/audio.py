@@ -154,9 +154,9 @@ def _read_stored(path) -> tuple[np.ndarray, int]:
         at = 12
         while at < riff_end:
             chunk = f.read(8)
-            if len(chunk) < 8 or int.from_bytes(chunk[4:], "little") > file_size - at - 8:
-                raise _malformed(path, "Reached EOF prematurely")
             chunk_id, size = chunk[:4], int.from_bytes(chunk[4:], "little")
+            if len(chunk) < 8 or size > file_size - at - 8:
+                raise _malformed(path, "Reached EOF prematurely")
             if chunk_id == b"fmt ":
                 if fmt is not None:
                     raise _malformed(path, "a second fmt chunk")

@@ -329,14 +329,6 @@ class TestWavMatchesScipy:
         assert stored.shape == scipy_stored.shape == ((37, channels) if channels > 1 else (37,))
         assert stored.tobytes() == scipy_stored.tobytes()
 
-    @pytest.mark.parametrize("channels", [1, 4])
-    def test_pcm24_left_justified(self, tmp_path, channels):
-        samples = seeded_samples("i3", 29, channels)
-        path = tmp_path / "x.wav"
-        path.write_bytes(wav_bytes(samples, 1, 24))
-        stored, _ = _read_stored(path)
-        assert np.array_equal(stored.reshape(29, channels), samples * 256)
-
     def test_foa_writer_bytes_equal(self, tmp_path, rng):
         clip = AudioClip(rng.standard_normal((4, 1001)))
         write_wav(tmp_path / "ours.wav", clip)
