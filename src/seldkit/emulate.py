@@ -330,15 +330,17 @@ def load_library(path) -> SampleLibrary:
     are strings, ``class_id`` is an integer, and no two samples share a
     ``sample_id``. A missing key, a key the library does not read, a
     non-object or a value of the wrong type raises ValueError naming the
-    library, and the sample's index for a sample.
+    library's path, and the sample's index for a sample; so does a
+    sample whose WAV is missing, unreadable or malformed.
     """
     base = Path(path).parent
     doc = read_json(path)
-    check_keys(doc, LIBRARY_KEYS, "sample library", required=LIBRARY_KEYS)
+    library = f"sample library {path}"
+    check_keys(doc, LIBRARY_KEYS, library, required=LIBRARY_KEYS)
     samples: dict = {}
     index_of: dict = {}
-    for i, item in enumerate(typed_value(doc, "samples", (list,), "array", "sample library")):
-        where = f"sample library sample {i}"
+    for i, item in enumerate(typed_value(doc, "samples", (list,), "array", library)):
+        where = f"{library} sample {i}"
         check_keys(item, SAMPLE_KEYS, where, required=SAMPLE_KEYS)
         sample_id = typed_value(item, "sample_id", (str,), "string", where)
         class_id = typed_value(item, "class_id", (int,), "integer", where)
@@ -348,10 +350,10 @@ def load_library(path) -> SampleLibrary:
             raise ValueError(f"{where}: sample {first} has the same sample_id {sample_id!r}")
         if not wav_path.is_absolute():
             wav_path = base / wav_path
-        waveform, sr = read_wav_mono(wav_path)
         try:
+            waveform, sr = read_wav_mono(wav_path)
             samples[sample_id] = LibrarySample(sample_id, class_id, waveform, sr)
-        except ValueError as exc:
+        except (OSError, ValueError) as exc:
             raise ValueError(f"{where}: {exc}") from None
     return SampleLibrary(samples)
 

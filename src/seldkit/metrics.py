@@ -12,7 +12,10 @@ Four scores with macro class averaging:
   regardless of localization accuracy.
 
 Predictions and references are matched per (frame, class) by the
-minimum-total-angular-distance assignment.
+minimum-total-angular-distance assignment. A cell with one event on a
+side is matched to its nearest counterpart, which is that assignment;
+only a cell with two or more events on both sides loads
+``scipy.optimize``.
 """
 
 from __future__ import annotations
@@ -92,9 +95,10 @@ def evaluate_stats(pred_events, ref_annotation, config: MetricConfig | None = No
     * events are grouped into (frame, class) cells, each class's cells in
       frame order, the events of a cell in their input order;
     * each cell's predictions and references are matched by the
-      assignment with the minimum total great-circle distance, found by
-      ``scipy.optimize.linear_sum_assignment`` on the cell's cost matrix;
-      a cell with one event on each side is matched directly;
+      assignment with the minimum total great-circle distance; a cell
+      with one event on a side is matched to its nearest counterpart, and
+      a cell with two or more on both sides by
+      ``scipy.optimize.linear_sum_assignment`` on its cost matrix;
     * a matched pair within the spatial threshold is a TP and one beyond
       it an FP plus an FN; an unmatched prediction is an FP and an
       unmatched reference an FN;
@@ -137,14 +141,25 @@ def evaluate_stats(pred_events, ref_annotation, config: MetricConfig | None = No
     r_vecs = unit_vectors(refs.directions)[refs.inverse]
     p_vecs = angle_unit_vectors(preds.azimuth[scored], preds.elevation[scored])
 
-    # matched distances, per cell in its assignment's pair order; a
-    # multi-event cell's cost matrices are grouped by their shape
+    # matched distances, per cell in its assignment's pair order
     dist = np.empty(int(n_pairs.sum()))
-    one = (n_pred == 1) & (n_ref == 1)
-    dist[pair_first[one]] = angle_between(p_vecs[p_order[p_first[one]]], r_vecs[r_order[r_first[one]]])
-    multi = np.flatnonzero((n_pairs > 0) & ~one)
+    # a cell with one event on a side has one pair, the minimum of its cost
+    # entries: entry k of such a cell pairs event k of its longer side with
+    # the one event of the other, and k % 1 == 0 picks that one event
+    single = np.flatnonzero(n_pairs == 1)
+    n_entries = n_pred[single] * n_ref[single]
+    entry_first = np.cumsum(n_entries) - n_entries
+    entry_cell = np.repeat(single, n_entries)
+    k = np.arange(int(n_entries.sum())) - np.repeat(entry_first, n_entries)
+    costs = angle_between(
+        p_vecs[p_order[p_first[entry_cell] + k % n_pred[entry_cell]]],
+        r_vecs[r_order[r_first[entry_cell] + k % n_ref[entry_cell]]],
+    )
+    dist[pair_first[single]] = np.minimum.reduceat(costs, entry_first)
+    # cells with two or more events on both sides: cost matrices grouped by shape
+    multi = np.flatnonzero(n_pairs > 1)
     if len(multi):
-        # here, not at the top: a run whose cells hold one event a side never needs scipy.optimize
+        # here, not at the top: a run whose cells hold one event on a side never needs scipy.optimize
         from scipy.optimize import linear_sum_assignment
 
         shape = n_pred[multi] * (1 + int(n_ref.max())) + n_ref[multi]
@@ -253,7 +268,11 @@ def evaluate(pred_events, ref_annotation, config: MetricConfig | None = None) ->
 
 
 def merge_stats(per_clip_stats) -> list[ClassStats]:
-    """Sum per-class stats across clips (associative, order-independent)."""
+    """Sum per-class stats across clips, in the given order.
+
+    The counts are the same in any order; the float ``loc_error_sum`` is
+    added clip by clip, so another order may change its last bits.
+    """
     merged = None
     for stats in per_clip_stats:
         if merged is None:

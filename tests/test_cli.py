@@ -167,8 +167,8 @@ class TestEmulateCli:
     @pytest.mark.parametrize(
         "library_keys, sample_keys, message",
         [
-            ({"sample_rate": 48000}, {}, "unknown sample library keys: sample_rate"),
-            ({}, {"gain_db": -12}, "unknown sample library sample 1 keys: gain_db"),
+            ({"sample_rate": 48000}, {}, "unknown sample library {} keys: sample_rate"),
+            ({}, {"gain_db": -12}, "unknown sample library {} sample 1 keys: gain_db"),
         ],
     )
     def test_unknown_library_key_rejected(self, runner, tmp_path, library_keys, sample_keys, message):
@@ -190,7 +190,7 @@ class TestEmulateCli:
         )
         assert result.exit_code != 0
         assert isinstance(result.exception, ValueError)
-        assert str(result.exception) == message
+        assert str(result.exception) == message.format(tmp_path / "lib.json")
         assert not (tmp_path / "emu.wav").exists()
 
 
@@ -409,10 +409,12 @@ def test_only_verbs_that_draw_random_numbers_take_seed(runner, verb):
 
 
 def test_scipy_optimize_loads_only_for_a_multi_event_cell(tmp_path):
-    # scipy.optimize costs about 0.35 s per process; emulating, rotating,
-    # extracting features and an oracle-direct run assign no multi-event
-    # cell, so none of them may load it; evaluate_stats imports it for a cell
-    # with two predictions and one reference
+    # scipy.optimize costs about 0.6 s and 48 MiB per process; emulating,
+    # rotating, extracting features and an oracle-direct run score no cell
+    # with two or more events on both sides, so none of them may load it;
+    # evaluate_stats matches a cell with two predictions and one reference
+    # to the nearest prediction, and imports it only for a cell with two or
+    # more events on both sides
     script = textwrap.dedent(
         """
         import json, sys
@@ -446,6 +448,9 @@ def test_scipy_optimize_loads_only_for_a_multi_event_cell(tmp_path):
         d = Direction(0.0, 0.0)
         evaluate_stats([DetectedEvent(0, 0, d, 1.0)] * 2, ClipAnnotation((EventLabel(0, 0, 0, d),)))
         print("scipy.optimize" in sys.modules)
+        two_refs = ClipAnnotation((EventLabel(0, 0, 0, d), EventLabel(0, 0, 1, d)))
+        evaluate_stats([DetectedEvent(0, 0, d, 1.0)] * 2, two_refs)
+        print("scipy.optimize" in sys.modules)
         """
     )
     env = {**os.environ, "PYTHONPATH": str(Path(seldkit.__file__).resolve().parents[1])}
@@ -453,7 +458,7 @@ def test_scipy_optimize_loads_only_for_a_multi_event_cell(tmp_path):
         [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["False", "True"]
+    assert out.stdout.split() == ["False", "False", "True"]
 
 
 def test_seldkit_loads_no_scipy_io_fft_special_or_sparse(tmp_path):

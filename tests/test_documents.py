@@ -127,8 +127,8 @@ def test_malformed_scene_spec(case):
 
 SAMPLE = {"sample_id": "s0", "class_id": 3, "path": "s.wav"}
 LIBRARY_DOC = {"samples": [SAMPLE, dict(SAMPLE, sample_id="s1")]}
-LIBRARY_LOCATIONS = [((), "sample library", ("samples",), ("samples",), ALL)] + [
-    (("samples", i), f"sample library sample {i}", tuple(SAMPLE), tuple(SAMPLE), ALL) for i in range(2)
+LIBRARY_LOCATIONS = [((), "", ("samples",), ("samples",), ALL)] + [
+    (("samples", i), f" sample {i}", tuple(SAMPLE), tuple(SAMPLE), ALL) for i in range(2)
 ]
 
 
@@ -142,9 +142,10 @@ def workdir(tmp_path_factory):
 @settings(max_examples=60, deadline=None)
 @given(case=malformed(LIBRARY_DOC, LIBRARY_LOCATIONS))
 def test_malformed_library(workdir, case):
-    doc, name = case
-    (workdir / "lib.json").write_text(json.dumps(doc))
-    raises_naming(lambda: load_library(workdir / "lib.json"), name)
+    doc, suffix = case
+    path = workdir / "lib.json"
+    path.write_text(json.dumps(doc))
+    raises_naming(lambda: load_library(path), f"sample library {path}{suffix}")
 
 
 ENTRY = {"clip_path": "a.wav", "label_path": "a.csv", "origin": "real"}
@@ -457,10 +458,27 @@ class TestLibraryAndSceneValues:
         (workdir / "lib.json").write_text(json.dumps({"samples": samples}))
         return load_library(workdir / "lib.json")
 
+    @staticmethod
+    def library(workdir):
+        return re.escape(f"sample library {workdir / 'lib.json'}")
+
     @pytest.mark.parametrize("value", [5, "s", None, {"a": SAMPLE}])
     def test_library_samples_must_be_an_array(self, workdir, value):
-        with pytest.raises(ValueError, match=r"^sample library samples must be a JSON array, got "):
+        with pytest.raises(ValueError, match=rf"^{self.library(workdir)} samples must be a JSON array, got "):
             self.load_library(workdir, value)
+
+    @pytest.mark.parametrize("content, problem", [(None, "No such file"), (b"RIFF", "Reached EOF prematurely")])
+    def test_sample_wav_error_names_the_sample(self, workdir, content, problem):
+        # the library and the sample's index, then the WAV and what is wrong with it
+        wav = workdir / "bad.wav"
+        wav.unlink(missing_ok=True)
+        if content is not None:
+            wav.write_bytes(content)
+        with pytest.raises(ValueError) as raised:
+            self.load_library(workdir, [SAMPLE, dict(SAMPLE, sample_id="s1", path="bad.wav")])
+        message = str(raised.value)
+        assert message.startswith(f"sample library {workdir / 'lib.json'} sample 1: ")
+        assert str(wav) in message and problem in message
 
     @pytest.mark.parametrize("value", [5, "e", None, {"a": EVENT}])
     def test_scene_events_must_be_an_array(self, value):
@@ -469,7 +487,7 @@ class TestLibraryAndSceneValues:
 
     def test_repeated_sample_id_names_both_samples(self, workdir):
         samples = [SAMPLE, dict(SAMPLE, sample_id="s1"), dict(SAMPLE, class_id=2)]
-        with pytest.raises(ValueError, match=r"^sample library sample 2: sample 0 has the same sample_id 's0'$"):
+        with pytest.raises(ValueError, match=rf"^{self.library(workdir)} sample 2: sample 0 has the same sample_id 's0'$"):
             self.load_library(workdir, samples)
 
     @pytest.mark.parametrize(
@@ -479,11 +497,11 @@ class TestLibraryAndSceneValues:
     )
     def test_library_sample_value_types(self, workdir, key, value, kind):
         samples = [SAMPLE, {**SAMPLE, "sample_id": "s1", key: value}]
-        with pytest.raises(ValueError, match=rf"^sample library sample 1 {key} must be a JSON {kind}, got "):
+        with pytest.raises(ValueError, match=rf"^{self.library(workdir)} sample 1 {key} must be a JSON {kind}, got "):
             self.load_library(workdir, samples)
 
     def test_negative_library_class_names_the_sample(self, workdir):
-        with pytest.raises(ValueError, match=r"^sample library sample 1: sample 's1': class_id must be >= 0"):
+        with pytest.raises(ValueError, match=rf"^{self.library(workdir)} sample 1: sample 's1': class_id must be >= 0"):
             self.load_library(workdir, [SAMPLE, dict(SAMPLE, sample_id="s1", class_id=-1)])
 
     @pytest.mark.parametrize(

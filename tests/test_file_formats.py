@@ -502,12 +502,12 @@ class TestMutatedPayloadAndLibrary:
                     warnings.simplefilter("ignore", WavFileWarning)
                     library = load_library(files["lib.json"])
             except ValueError as exc:
-                # a file names itself; the library's key and type errors name the
-                # document, and a sample's errors its index
-                where = "sample library" if name == "lib.json" else f"sample library sample {name[1]}"
-                assert str(files[name]) in str(exc) or where in str(exc), str(exc)
-            except FileNotFoundError as exc:
-                # a mutated path names another file, one that is not there
-                assert name == "lib.json" and Path(exc.filename) not in files.values(), str(exc)
+                # text that is not JSON names the file; the library's other
+                # errors name its path, and a sample's errors, a missing or
+                # malformed WAV among them, the sample's index too
+                where = f"sample library {files['lib.json']}"
+                if name != "lib.json":
+                    where += f" sample {name[1]}: "
+                assert where in str(exc) or str(exc).startswith(f"{files['lib.json']}: "), str(exc)
             else:
                 assert all(np.isfinite(s.waveform).all() for s in library.samples.values())

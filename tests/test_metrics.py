@@ -532,7 +532,9 @@ class TestArrayFormScoring:
         assert evaluate_stats(preds, annotation, config) == evaluate_stats_reference(preds, annotation, config)
 
     def test_match_frame_only_for_multi_event_cells(self, monkeypatch):
-        # the assignment runs on the cost matrix of each multi-event cell, and on no other
+        # the assignment runs on the cost matrix of each cell with two or more
+        # events on both sides, and on no other: a cell with one event on a
+        # side takes the minimum of its costs
         import scipy.optimize
 
         calls = []
@@ -546,18 +548,41 @@ class TestArrayFormScoring:
         preds = [pred(0, 0, 10, 0), pred(1, 1, 50, 0), pred(2, 0, 0, 0),  # one-to-one cells
                  pred(3, 0, 0, 0),  # prediction only
                  pred(5, 1, 0, 0), pred(5, 1, 90, 0),  # two predictions, one reference
-                 pred(6, 0, 0, 0)]  # one prediction, two references
+                 pred(6, 0, 0, 0),  # one prediction, two references
+                 pred(7, 1, 0, 0), pred(7, 1, 100, 0)]  # two predictions, two references
         refs = ClipAnnotation(
             (ref(0, 0, 15, 0), ref(1, 1, 90, 0), ref(2, 0, 0, 0), ref(4, 1, 0, 0),
-             ref(5, 1, 80, 0), ref(6, 0, 5, 0), ref(6, 0, 170, 0, track=1)),
+             ref(5, 1, 80, 0), ref(6, 0, 5, 0), ref(6, 0, 170, 0, track=1),
+             ref(7, 1, 95, 0), ref(7, 1, 10, 0, track=1)),
             n_classes=2,
         )
         stats = evaluate_stats(preds, refs, CFG2)
-        assert sorted(calls) == [(1, 2), (2, 1)]
+        assert calls == [(2, 2)]
         assert stats == evaluate_stats_reference(preds, refs, CFG2)
         assert (stats[0].tp, stats[0].fp, stats[0].fn, stats[1].tp, stats[1].fp, stats[1].fn) == (
-            3, 1, 1, 1, 2, 2
+            3, 1, 1, 3, 2, 2
         )
+
+    @pytest.mark.parametrize(
+        "preds, refs",
+        [
+            # three predictions, one reference: the two nearest mirror each other about it
+            ([pred(0, 0, 10, 0), pred(0, 0, 50, 0), pred(0, 0, -10, 0)], [ref(0, 0, 0, 0)]),
+            ([pred(0, 0, 30, 12.5), pred(0, 0, 30, -12.5), pred(0, 0, 90, 0)], [ref(0, 0, 30, 0)]),
+            # one prediction, two references equally far from it, within and beyond the threshold
+            ([pred(0, 0, 0, 0)], [ref(0, 0, 10, 0), ref(0, 0, -10, 0, track=1)]),
+            ([pred(0, 0, 0, 0)], [ref(0, 0, 25, 0), ref(0, 0, -25, 0, track=1)]),
+        ],
+        ids=["3x1-azimuth", "3x1-elevation", "1x2-within", "1x2-beyond"],
+    )
+    def test_exact_ties_equal_per_cell_walk_in_bits(self, preds, refs):
+        # the tie is exact, so the minimum holds the bits of whichever pair the assignment picks
+        costs = sorted(angular_distance(p.direction, r.direction) for p in preds for r in refs)
+        assert costs[0].hex() == costs[1].hex()
+        annotation = ClipAnnotation(tuple(refs), n_classes=2)
+        stats = evaluate_stats(preds, annotation, CFG2)
+        assert stats_bits(stats) == stats_bits(evaluate_stats_reference(preds, annotation, CFG2))
+        assert stats[0].loc_match_count == 1
 
 
 def stats_bits(stats):
