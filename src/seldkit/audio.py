@@ -131,14 +131,15 @@ def _read_fmt(path, body: bytes, size: int) -> tuple[int, int, int, np.dtype]:
     return channels, rate, block_align, _DTYPES[tag, bits]
 
 
-def _read_stored(path) -> tuple[np.ndarray, int]:
-    """The samples of a WAV file as stored, shaped (n, channels) or (n,) for mono, and its rate.
+def _read_stored(path, samples: bool = True) -> tuple[np.ndarray | None, int, int, int]:
+    """A WAV file's samples as stored, shaped (n, channels) or (n,) for mono, its rate, channels and frames.
 
     A chunk that runs past the end of the file, malformed or unsupported
     bytes, a missing fmt or data chunk, and NaN or infinite samples
     (possible only in float WAVs, naming the first bad (channel, sample))
     raise ValueError naming the path. A chunk seldkit does not know is
     skipped with a ``WavFileWarning``. An OSError is raised as it is.
+    With ``samples`` false, integer PCM is checked from its chunks alone: None stands for its samples.
     """
     with open(path, "rb") as f:
         file_size = os.fstat(f.fileno()).st_size
@@ -175,6 +176,8 @@ def _read_stored(path) -> tuple[np.ndarray, int]:
         offset, size = data
         if size % block_align:
             raise _malformed(path, f"data chunk of {size} bytes is not whole {block_align}-byte frames")
+        if not samples and dtype.kind != "f":  # only float samples can be NaN or infinite
+            return None, rate, channels, size // block_align
         f.seek(offset)
         stored = np.fromfile(f, dtype, size // dtype.itemsize)
     if stored.nbytes != size:  # the file shrank after its size was taken
@@ -188,17 +191,16 @@ def _read_stored(path) -> tuple[np.ndarray, int]:
     if stored.dtype.kind == "f" and not np.isfinite(stored).all():
         ch, n = np.argwhere(~np.isfinite(np.atleast_2d(stored.T)))[0]
         raise ValueError(f"{path}: non-finite sample at channel {ch}, sample {n}")
-    return stored, rate
+    return stored, rate, channels, size // block_align
 
 
-def _read_foa(path) -> tuple[np.ndarray, int]:
-    """``_read_stored`` for a file that must hold 4 channels at a positive rate."""
-    data, sr = _read_stored(path)
-    channels = 1 if data.ndim == 1 else data.shape[1]
+def _read_foa(path, samples: bool = True) -> tuple[np.ndarray | None, int, int]:
+    """``_read_stored`` for a file that must hold 4 channels at a positive rate: (samples, rate, frames)."""
+    data, sr, channels, frames = _read_stored(path, samples)
     if channels != 4:
         raise ValueError(f"{path}: expected 4 FOA channels, found {channels}")
     _check_rate(sr, f"{path}: ")
-    return data, sr
+    return data, sr, frames
 
 
 def read_wav(path) -> AudioClip:
@@ -209,18 +211,19 @@ def read_wav(path) -> AudioClip:
     sample), then a channel count other than 4 or a rate of 0 does. Only
     then are the samples scaled (integer PCM) and converted.
     """
-    data, sr = _read_foa(path)
+    data, sr, _ = _read_foa(path)
     return AudioClip(_normalize_pcm(data).T, sr)
 
 
 def read_wav_info(path) -> WavInfo:
     """Check a 4-channel FOA WAV file as ``read_wav`` does, and give only its rate and length.
 
-    Every error ``read_wav`` raises is raised here, with the same
-    message; the samples are never converted to float64.
+    Every error ``read_wav`` raises is raised here, with the same message.
+    Integer PCM is checked from its chunks alone; float samples are read
+    only to check that they are finite, and never converted to float64.
     """
-    data, sr = _read_foa(path)
-    return WavInfo(sr, len(data))
+    _, sr, n = _read_foa(path, samples=False)
+    return WavInfo(sr, n)
 
 
 def _write_float32(path, samples: np.ndarray, sample_rate: int) -> None:
@@ -255,7 +258,7 @@ def write_wav(path, clip: AudioClip) -> None:
 
 def read_wav_mono(path) -> tuple[np.ndarray, int]:
     """Read a single-channel WAV file as a 1-D float array plus its rate."""
-    data, sr = _read_stored(path)
+    data, sr, _, _ = _read_stored(path)
     if data.ndim != 1:
         raise ValueError(f"{path}: expected mono, found {data.shape[1]} channels")
     return _normalize_pcm(data), sr

@@ -25,8 +25,7 @@ class AugmentConfig:
     ``band_pass``: gains lie within [-120, 120] dB, pitches within
     [-12, 12] semitones, and the low cut-offs start above 0 Hz and end
     below the first high cut-off. The high cut-offs must also stay below
-    the clip's Nyquist frequency, which a run checks against its feature
-    sample rate.
+    the clip's Nyquist frequency, which ``band_pass`` checks per clip.
     """
 
     gain_db_range: tuple = (-6.0, 6.0)

@@ -1,23 +1,19 @@
 """End-to-end orchestration: configuration, segmentation, k-fold splits, scoring runs.
 
 A run walks a dataset manifest, and for every entry: load the clip and its
-labels, optionally augment the waveform, extract features, predict
-(directly or through rotation TTA), decode into events, and score against
-the labels. Every entry's WAV is read and checked (channels, rate,
-finite samples), but its samples are converted to float64, the waveform
-augmented and features extracted only for a predictor that reads them
-(``predict.reads_features``); for any other the run takes only the
-clip's rate and length (``audio.read_wav_info``). The oracle, constant
-and external predictors read no features, so they are given None, and
-neither the float64 clip, the augmented clip nor its features are ever
-computed. With
-such a predictor, ``augment`` and ``seed`` change nothing in the scores;
-the augment ranges are still checked when the run config loads.
-Per-class stats are merged across entries and finalized into one scores
-document. Entries that fail are reported and skipped; the
-run itself keeps going. A label file that is missing or does not parse
-fails every entry of its clip, and the predictor is built from the clips
-whose labels did parse.
+labels, extract features, predict (directly or through rotation TTA),
+decode into events, and score against the labels. A run never augments
+the waveform; the ``augment`` verb does, to make training data. Every
+entry's WAV is checked (channels, rate, finite samples), but its samples
+are converted to float64 and features extracted only for a predictor
+that reads them (``predict.reads_features``); for any other the run takes
+only the clip's rate and length (``audio.read_wav_info``). The oracle,
+constant and external predictors read no features, so they are given
+None. Per-class stats are merged across entries and finalized into one
+scores document. Entries that fail are reported and skipped; the run
+itself keeps going. A label file that is missing or does not parse fails
+every entry of its clip, and the predictor is built from the clips whose
+labels did parse.
 """
 
 from __future__ import annotations
@@ -30,12 +26,11 @@ import numpy as np
 
 from .accdoa import decode
 from .audio import AudioClip, read_wav, read_wav_info
-from .augment import AugmentConfig, augment_waveform
 from .features import FeatureConfig, extract_features
 from .labels import ClipAnnotation, read_labels
 from .manifest import DatasetManifest, ManifestEntry, load_manifest
 from .metrics import MetricConfig, evaluate_stats, merge_stats, score_report
-from .predict import ClipIdentity, check_prediction, make_predictor, reads_features, seed_material
+from .predict import ClipIdentity, check_prediction, make_predictor, reads_features
 from .tensorio import config_from_doc, write_json
 from .tta import TtaConfig, run_tta
 
@@ -130,25 +125,17 @@ class RunConfig:
 
     manifest: str
     predictor: dict
-    seed: int = 0
+    seed: int = 0  # read by nothing in a run; documents that set it still load
     n_classes: int = 13
     feature: FeatureConfig = FeatureConfig()
     metric: MetricConfig | None = None  # built from n_classes, the run's only class count
     tta: TtaConfig | None = TtaConfig()
-    augment: AugmentConfig | None = None
     decode_threshold: float = 0.5
 
     def __post_init__(self):
         object.__setattr__(self, "metric", self.metric or MetricConfig(n_classes=self.n_classes))
         if self.metric.n_classes != self.n_classes:
             raise ValueError(f"metric.n_classes {self.metric.n_classes} differs from the run's {self.n_classes}")
-        # every clip has the feature rate (check_rate), so this bounds every band-pass draw
-        nyquist = self.feature.sample_rate / 2
-        if self.augment is not None and self.augment.bandpass_hi_range[1] >= nyquist:
-            raise ValueError(
-                f"augment.bandpass_hi_range ends at {self.augment.bandpass_hi_range[1]}, not below "
-                f"{nyquist:g} Hz, half the feature sample_rate {self.feature.sample_rate}"
-            )
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
@@ -157,7 +144,15 @@ class RunConfig:
         A missing or unknown key, also inside a sub-config, or a value of another
         type raises ValueError naming the run config and the key. ``decode_threshold``
         thresholds direct predictions only, so setting it with TTA on raises
-        ValueError: TTA reads ``tta.activity_threshold``."""
+        ValueError: TTA reads ``tta.activity_threshold``. A run augments nothing, so
+        an ``augment`` key loads only as ``{}`` or null, which change nothing."""
+        if isinstance(doc, dict) and "augment" in doc:
+            if doc["augment"] not in ({}, None):
+                raise ValueError(
+                    "run config augment must be {} or null: a run scores its clips and does not augment them; "
+                    "augment training clips with the `seldkit augment` verb"
+                )
+            doc = {key: value for key, value in doc.items() if key != "augment"}
         metric = doc.get("metric") if isinstance(doc, dict) else None
         if isinstance(metric, dict):  # a non-object fails in config_from_doc
             if "n_classes" in metric:
@@ -183,11 +178,6 @@ def _score_entry(entry: ManifestEntry, annotation: ClipAnnotation, config: RunCo
             f"{entry.label_path}: label frame {annotation.max_frame} is past the end of the clip, "
             f"which has {label_frames} label frames"
         )
-    # the augmented clip feeds only the features; the config checks keep
-    # every draw valid, so skipping it changes no score
-    if config.augment is not None and reading:
-        rng = np.random.default_rng(seed_material(config.seed, entry.clip_path))
-        clip = augment_waveform(clip, config.augment, rng)
     identity = ClipIdentity(entry.clip_path)
     if config.tta is not None:
         events = run_tta(predictor, clip, identity, config.tta, config.feature, config.n_classes)

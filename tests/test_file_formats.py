@@ -17,6 +17,7 @@ from seldkit.accdoa import DetectedEvent, read_events, write_events
 from seldkit.audio import (
     AudioClip,
     WavFileWarning,
+    WavInfo,
     _read_stored,
     read_wav,
     read_wav_info,
@@ -322,7 +323,7 @@ class TestWavMatchesScipy:
         samples = seeded_samples(dtype, 37, channels)
         path = tmp_path / "x.wav"
         path.write_bytes(wav_bytes(samples, tag, bits, extensible, rate=16000))
-        stored, rate = _read_stored(path)
+        stored, rate, _, _ = _read_stored(path)
         scipy_rate, scipy_stored = wavfile.read(path)
         assert rate == scipy_rate == 16000
         assert stored.dtype == scipy_stored.dtype
@@ -461,6 +462,51 @@ class TestMutatedWavFailsByName:
         assert peak < len(data) + READ_MARGIN
         assert type(result) is ValueError
         assert str(result) == f"{path}: malformed WAV: Reached EOF prematurely"
+
+
+def _outcome(read, path):
+    """What ``read(path)`` returns, or the exception it raises."""
+    try:
+        return read(path)
+    except Exception as exc:  # returned, so the caller compares it
+        return exc
+
+
+FOA_WAVS = sorted(name for name, (_, readers) in VALID_WAVS.items() if read_wav_info in readers)
+
+
+class TestWavInfoFromHeader:
+    """``read_wav_info`` checks integer PCM from its chunks alone, and gives what ``read_wav`` gives."""
+
+    @pytest.mark.parametrize("extensible", [False, True], ids=["plain", "extensible"])
+    @pytest.mark.parametrize("dtype, tag, bits", STORED_FORMATS, ids=[f[0] for f in STORED_FORMATS])
+    def test_rate_and_length_equal_read_wav(self, tmp_path, dtype, tag, bits, extensible):
+        path = tmp_path / "x.wav"
+        path.write_bytes(wav_bytes(seeded_samples(dtype, 37, 4), tag, bits, extensible, rate=16000))
+        clip = read_wav(path)
+        assert read_wav_info(path) == WavInfo(clip.sample_rate, clip.n_samples) == WavInfo(16000, 37)
+
+    def test_integer_pcm_samples_are_not_read(self, tmp_path):
+        # 10 s of 4-channel 24-bit PCM: a 2.9 MB data chunk
+        path = tmp_path / "x.wav"
+        path.write_bytes(wav_bytes(seeded_samples("i3", 240000, 4), 1, 24))
+        result, peak = traced_peak(lambda: read_wav_info(path))
+        assert result == WavInfo(24000, 240000)
+        assert peak < READ_MARGIN
+
+    @settings(max_examples=300, deadline=None)
+    @given(name=st.sampled_from(FOA_WAVS), mutate=byte_mutations())
+    def test_mutated_file_same_error_or_same_clip(self, name, mutate):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "m.wav")
+            path.write_bytes(mutate(VALID_WAVS[name][0]))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", WavFileWarning)  # a flipped chunk id is skipped
+                clip, info = (_outcome(read, path) for read in (read_wav, read_wav_info))
+        if isinstance(clip, Exception):
+            assert (type(info), str(info)) == (ValueError, str(clip)), (repr(clip), repr(info))
+        else:
+            assert info == WavInfo(clip.sample_rate, clip.n_samples)
 
 
 def _tensor_files(directory: Path) -> Path:

@@ -1,7 +1,10 @@
 import dataclasses
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -10,11 +13,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import seldkit.audio
-import seldkit.augment
 import seldkit.pipeline
 import seldkit.tta
 from seldkit.audio import AudioClip, WavInfo, read_wav, read_wav_info, write_wav
-from seldkit.augment import AugmentConfig, augment_waveform
+from seldkit.augment import AugmentConfig
 from seldkit.geometry import Direction, angular_distance, dir_to_unit
 from seldkit.labels import read_labels, write_labels
 from seldkit.manifest import DatasetManifest, ManifestEntry, save_manifest
@@ -504,6 +506,10 @@ def small_dataset(tmp_path_factory):
     return root, manifest_path
 
 
+# the error of an augment value other than {} and null: a run scores and does not augment
+AUGMENT_KEY_ERROR = re.escape("run config augment must be {} or null") + ".*`seldkit augment` verb"
+
+
 class TestRunPipeline:
     def config(self, manifest_path, **overrides):
         doc = {
@@ -574,22 +580,23 @@ class TestRunPipeline:
         _, manifest_path = small_dataset
         # the keys the benchmark's run documents use keep loading
         config = self.config(manifest_path, n_classes=13, tta=None, augment={})
-        assert config.tta is None and config.augment == AugmentConfig()
+        assert config.tta is None and not hasattr(config, "augment")
         with pytest.raises(ValueError, match="augmnet"):
             self.config(manifest_path, augmnet={})
         with pytest.raises(ValueError, match="workers"):
             self.config(manifest_path, workers=2)
-        # a misspelled field inside a sub-config names the sub-config and the key
-        with pytest.raises(ValueError, match="unknown run config augment keys: seed"):
+        # a run augments nothing, so any augment section fails pointing to the verb
+        with pytest.raises(ValueError, match=AUGMENT_KEY_ERROR):
             self.config(manifest_path, augment={"seed": 0})
+        # a misspelled field inside a sub-config names the sub-config and the key
         with pytest.raises(ValueError, match="unknown run config tta keys: unify"):
             self.config(manifest_path, tta={"unify": 10.0})
 
     @pytest.mark.parametrize("field", ["n_time_masks", "max_time_frames", "n_freq_masks", "max_mel_bins"])
-    def test_augment_mask_field_is_unknown(self, small_dataset, field):
+    def test_augment_mask_field_names_the_verb(self, small_dataset, field):
         # no run masks spectrograms, so a mask setting is not a run setting
         _, manifest_path = small_dataset
-        with pytest.raises(ValueError, match=f"unknown run config augment keys: {field}"):
+        with pytest.raises(ValueError, match=AUGMENT_KEY_ERROR):
             self.config(manifest_path, augment={field: 50})
 
     def test_metric_n_classes_is_the_run_n_classes(self, small_dataset):
@@ -910,34 +917,6 @@ class TestRunPipeline:
         else:
             assert f"prediction shape {broken.shape}, expected (50, 13, 3)" in error
 
-    def test_augment_stage_runs(self, small_dataset, monkeypatch, augmentations):
-        # a model that reads its features, so every clip is augmented
-        _, manifest_path = small_dataset
-        monkeypatch.setattr(seldkit.pipeline, "make_predictor", lambda *a, **k: IntensityPredictor())
-        result = run_pipeline(
-            self.config(
-                manifest_path,
-                tta=None,
-                augment={"gain_db_range": [-3.0, 3.0], "pitch_semitone_range": [0.0, 0.0]},
-            )
-        )
-        assert result["n_scored"] == 3 and result["failures"] == []
-        assert augmentations == ["pitch_shift", "band_pass"] * 3
-
-    @pytest.mark.parametrize(
-        "feature, hi_range, rate",
-        [({}, [2000.0, 12000.0], 24000), ({"sample_rate": 16000, "hop": 400}, [2000.0, 11000.0], 16000)],
-    )
-    def test_bandpass_at_or_above_nyquist_rejected(self, small_dataset, feature, hi_range, rate):
-        # every clip of a run has the feature rate, so the ranges are checked
-        # before any entry, whether or not the predictor reads features
-        _, manifest_path = small_dataset
-        with pytest.raises(ValueError, match=rf"augment\.bandpass_hi_range .*sample_rate {rate}"):
-            self.config(manifest_path, feature=feature, augment={"bandpass_hi_range": hi_range})
-        below = [hi_range[0], np.nextafter(rate / 2, 0.0)]
-        config = self.config(manifest_path, feature=feature, augment={"bandpass_hi_range": below})
-        assert config.augment.bandpass_hi_range == tuple(below)  # an array field is stored as a tuple
-
     def test_jitter_beyond_threshold_degrades_f(self, small_dataset):
         # jitter 25 deg can cross the 20 deg threshold, so F drops below 1
         _, manifest_path = small_dataset
@@ -976,21 +955,6 @@ def conversions(monkeypatch):
         return original(data)
 
     monkeypatch.setattr(seldkit.audio, "_normalize_pcm", counting)
-    return calls
-
-
-@pytest.fixture
-def augmentations(monkeypatch):
-    """Name every ``pitch_shift`` and ``band_pass`` call, in call order."""
-    calls = []
-    for name in ("pitch_shift", "band_pass"):
-        original = getattr(seldkit.augment, name)
-
-        def counting(*args, _name=name, _original=original, **kwargs):
-            calls.append(_name)
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(seldkit.augment, name, counting)
     return calls
 
 
@@ -1053,10 +1017,8 @@ class RecordingPredictor:
 
 
 class TestFeaturesOnlyForReadingModels:
-    def config(self, manifest_path, predictor, tta, augment=None):
-        return RunConfig.from_dict(
-            {"manifest": str(manifest_path), "predictor": predictor, "tta": tta, "augment": augment}
-        )
+    def config(self, manifest_path, predictor, tta):
+        return RunConfig.from_dict({"manifest": str(manifest_path), "predictor": predictor, "tta": tta})
 
     @pytest.mark.parametrize("tta", [{}, None], ids=["tta", "direct"])
     @pytest.mark.parametrize("kind", ["oracle", "constant", "external"])
@@ -1066,16 +1028,6 @@ class TestFeaturesOnlyForReadingModels:
         result = run_pipeline(self.config(manifest_path, predictor, tta))
         assert result["n_scored"] == 3 and result["failures"] == []
         assert extractions == []
-
-    @pytest.mark.parametrize("tta", [{}, None], ids=["tta", "direct"])
-    @pytest.mark.parametrize("kind", ["oracle", "constant", "external"])
-    def test_built_in_predictors_augment_nothing(self, small_dataset, tmp_path, augmentations, kind, tta):
-        root, manifest_path = small_dataset
-        predictor = built_in_predictor(kind, root, tmp_path)
-        augmented = run_pipeline(self.config(manifest_path, predictor, tta, augment={}))
-        assert augmentations == []
-        assert augmented["n_scored"] == 3 and augmented["failures"] == []
-        assert augmented == run_pipeline(self.config(manifest_path, predictor, tta))
 
     @pytest.mark.parametrize("tta", [{}, None], ids=["tta", "direct"])
     @pytest.mark.parametrize("kind", ["oracle", "constant", "external"])
@@ -1089,7 +1041,7 @@ class TestFeaturesOnlyForReadingModels:
     def test_reading_predictor_converts_each_entry_once(self, small_dataset, monkeypatch, conversions, tta):
         _, manifest_path = small_dataset
         monkeypatch.setattr(seldkit.pipeline, "make_predictor", lambda *a, **k: IntensityPredictor())
-        result = run_pipeline(self.config(manifest_path, {"kind": "constant"}, tta, augment={}))
+        result = run_pipeline(self.config(manifest_path, {"kind": "constant"}, tta))
         assert result["n_scored"] == 3
         assert conversions == [(120000, 4)] * 3
 
@@ -1125,9 +1077,8 @@ class TestFeaturesOnlyForReadingModels:
         assert result["n_scored"] == 3
         assert len(extractions) == 3  # one per clip
 
-    @pytest.mark.parametrize("augment", [None, {}], ids=["plain", "augment"])
     @pytest.mark.parametrize("tta", [{}, None], ids=["tta", "direct"])
-    def test_reading_predictor_events_equal_hand_calls(self, small_dataset, monkeypatch, tta, augment):
+    def test_reading_predictor_events_equal_hand_calls(self, small_dataset, monkeypatch, tta):
         root, manifest_path = small_dataset
         model = IntensityPredictor()
         monkeypatch.setattr(seldkit.pipeline, "make_predictor", lambda *a, **k: model)
@@ -1139,15 +1090,12 @@ class TestFeaturesOnlyForReadingModels:
             return evaluate(events, annotation, config)
 
         monkeypatch.setattr(seldkit.pipeline, "evaluate_stats", recording)
-        config = self.config(manifest_path, {"kind": "constant"}, tta, augment)
+        config = self.config(manifest_path, {"kind": "constant"}, tta)
         run_pipeline(config)
         by_hand = []
         for i in range(3):
             clip_path = str(root / f"scene{i}.wav")
             clip = read_wav(clip_path)
-            if augment is not None:
-                rng = np.random.default_rng(seed_material(config.seed, clip_path))
-                clip = augment_waveform(clip, config.augment, rng)
             frames = config.feature.label_frames(clip.n_samples)
             if tta is None:
                 seq = model.predict(extract_features(clip), ClipIdentity(clip_path), frames)
@@ -1167,3 +1115,43 @@ class TestFeaturesOnlyForReadingModels:
         slow = AudioClip(clip.samples, sample_rate=16000)
         with pytest.raises(ValueError, match="clip rate 16000 != config rate 24000"):
             run_tta(OraclePredictor({"clip": annotation}), slow, ClipIdentity("clip"))
+
+
+class TestRunDocumentAugmentKey:
+    """A run augments nothing: ``augment`` loads as {} or null, and any other value fails naming the verb."""
+
+    @pytest.mark.parametrize("tta", [{}, None], ids=["tta", "direct"])
+    @pytest.mark.parametrize("kind", ["oracle", "constant", "external", "reading"])
+    def test_empty_or_null_scores_as_no_key(self, small_dataset, tmp_path, monkeypatch, kind, tta):
+        root, manifest_path = small_dataset
+        if kind == "reading":  # a model that reads its features, so an augmented input would move its scores
+            monkeypatch.setattr(seldkit.pipeline, "make_predictor", lambda *a, **k: IntensityPredictor())
+            kind = "constant"
+        predictor = built_in_predictor(kind, root, tmp_path)
+        doc = {"manifest": str(manifest_path), "predictor": predictor, "tta": tta}
+        plain, keyed = tmp_path / "plain.json", tmp_path / "keyed.json"
+        result = run_pipeline(RunConfig.from_dict(doc))
+        assert result["n_scored"] == 3 and result["failures"] == []
+        write_scores(result, plain)
+        for value in ({}, None):
+            config = RunConfig.from_dict({**doc, "augment": value})
+            assert config == RunConfig.from_dict(doc)
+            write_scores(run_pipeline(config), keyed)
+            assert keyed.read_bytes() == plain.read_bytes()
+
+    @pytest.mark.parametrize(
+        "value",
+        [[], 0, "", False] + [{f.name: list(f.default)} for f in dataclasses.fields(AugmentConfig)],
+        ids=repr,
+    )
+    def test_any_other_value_names_the_verb(self, value):
+        # a section that sets any AugmentConfig range fails, its default included
+        with pytest.raises(ValueError, match=f"^{AUGMENT_KEY_ERROR}$"):
+            RunConfig.from_dict({"manifest": "m.json", "predictor": {"kind": "oracle"}, "augment": value})
+
+    def test_pipeline_import_loads_no_augmentation(self):
+        script = "import sys, seldkit.pipeline; print(sorted({'seldkit.augment', 'scipy.signal'} & set(sys.modules)))"
+        env = {**os.environ, "PYTHONPATH": str(Path(seldkit.pipeline.__file__).resolve().parents[1])}
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["[]"]

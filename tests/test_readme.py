@@ -51,12 +51,11 @@ def test_run_document_table_lists_every_key():
 def test_run_document_table_lists_every_sub_config_field():
     import dataclasses
 
-    from seldkit.augment import AugmentConfig
     from seldkit.features import FeatureConfig
     from seldkit.metrics import MetricConfig
     from seldkit.tta import TtaConfig
 
-    sub_configs = {"feature": FeatureConfig, "tta": TtaConfig, "augment": AugmentConfig, "metric": MetricConfig}
+    sub_configs = {"feature": FeatureConfig, "tta": TtaConfig, "metric": MetricConfig}
     listed = {
         keys[0]: set(re.findall(r"`([^`]+)`", re.sub(r"\(.*?\)", "", fields)))
         for keys, fields in run_document_table()
