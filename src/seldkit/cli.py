@@ -2,8 +2,8 @@
 
 Verbs: features extract, rotate, augment, emulate, dataset sample-epoch,
 dataset kfold, accdoa decode, tta run, eval, pipeline run. The verbs that
-draw random numbers take --seed: augment, emulate, dataset sample-epoch,
-dataset kfold and tta run. ``pipeline run`` scores its entries one after
+draw random numbers take --seed: augment, emulate, dataset sample-epoch
+and dataset kfold. ``pipeline run`` scores its entries one after
 another. ``tta run --model`` takes
 ``oracle:<labels.csv>`` (the clip's own labels), ``constant[:<value>]`` or
 ``external:<dir>``.
@@ -46,13 +46,13 @@ def _config_file(config_cls, path, name: str):
     return config_from_doc(config_cls, read_json(path), f"{name} {path}") if path else config_cls()
 
 
-def parse_model_spec(spec: str, in_path, n_classes: int, seed: int) -> tuple[dict, dict | None]:
+def parse_model_spec(spec: str, in_path, n_classes: int) -> tuple[dict, dict | None]:
     """Parse ``oracle:<labels.csv>``, ``constant[:<value>]`` or ``external:<dir>`` into a
     ``make_predictor`` mapping and, for the oracle, the annotations of clip ``in_path``;
     the constant's value must parse as a float, as its JSON key must be a number."""
     kind, _, arg = spec.partition(":")
     if kind == "oracle" and arg:
-        return {"kind": "oracle", "seed": seed}, {in_path: read_labels(arg, n_classes=n_classes)}
+        return {"kind": "oracle"}, {in_path: read_labels(arg, n_classes=n_classes)}
     if kind == "constant":
         try:
             return {"kind": "constant", **({"value": float(arg)} if arg else {})}, None
@@ -201,12 +201,11 @@ def tta():
 @click.option("--config", "config_path", type=click.Path(exists=True), help="TtaConfig JSON.")
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--n-classes", type=int, default=13, show_default=True)
-@_seed_option
-def tta_run(models, in_path, config_path, out_path, n_classes, seed):
+def tta_run(models, in_path, config_path, out_path, n_classes):
     """Run 16-rotation clustering TTA over one clip."""
     config = _config_file(TtaConfig, config_path, "TTA config")
     clip = read_wav(in_path)
-    predictors = [make_predictor(*parse_model_spec(s, in_path, n_classes, seed), n_classes) for s in models]
+    predictors = [make_predictor(*parse_model_spec(s, in_path, n_classes), n_classes) for s in models]
     events = run_tta(predictors, clip, ClipIdentity(in_path), config, n_classes=n_classes)
     accdoa_mod.write_events(events, out_path)
     click.echo(f"wrote {out_path} ({len(events)} events)")

@@ -113,8 +113,10 @@ def _jitter_vectors(seq: np.ndarray, jitter_deg: float, rng: np.random.Generator
     The draws (axis, then angle) stay per cell, in cell order, so the RNG
     stream and every bit match a per-cell loop of
     ``rng.standard_normal(3)``, ``np.linalg.norm`` and
-    ``rng.uniform(0, jitter_deg)``; the loop holds only the draws. After
-    it, the axis norms and the axis-vector dots are batched as
+    ``rng.uniform(0, jitter_deg)``. The loop holds only the two draws: a
+    cell's three normals are written straight into its row of the axes
+    (``standard_normal(out=row)``) and its angle draw is collected as it
+    comes. After it, the axis norms and the axis-vector dots are batched as
     ``np.matmul`` of (1, 3) by (3, 1) rows, which runs the dot kernel that
     ``np.linalg.norm`` and ``@`` run on one vector, so they are bit-equal
     to the per-cell values (``einsum`` and ``sum`` round differently).
@@ -124,11 +126,8 @@ def _jitter_vectors(seq: np.ndarray, jitter_deg: float, rng: np.random.Generator
     frames, classes = np.nonzero(np.linalg.norm(seq, axis=2) > 0)
     v = seq[frames, classes]
     axes = np.empty_like(v)
-    draws = np.empty(len(v))
     normal, random = rng.standard_normal, rng.random
-    for i in range(len(v)):
-        axes[i] = normal(3)
-        draws[i] = random()
+    draws = np.array([(normal(out=row), random())[1] for row in axes])
     axes /= np.sqrt(np.matmul(axes[:, np.newaxis, :], axes[:, :, np.newaxis]))[:, 0]
     dots = np.matmul(axes[:, np.newaxis, :], v[:, :, np.newaxis])[:, 0, 0]
     angle = np.radians(jitter_deg * draws)[:, np.newaxis]

@@ -162,6 +162,12 @@ def dbscan_sphere(points, eps_deg: float, min_pts: int) -> np.ndarray:
     per cell: for one model's cells (n <= 16) that is less than
     propagating labels hop by hop, while on uniform stacks of 48 rows or
     more, hop-by-hop propagation can be faster.
+
+    A clique cell, where every point has all n points within eps, is one
+    cluster when n >= min_pts: every point is core and links every other,
+    so all its labels are 0, which is what the closure gives. Such cells
+    skip the closure; only the other cells of the stack go through it.
+    Below min_pts a clique has no core and stays all noise.
     """
     if eps_deg <= 0:
         raise ValueError("eps_deg must be positive")
@@ -174,7 +180,22 @@ def dbscan_sphere(points, eps_deg: float, min_pts: int) -> np.ndarray:
         return np.full(stack.shape[:2] if pts.ndim == 3 else 0, -1)
     cos_eps = math.cos(math.radians(eps_deg))
     adjacency = stack @ stack.transpose(0, 2, 1) >= cos_eps - 1e-12
-    core = adjacency.sum(axis=2) >= min_pts
+    neighbours = adjacency.sum(axis=2)
+    core = neighbours >= min_pts
+    clique = (neighbours == n).all(axis=1) & (n >= min_pts)
+    if clique.any():
+        labels = np.zeros(stack.shape[:2], dtype=int)
+        rest = ~clique
+        labels[rest] = _component_labels(adjacency[rest], core[rest])
+    else:
+        labels = _component_labels(adjacency, core)
+    return labels if pts.ndim == 3 else labels[0]
+
+
+def _component_labels(adjacency: np.ndarray, core: np.ndarray) -> np.ndarray:
+    """``dbscan_sphere``'s labels of a ``(G, n, n)`` stack of eps-adjacency
+    matrices with their ``(G, n)`` core flags, by closure squaring."""
+    n = adjacency.shape[1]
     # reach[g, j, i]: core point j has point i within eps
     reach = adjacency & core[:, :, np.newaxis]
     # link[g, j, i]: core j reaches core i in up to 2**k links after k squarings
@@ -191,7 +212,7 @@ def dbscan_sphere(points, eps_deg: float, min_pts: int) -> np.ndarray:
     border = np.where(reach, core_labels[:, :, np.newaxis], n).min(axis=1, initial=n)
     labels = np.where(core, core_labels, border)
     labels[labels == n] = -1
-    return labels if pts.ndim == 3 else labels[0]
+    return labels
 
 
 def aggregate(candidates: CandidateSet, config: TtaConfig | None = None) -> EventTable:

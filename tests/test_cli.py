@@ -250,13 +250,13 @@ class TestAccdoaCli:
 
 
 class TestModelSpec:
-    def parse(self, spec, seed=0):
-        return parse_model_spec(spec, "scene.wav", 13, seed)
+    def parse(self, spec):
+        return parse_model_spec(spec, "scene.wav", 13)
 
     def test_strings_parse_to_make_predictor_mappings(self, scene_files, tmp_path):
         _, csv, annotation = scene_files
-        assert self.parse(f"oracle:{csv}", seed=4) == (
-            {"kind": "oracle", "seed": 4},
+        assert self.parse(f"oracle:{csv}") == (
+            {"kind": "oracle"},
             {"scene.wav": annotation},
         )
         assert self.parse("constant") == ({"kind": "constant"}, None)
@@ -265,8 +265,8 @@ class TestModelSpec:
         assert make_predictor(*self.parse("constant:0.25")).value == 0.25
         assert isinstance(make_predictor(*self.parse("constant")), ConstantPredictor)
         assert isinstance(make_predictor(*self.parse(f"external:{tmp_path}")), ExternalFilePredictor)
-        oracle = make_predictor(*self.parse(f"oracle:{csv}", seed=4))
-        assert oracle.config == OraclePredictorConfig(seed=4)
+        oracle = make_predictor(*self.parse(f"oracle:{csv}"))
+        assert oracle.config == OraclePredictorConfig()
 
     @pytest.mark.parametrize("spec", ["oracle", "oracle:", "external", "warp-drive", "warp:x"])
     def test_malformed_rejected(self, spec):
@@ -395,8 +395,10 @@ def test_help_lists_all_verbs(runner):
         assert verb in result.output
 
 
-SEEDED_VERBS = (["augment"], ["emulate"], ["dataset", "sample-epoch"], ["dataset", "kfold"], ["tta", "run"])
-UNSEEDED_VERBS = (["features", "extract"], ["rotate"], ["accdoa", "decode"], ["eval"], ["pipeline", "run"])
+SEEDED_VERBS = (["augment"], ["emulate"], ["dataset", "sample-epoch"], ["dataset", "kfold"])
+UNSEEDED_VERBS = (
+    ["features", "extract"], ["rotate"], ["accdoa", "decode"], ["tta", "run"], ["eval"], ["pipeline", "run"]
+)
 
 
 @pytest.mark.parametrize("verb", SEEDED_VERBS + UNSEEDED_VERBS, ids=" ".join)

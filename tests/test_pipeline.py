@@ -234,6 +234,15 @@ class TestPredictors:
         assert _jitter_vectors(seq, jitter_deg, rng).tobytes() == expected.tobytes()
         assert rng.bit_generator.state == ref_rng.bit_generator.state  # same draws consumed
 
+    def test_jitter_vectors_of_a_silent_sequence_draw_nothing(self):
+        seq = np.zeros((30, 13, 3))
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        out = _jitter_vectors(seq, 5.0, rng)
+        assert not np.shares_memory(out, seq)
+        assert out.shape == seq.shape and out.tobytes() == seq.tobytes()
+        assert rng.bit_generator.state == state
+
     def test_oracle_activity_scaling(self):
         clip, annotation = two_event_scene(seed=6)
         feats = extract_features(clip)

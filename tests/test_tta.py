@@ -207,7 +207,9 @@ def unit(az, el):
 
 def point_stack(seed, kinds, n):
     """One (n, 3) cell of unit vectors per kind, stacked: tight groups with
-    strays, a few points repeated n times over, or uniform scatter."""
+    strays, a few points repeated n times over, a clique of points within
+    0.3 deg of one centre (so within 0.6 deg of each other), or uniform
+    scatter."""
     rng = np.random.default_rng(seed)
     cells = []
     for kind in kinds:
@@ -216,6 +218,11 @@ def point_stack(seed, kinds, n):
         elif kind == "duplicates":
             distinct = clustered_point_set(rng, max(1, n // 6))
             cells.append(distinct[rng.integers(len(distinct), size=n)])
+        elif kind == "tight":
+            centre = rng.standard_normal(3)
+            # each offset is at most 0.003 * sqrt(3) rad, under 0.3 deg
+            v = centre / np.linalg.norm(centre) + rng.uniform(-0.003, 0.003, (n, 3))
+            cells.append(v / np.linalg.norm(v, axis=1, keepdims=True))
         else:
             v = rng.standard_normal((n, 3))
             cells.append(v / np.linalg.norm(v, axis=1, keepdims=True))
@@ -231,7 +238,7 @@ class TestStackedDbscan:
     @settings(max_examples=80, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        kinds=st.lists(st.sampled_from(["clustered", "duplicates", "scatter"]), min_size=1, max_size=6),
+        kinds=st.lists(st.sampled_from(["clustered", "duplicates", "tight", "scatter"]), min_size=1, max_size=6),
         n=st.integers(1, 48),
         min_pts=st.integers(1, 5),
         eps_mode=st.sampled_from(["free", "pair", "below_all"]),
@@ -310,6 +317,43 @@ class TestStackedDbscan:
             np.testing.assert_array_equal(got, dbscan_reference(cell, 4.0, min_pts))
             np.testing.assert_array_equal(got, dbscan_expansion_reference(cell, 4.0, min_pts))
             np.testing.assert_array_equal(got, dbscan_sphere(cell, 4.0, min_pts))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 16, 17])
+    def test_clique_cells_are_one_cluster_down_from_min_pts_n(self, n):
+        # the points of a tight cell lie within 0.6 deg of each other, so at
+        # eps = 4 deg every point has all n points as neighbours
+        cliques = point_stack(n, ["tight"] * 3, n)
+        for min_pts in range(1, n + 1):
+            assert dbscan_sphere(cliques, 4.0, min_pts).tolist() == [[0] * n] * 3
+            assert dbscan_sphere(cliques[0], 4.0, min_pts).tolist() == [0] * n
+        assert dbscan_sphere(cliques, 4.0, n + 1).tolist() == [[-1] * n] * 3
+        assert dbscan_sphere(cliques[0], 4.0, n + 1).tolist() == [-1] * n
+
+    def test_one_point_cell(self):
+        point = np.array([[0.0, 0.0, 1.0]])
+        assert dbscan_sphere(point, 4.0, 1).tolist() == [0]
+        assert dbscan_sphere(point, 4.0, 2).tolist() == [-1]
+        assert dbscan_sphere(point[np.newaxis], 4.0, 1).tolist() == [[0]]
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 9, 17])
+    @pytest.mark.parametrize("min_pts", [1, 2, 3])
+    def test_clique_and_chain_cells_in_one_stack(self, n, min_pts):
+        # a chain: n points 3 deg apart along a great circle, each within
+        # eps = 4 deg of the next only (a clique at n = 2); one edge short of
+        # a clique: the two ends of a 6 deg arc and n - 2 points at its middle
+        rng = np.random.default_rng(n)
+        basis, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        angles = np.radians(3.0 * np.arange(max(n, 3)))
+        circle = np.cos(angles)[:, np.newaxis] * basis[0] + np.sin(angles)[:, np.newaxis] * basis[1]
+        chain = circle[:n]
+        one_edge_short = circle[[0] + [1] * (n - 2) + [2]]
+        tight = point_stack(n, ["tight"] * 3, n)
+        cells = [tight[0], chain[rng.permutation(n)], tight[1], one_edge_short, chain[::-1], tight[2]]
+        labels = dbscan_sphere(np.stack(cells), 4.0, min_pts)
+        assert labels[[0, 2, 5]].tolist() == [[0 if n >= min_pts else -1] * n] * 3
+        for cell, got in zip(cells, labels):
+            np.testing.assert_array_equal(got, dbscan_sphere(cell, 4.0, min_pts))
+            np.testing.assert_array_equal(got, dbscan_reference(cell, 4.0, min_pts))
 
 
 class TestCollectCandidates:
