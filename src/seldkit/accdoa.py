@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Direction, unit_vectors, vector_angles
+from .geometry import Direction, norm3, unit_vectors, vector_angles
 from .labels import ClipAnnotation, read_table, write_table
 
 MAX_ACTIVITY = math.sqrt(3.0)
@@ -157,7 +157,7 @@ def decode(seq, threshold: float = 0.5) -> EventTable:
     if len(bad):
         raise ValueError(f"non-finite sequence value at frame {bad[0][0]}, class {bad[0][1]}")
     with np.errstate(over="ignore"):
-        norms = np.linalg.norm(arr, axis=2)
+        norms = norm3(arr)
     bad = np.argwhere(np.isinf(norms))
     if len(bad):
         raise ValueError(f"vector norm overflows at frame {bad[0][0]}, class {bad[0][1]}")

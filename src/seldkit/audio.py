@@ -85,6 +85,7 @@ _DTYPES = {
     (_FLOAT, 64): np.dtype("<f8"),
 }
 _QUIET_CHUNKS = (b"fact", b"LIST", b"JUNK")  # skipped without a warning
+_CHECK_BLOCK = 1 << 18  # bytes of float samples checked at a time when they are not kept
 
 
 def _normalize_pcm(data: np.ndarray) -> np.ndarray:
@@ -131,6 +132,23 @@ def _read_fmt(path, body: bytes, size: int) -> tuple[int, int, int, np.dtype]:
     return channels, rate, block_align, _DTYPES[tag, bits]
 
 
+def _finite_blocks(f, dtype: np.dtype, size: int) -> bool:
+    """Whether the next ``size`` bytes of ``f`` are all finite ``dtype`` samples.
+
+    They are read block by block through one buffer of ``_CHECK_BLOCK``
+    bytes. False at the first block holding a NaN or infinity, or at a
+    short read; ``size`` is a whole number of samples.
+    """
+    values = np.empty(min(size, _CHECK_BLOCK) // dtype.itemsize, dtype)
+    raw, finite = values.view(np.uint8), np.empty(len(values), bool)
+    for start in range(0, size, _CHECK_BLOCK):
+        n = min(size - start, _CHECK_BLOCK)
+        k = n // dtype.itemsize
+        if f.readinto(raw[:n]) != n or not np.isfinite(values[:k], out=finite[:k]).all():
+            return False
+    return True
+
+
 def _read_stored(path, samples: bool = True) -> tuple[np.ndarray | None, int, int, int]:
     """A WAV file's samples as stored, shaped (n, channels) or (n,) for mono, its rate, channels and frames.
 
@@ -139,7 +157,10 @@ def _read_stored(path, samples: bool = True) -> tuple[np.ndarray | None, int, in
     (possible only in float WAVs, naming the first bad (channel, sample))
     raise ValueError naming the path. A chunk seldkit does not know is
     skipped with a ``WavFileWarning``. An OSError is raised as it is.
-    With ``samples`` false, integer PCM is checked from its chunks alone: None stands for its samples.
+    With ``samples`` false, None stands for the samples: integer PCM is
+    checked from its chunks alone, and float samples block by block in
+    bounded memory (``_finite_blocks``). Only a block that fails the check,
+    or a short read, reads the whole chunk, to name the error as above.
     """
     with open(path, "rb") as f:
         file_size = os.fstat(f.fileno()).st_size
@@ -176,9 +197,11 @@ def _read_stored(path, samples: bool = True) -> tuple[np.ndarray | None, int, in
         offset, size = data
         if size % block_align:
             raise _malformed(path, f"data chunk of {size} bytes is not whole {block_align}-byte frames")
-        if not samples and dtype.kind != "f":  # only float samples can be NaN or infinite
-            return None, rate, channels, size // block_align
         f.seek(offset)
+        # only float samples can be NaN or infinite
+        if not samples and (dtype.kind != "f" or _finite_blocks(f, dtype, size)):
+            return None, rate, channels, size // block_align
+        f.seek(offset)  # the whole chunk, which names a bad sample or a short read
         stored = np.fromfile(f, dtype, size // dtype.itemsize)
     if stored.nbytes != size:  # the file shrank after its size was taken
         raise _malformed(path, "Reached EOF prematurely")
@@ -220,7 +243,8 @@ def read_wav_info(path) -> WavInfo:
 
     Every error ``read_wav`` raises is raised here, with the same message.
     Integer PCM is checked from its chunks alone; float samples are read
-    only to check that they are finite, and never converted to float64.
+    block by block only to check that they are finite, in bounded memory,
+    and never converted to float64.
     """
     _, sr, n = _read_foa(path, samples=False)
     return WavInfo(sr, n)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio import AudioClip, WavInfo
-from .geometry import Direction, unit_to_dir
+from .geometry import Direction, norm3, unit_to_dir
 from .labels import LABEL_FRAME_S
 
 FEATURE_CHANNELS = (
@@ -149,7 +149,7 @@ def _intensity_component(stft_w, stft_c, fb) -> np.ndarray:
 
 def _unit_cells(vec, floor_eps: float) -> np.ndarray:
     """Scale the 3-vector of every (frame, mel) cell of ``vec`` (3, frames, n_mels) to unit norm."""
-    norm = np.linalg.norm(vec, axis=0)
+    norm = norm3(np.moveaxis(vec, 0, -1))
     scale = np.where(norm > floor_eps, 1.0 / np.maximum(norm, floor_eps), 0.0)
     return vec * scale
 

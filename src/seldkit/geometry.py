@@ -10,6 +10,13 @@ azimuth and elevation columns: ``unit_vectors`` of many directions and
 ``dir_to_unit`` of one call it, so all agree bit for bit. The way back is
 one place too, ``vector_angles`` of the rows of an array, which
 ``unit_to_dir`` calls for one vector.
+
+``norm3``, ``dot3`` and ``cross3`` are the norm, dot and cross product
+over a last axis of length 3, written out component by component. They
+hold the bits of ``np.linalg.norm(v, axis=-1)``, ``np.sum(u * v,
+axis=-1)`` and ``np.cross(u, v)``, which add and multiply in the same
+order, without numpy's generic reduction and cross set-up on small
+arrays (``tests/test_geometry.py::TestXyzKernels`` holds them to it).
 """
 
 from __future__ import annotations
@@ -62,6 +69,28 @@ class UnitVec3:
         return np.array([self.x, self.y, self.z], dtype=float)
 
 
+def norm3(v: np.ndarray) -> np.ndarray:
+    """``sqrt((x*x + y*y) + z*z)`` over the last axis of ``v``: the bits of ``np.linalg.norm(v, axis=-1)``."""
+    sq = v * v
+    return np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2])
+
+
+def dot3(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``((0 + u0*v0) + u1*v1) + u2*v2`` over the last axes, broadcast: the bits of ``np.sum(u * v, axis=-1)``.
+
+    The sum starts from +0.0, as numpy's does, so three -0.0 products sum to +0.0.
+    """
+    p = u * v
+    return 0.0 + p[..., 0] + p[..., 1] + p[..., 2]
+
+
+def cross3(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The cross product over the last axes, broadcast: the bits of ``np.cross(u, v)``."""
+    u0, u1, u2 = u[..., 0], u[..., 1], u[..., 2]
+    v0, v1, v2 = v[..., 0], v[..., 1], v[..., 2]
+    return np.stack([u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0], axis=-1)
+
+
 def _cos_sin(radians: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``math.cos`` and ``math.sin`` of every element: numpy's do not round as ``math``'s do."""
     values = radians.tolist()
@@ -102,6 +131,9 @@ def _undefined(n: float) -> ValueError:
 def vector_angles(vectors) -> tuple[np.ndarray, np.ndarray]:
     """The azimuths and elevations of the rows of an ``(n, 3)`` array, as two float arrays.
 
+    A ``(3,)`` vector is one row, and a ``(G, n, 3)`` stack gives its
+    ``G * n`` rows in order; any other shape raises ValueError naming it.
+
     Each row is normalized; the azimuth is ``degrees(atan2(y, x))``
     wrapped into (-180, 180] (0 at the poles, x = y = 0) and the elevation
     ``degrees(atan2(z, hypot(x, y)))``. The norms, the normalization, the
@@ -110,10 +142,12 @@ def vector_angles(vectors) -> tuple[np.ndarray, np.ndarray]:
     ``math``'s, since numpy's do not round as ``math``'s do. The first
     row whose norm is 0 or not finite raises ValueError.
     """
-    v = np.asarray(vectors, dtype=float).reshape(-1, 3)
-    x, y, z = v.T
+    v = np.asarray(vectors, dtype=float)
+    if not 1 <= v.ndim <= 3 or v.shape[-1] != 3:
+        raise ValueError(f"expected vectors shaped (3,), (n, 3) or (G, n, 3), got {v.shape}")
+    v = v.reshape(-1, 3)
     with np.errstate(over="ignore"):
-        n = np.sqrt(x * x + y * y + z * z)
+        n = norm3(v)
     bad = (n == 0.0) | ~np.isfinite(n)
     if bad.any():
         raise _undefined(float(n[bad.argmax()]))
@@ -146,14 +180,15 @@ def angle_between(u, v) -> np.ndarray:
 
     Broadcasts over leading axes; the last axis must have length 3. Inputs
     need not be normalized. Uses atan2(|u x v|, u.v), which is accurate
-    down to ~1e-13 degrees near coincident and antipodal pairs.
+    down to ~1e-13 degrees near coincident and antipodal pairs; ``norm3``,
+    ``cross3`` and ``dot3`` give the bits of ``np.linalg.norm``, ``np.cross``
+    and ``np.sum``.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    cross = np.cross(u, v)
-    sin_part = np.linalg.norm(cross, axis=-1)
-    cos_part = np.sum(u * v, axis=-1)
-    return np.degrees(np.arctan2(sin_part, cos_part))
+    if u.shape[-1:] != (3,) or v.shape[-1:] != (3,):
+        raise ValueError(f"expected vectors with a last axis of length 3, got {u.shape} and {v.shape}")
+    return np.degrees(np.arctan2(norm3(cross3(u, v)), dot3(u, v)))
 
 
 def angular_distance(a: Direction, b: Direction) -> float:

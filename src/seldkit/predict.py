@@ -14,6 +14,7 @@ inputs (which is what makes end-to-end TTA identities exactly testable).
 
 from __future__ import annotations
 
+import os
 import zlib
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -22,6 +23,7 @@ from typing import Protocol
 import numpy as np
 
 from .accdoa import MAX_ACTIVITY, encode
+from .geometry import cross3, norm3
 from .rotation import pattern_by_id, rotate_annotation
 from .tensorio import check_keys, config_from_doc, load_tensor, typed_value
 
@@ -76,7 +78,7 @@ def check_prediction(seq, identity: ClipIdentity, label_frames: int, n_classes: 
         )
     if not np.isfinite(arr).all():
         raise ValueError(f"{where}: non-finite prediction values")
-    longest = float(np.linalg.norm(arr, axis=2).max(initial=0.0))
+    longest = float(norm3(arr).max(initial=0.0))
     if longest > MAX_ACTIVITY:
         raise ValueError(
             f"{where}: prediction vector of norm {longest} exceeds sqrt(3) = {MAX_ACTIVITY}"
@@ -112,8 +114,8 @@ def _jitter_vectors(seq: np.ndarray, jitter_deg: float, rng: np.random.Generator
 
     The draws (axis, then angle) stay per cell, in cell order, so the RNG
     stream and every bit match a per-cell loop of
-    ``rng.standard_normal(3)``, ``np.linalg.norm`` and
-    ``rng.uniform(0, jitter_deg)``. The loop holds only the two draws: a
+    ``rng.standard_normal(3)``, ``np.linalg.norm``, ``rng.uniform(0,
+    jitter_deg)`` and ``np.cross``. The loop holds only the two draws: a
     cell's three normals are written straight into its row of the axes
     (``standard_normal(out=row)``) and its angle draw is collected as it
     comes. After it, the axis norms and the axis-vector dots are batched as
@@ -122,8 +124,11 @@ def _jitter_vectors(seq: np.ndarray, jitter_deg: float, rng: np.random.Generator
     to the per-cell values (``einsum`` and ``sum`` round differently).
     ``uniform(0, j)`` is ``0 + j * random()``, so the angles are scaled
     after the loop, and the Rodrigues rotation runs over all cells at once.
+    The active cells and the rotation's cross product are ``geometry``'s
+    ``norm3`` and ``cross3``, the bits of ``np.linalg.norm(seq, axis=2)``
+    and ``np.cross``.
     """
-    frames, classes = np.nonzero(np.linalg.norm(seq, axis=2) > 0)
+    frames, classes = np.nonzero(norm3(seq) > 0)
     v = seq[frames, classes]
     axes = np.empty_like(v)
     normal, random = rng.standard_normal, rng.random
@@ -131,13 +136,10 @@ def _jitter_vectors(seq: np.ndarray, jitter_deg: float, rng: np.random.Generator
     axes /= np.sqrt(np.matmul(axes[:, np.newaxis, :], axes[:, :, np.newaxis]))[:, 0]
     dots = np.matmul(axes[:, np.newaxis, :], v[:, :, np.newaxis])[:, 0, 0]
     angle = np.radians(jitter_deg * draws)[:, np.newaxis]
+    cos = np.cos(angle)
     out = seq.copy()
     # Rodrigues rotation about the random axes
-    out[frames, classes] = (
-        v * np.cos(angle)
-        + np.cross(axes, v) * np.sin(angle)
-        + axes * dots[:, np.newaxis] * (1.0 - np.cos(angle))
-    )
+    out[frames, classes] = v * cos + cross3(axes, v) * np.sin(angle) + axes * dots[:, np.newaxis] * (1.0 - cos)
     return out
 
 
@@ -201,21 +203,25 @@ class ExternalFilePredictor:
     file stem of the clip id (with the usual JSON sidecar); ``<stem>.acc``
     is accepted for the identity pattern so non-TTA runs need no suffix.
     The tensor is returned as stored, whatever ``label_frames`` says;
-    the caller's ``check_prediction`` holds it to the clip's grid.
+    the caller's ``check_prediction`` holds it to the clip's grid. File
+    names are joined as strings, each the ``str`` of ``directory / name``,
+    with one existence check per candidate file.
     """
 
     reads_features = False
 
     def __init__(self, directory):
         self.directory = Path(directory)
+        # str(self.directory / name) is this prefix + name: Path drops a "." directory
+        self._prefix = "" if str(self.directory) == "." else os.path.join(self.directory, "")
 
     def predict(self, features: np.ndarray | None, identity: ClipIdentity, label_frames: int) -> np.ndarray:
-        stem = Path(identity.clip_id).stem
-        candidates = [self.directory / f"{stem}.p{identity.pattern_id:02d}.acc"]
+        stem = self._prefix + Path(identity.clip_id).stem
+        candidates = [f"{stem}.p{identity.pattern_id:02d}.acc"]
         if identity.pattern_id == 0:
-            candidates.append(self.directory / f"{stem}.acc")
+            candidates.append(f"{stem}.acc")
         for path in candidates:
-            if path.exists():
+            if os.path.exists(path):
                 seq, _ = load_tensor(path)
                 return seq
         raise FileNotFoundError(

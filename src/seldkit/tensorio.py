@@ -138,12 +138,14 @@ def load_tensor(path) -> tuple[np.ndarray, dict]:
     ``dtype``, if present, must be ``"<f4"``, the only payload
     ``save_tensor`` writes. A malformed header raises ValueError naming
     the header file, and a NaN or infinite payload value one naming the
-    path.
+    path. A header that cannot be found, also under a path that runs
+    through a file, raises FileNotFoundError naming it.
     """
-    header_path = Path(str(path) + ".json")
-    if not header_path.exists():
-        raise FileNotFoundError(f"missing tensor header {header_path}")
-    header = read_json(header_path)
+    header_path = Path(f"{path}.json")
+    try:
+        header = read_json(header_path)
+    except (FileNotFoundError, NotADirectoryError):
+        raise FileNotFoundError(f"missing tensor header {header_path}") from None
     check_keys(header, HEADER_KEYS, f"tensor header {header_path}", required=("dims",))
     if header.get("dtype", "<f4") != "<f4":
         raise ValueError(f"tensor header {header_path}: dtype must be '<f4', got {header['dtype']!r}")

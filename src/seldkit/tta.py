@@ -33,7 +33,7 @@ import numpy as np
 from .accdoa import MAX_ACTIVITY, EventTable
 from .audio import AudioClip, WavInfo
 from .features import FeatureConfig, extract_features
-from .geometry import vector_angles
+from .geometry import norm3, vector_angles
 from .predict import check_prediction, reads_features
 from .rotation import all_patterns, apply_to_features, apply_to_vector, compose, inverse, pattern_by_id
 
@@ -122,12 +122,12 @@ def collect_candidates(predictions, threshold: float) -> CandidateSet:
     stack = np.stack(
         [apply_to_vector(seq, inverse(pattern_by_id(pid))) for pid, seq in predictions]
     )
-    finite = np.isfinite(stack).reshape(len(stack), -1).all(axis=1)
-    if not finite.all():
+    if not np.isfinite(stack).all():  # one pass; the per-pattern scan only names the patterns
+        finite = np.isfinite(stack).reshape(len(stack), -1).all(axis=1)
         bad = sorted({predictions[i][0] for i in np.flatnonzero(~finite)})
         raise ValueError(f"non-finite prediction values under rotation pattern(s) {bad}")
     # (frame, class, prediction) order: rows come out by cell, then by prediction
-    active = np.moveaxis(np.linalg.norm(stack, axis=-1) > threshold, 0, 2)
+    active = np.moveaxis(norm3(stack) > threshold, 0, 2)
     counts = active.sum(axis=2)
     frames, classes = np.nonzero(counts)
     return CandidateSet.from_arrays(
@@ -172,12 +172,12 @@ def dbscan_sphere(points, eps_deg: float, min_pts: int) -> np.ndarray:
     if eps_deg <= 0:
         raise ValueError("eps_deg must be positive")
     pts = np.asarray(points, dtype=float)
-    stack = pts if pts.ndim == 3 else pts.reshape(1, -1, 3)
-    if stack.shape[-1] != 3:
+    if pts.ndim not in (2, 3) or pts.shape[-1] != 3:
         raise ValueError(f"expected points shaped (n, 3) or (G, n, 3), got {pts.shape}")
+    stack = pts if pts.ndim == 3 else pts[np.newaxis]
     n = stack.shape[1]
     if n == 0:
-        return np.full(stack.shape[:2] if pts.ndim == 3 else 0, -1)
+        return np.full(pts.shape[:-1], -1)
     cos_eps = math.cos(math.radians(eps_deg))
     adjacency = stack @ stack.transpose(0, 2, 1) >= cos_eps - 1e-12
     neighbours = adjacency.sum(axis=2)
@@ -242,7 +242,7 @@ def aggregate(candidates: CandidateSet, config: TtaConfig | None = None) -> Even
     """
     config = config or TtaConfig()
     keys, offsets, rows = candidates.keys, candidates.offsets, candidates.rows
-    norms = np.linalg.norm(rows, axis=1)
+    norms = norm3(rows)
     degenerate = ~(np.isfinite(norms) & (norms > 0.0))
     if degenerate.any():
         frame, class_id = keys[np.searchsorted(offsets, np.argmax(degenerate), side="right") - 1].tolist()

@@ -7,6 +7,7 @@ import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.io import wavfile
 
 from seldkit.accdoa import DetectedEvent, read_events, write_events
+import seldkit.audio
 from seldkit.audio import (
     AudioClip,
     WavFileWarning,
@@ -494,6 +496,13 @@ class TestWavInfoFromHeader:
         assert result == WavInfo(24000, 240000)
         assert peak < READ_MARGIN
 
+    def test_float_samples_are_checked_in_bounded_memory(self, tmp_path):
+        # 60 s of 4-channel float32: a 23 MB data chunk, read through one 256 KiB buffer
+        path = write_float_wav(tmp_path / "x.wav", "<f4", 60 * 24000 * 4)
+        result, peak = traced_peak(lambda: read_wav_info(path))
+        assert result == WavInfo(24000, 60 * 24000)
+        assert peak < 1024 * 1024
+
     @settings(max_examples=300, deadline=None)
     @given(name=st.sampled_from(FOA_WAVS), mutate=byte_mutations())
     def test_mutated_file_same_error_or_same_clip(self, name, mutate):
@@ -507,6 +516,60 @@ class TestWavInfoFromHeader:
             assert (type(info), str(info)) == (ValueError, str(clip)), (repr(clip), repr(info))
         else:
             assert info == WavInfo(clip.sample_rate, clip.n_samples)
+
+
+CHECK_BLOCK = seldkit.audio._CHECK_BLOCK  # 256 KiB: the bytes of float samples read_wav_info checks at a time
+
+
+def write_float_wav(path: Path, dtype: str, n_values: int, bad: dict | None = None) -> Path:
+    """A 4-channel float WAV of ``n_values`` interleaved samples of 0.25, but ``bad``'s {index: value}.
+
+    The data chunk is written in pieces, so no data-sized buffer is built.
+    """
+    header = bytearray(wav_bytes(np.empty((0, 4), dtype), 3, 8 * np.dtype(dtype).itemsize))
+    size = n_values * np.dtype(dtype).itemsize
+    header[4:8] = (len(header) - 8 + size).to_bytes(4, "little")
+    header[-4:] = size.to_bytes(4, "little")  # the data chunk comes last
+    piece = 1 << 20
+    with open(path, "wb") as f:
+        f.write(header)
+        for start in range(0, n_values, piece):
+            values = np.full(min(piece, n_values - start), 0.25, dtype)
+            for index, value in (bad or {}).items():
+                if start <= index < start + len(values):
+                    values[index - start] = value
+            f.write(values.tobytes())
+    return path
+
+
+class TestStreamedFloatCheck:
+    """``read_wav_info`` checks float samples block by block, and names a bad one as ``read_wav`` does."""
+
+    @pytest.mark.parametrize("dtype", ["<f4", "<f8"])
+    @pytest.mark.parametrize("where", ["first", "block end", "block start", "last partial block"])
+    def test_non_finite_sample_named_as_read_wav_names_it(self, tmp_path, dtype, where):
+        per_block = CHECK_BLOCK // np.dtype(dtype).itemsize
+        n_values = 2 * per_block + 4 * 1001  # two whole blocks and a partial one
+        index = {"first": 0, "block end": per_block - 1, "block start": per_block, "last partial block": n_values - 3}[where]
+        for value in (np.nan, np.inf, -np.inf):
+            path = write_float_wav(tmp_path / "x.wav", dtype, n_values, {index: value})
+            message = f"{path}: non-finite sample at channel {index % 4}, sample {index // 4}"
+            for read in (read_wav, read_wav_info):
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    read(path)
+
+    @pytest.mark.parametrize("cut_blocks", [0.5, 1.0, 2.25])
+    def test_data_cut_short_while_read_is_named(self, tmp_path, monkeypatch, cut_blocks):
+        # the file shrinks after its size is taken: the chunk sizes fit, and the reads come up short
+        n_values = 3 * CHECK_BLOCK // 4 - 100
+        path = write_float_wav(tmp_path / "x.wav", "<f4", n_values)
+        full_size = path.stat().st_size
+        with open(path, "r+b") as f:
+            f.truncate(full_size - 4 * n_values + int(cut_blocks * CHECK_BLOCK))
+        monkeypatch.setattr(seldkit.audio, "os", SimpleNamespace(fstat=lambda fd: SimpleNamespace(st_size=full_size)))
+        for read in (read_wav, read_wav_info):
+            with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: malformed WAV: Reached EOF prematurely')}$"):
+                read(path)
 
 
 def _tensor_files(directory: Path) -> Path:

@@ -1,8 +1,11 @@
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from seldkit.geometry import (
     Direction,
@@ -10,7 +13,10 @@ from seldkit.geometry import (
     angle_between,
     angle_unit_vectors,
     angular_distance,
+    cross3,
     dir_to_unit,
+    dot3,
+    norm3,
     unit_to_dir,
     unit_vectors,
     vector_angles,
@@ -149,6 +155,77 @@ class TestArrayForms:
             )
             expected = unit_to_dir_reference(v)
             assert (d.azimuth.hex(), d.elevation.hex()) == (expected.azimuth.hex(), expected.elevation.hex())
+
+
+# magnitudes from 1e-300 to 1e300, whose squares and products underflow or
+# overflow to inf, with both signs, zeros of both signs, NaN and infinities
+magnitudes = st.floats(min_value=1e-300, max_value=1e300)
+xyz_values = magnitudes | magnitudes.map(lambda m: -m) | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def broadcast_xyz_pairs(draw):
+    """Two float arrays with a last axis of 3 whose leading shapes broadcast together."""
+    shapes = draw(hnp.mutually_broadcastable_shapes(num_shapes=2, max_dims=3, max_side=4)).input_shapes
+    return tuple(draw(hnp.arrays(np.float64, shape + (3,), elements=xyz_values)) for shape in shapes)
+
+
+class TestXyzKernels:
+    """``norm3``, ``dot3`` and ``cross3`` hold the bits of numpy's generic forms, whatever the values."""
+
+    @given(broadcast_xyz_pairs())
+    def test_bits_equal_numpy(self, pair):
+        u, v = pair
+        with np.errstate(all="ignore"):
+            assert norm3(u).tobytes() == np.linalg.norm(u, axis=-1).tobytes()
+            assert dot3(u, v).tobytes() == np.sum(u * v, axis=-1).tobytes()
+            assert cross3(u, v).tobytes() == np.cross(u, v).tobytes()
+            assert cross3(u, v).shape == np.cross(u, v).shape
+
+    @pytest.mark.parametrize("lead", [(), (1,), (2, 1)], ids=["one", "rows", "broadcast"])
+    def test_every_triple_of_edge_values(self, lead):
+        # values whose sums round differently in another order, signed zeros, and NaNs of both signs
+        edges = [0.0, -0.0, 1.0, -1.0, 2.0**-53, 3 * 2.0**-52, 2.0**27, 1.5, math.nan, -math.nan, math.inf, -math.inf]
+        triples = np.array(list(itertools.product(edges, repeat=3)))
+        with np.errstate(all="ignore"):
+            for u in triples:
+                u = np.broadcast_to(u, lead + (3,))
+                v = u[..., ::-1]
+                assert norm3(u).tobytes() == np.linalg.norm(u, axis=-1).tobytes(), u
+                assert dot3(u, np.ones(3)).tobytes() == np.sum(u, axis=-1).tobytes(), u
+                assert dot3(u, v).tobytes() == np.sum(u * v, axis=-1).tobytes(), u
+                assert cross3(u, v).tobytes() == np.cross(u, v).tobytes(), u
+
+    def test_summation_order_and_zero_sign(self):
+        # 1 + 2**-53 rounds to 1 twice, where 1 + (2**-53 + 2**-53) would not
+        assert dot3(np.array([1.0, 2.0**-53, 2.0**-53]), np.ones(3)) == 1.0
+        # squares 2**54, 2.25, 2.25: (2**54 + 2.25) + 2.25 rounds up twice, to 2**54 + 8
+        assert norm3(np.array([2.0**27, 1.5, 1.5])) == math.sqrt(2.0**54 + 8) != math.sqrt(2.0**54 + 4)
+        # numpy's sum starts from +0.0
+        assert dot3(np.full(3, -0.0), np.ones(3)).tobytes() == np.float64(0.0).tobytes()
+
+    def test_first_axis_bits_equal_numpy(self, rng):
+        # features._unit_cells takes the norm of a (3, frames, n_mels) stack over its first axis
+        vec = rng.standard_normal((3, 40, 16)) * rng.uniform(1e-9, 1e3, (3, 40, 16))
+        assert norm3(np.moveaxis(vec, 0, -1)).tobytes() == np.linalg.norm(vec, axis=0).tobytes()
+
+
+class TestShapeChecks:
+    @pytest.mark.parametrize("shape", [(3, 4), (2,), (4,), (), (2, 3, 4), (1, 1, 1, 3)])
+    def test_vector_angles_names_a_bad_shape(self, shape):
+        with pytest.raises(ValueError, match=rf"^expected vectors shaped .*got {re.escape(str(shape))}$"):
+            vector_angles(np.ones(shape))
+
+    def test_vector_angles_takes_one_vector_and_stacks(self):
+        one = vector_angles(np.array([0.0, 1.0, 1.0]))
+        assert [a.tolist() for a in one] == [[90.0], [45.0]]
+        stack = np.ones((2, 3, 3))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(vector_angles(stack), vector_angles(stack.reshape(6, 3))))
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 2)])
+    def test_angle_between_names_a_bad_last_axis(self, shape):
+        with pytest.raises(ValueError, match="last axis of length 3"):
+            angle_between(np.ones(shape), np.ones(shape))
 
 
 class TestAngularDistance:

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -52,6 +53,20 @@ class TestTensorIO:
         np.zeros(4, dtype="<f4").tofile(path)
         with pytest.raises(FileNotFoundError, match="header"):
             load_tensor(path)
+
+    def test_missing_header_named_under_a_directory_and_under_a_file(self, tmp_path):
+        (tmp_path / "file").write_bytes(b"")
+        (tmp_path / "dir").mkdir()
+        for path in (tmp_path / "dir" / "t.acc", tmp_path / "file" / "t.acc", tmp_path / "none" / "t.acc"):
+            with pytest.raises(FileNotFoundError, match=f"^{re.escape(f'missing tensor header {path}.json')}$"):
+                load_tensor(path)
+            with pytest.raises(FileNotFoundError, match="^missing tensor header "):
+                load_tensor(str(path))
+
+    def test_header_path_named_as_pathlib_normalizes_it(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(FileNotFoundError, match=r"^missing tensor header t\.acc\.json$"):
+            load_tensor("./t.acc")
 
     def test_size_mismatch_rejected(self, tmp_path):
         path = tmp_path / "t.feat"

@@ -270,6 +270,54 @@ class TestPredictors:
         with pytest.raises(FileNotFoundError):
             pred.predict(np.zeros((7, 24, 4)), ClipIdentity("clipA.wav", 4), 6)
 
+    def test_external_pattern_zero_falls_back_to_the_plain_stem(self, tmp_path):
+        save_tensor(tmp_path / "clip.acc", np.full((2, 1, 3), 0.25))
+        pred = ExternalFilePredictor(tmp_path)
+        assert pred.predict(None, ClipIdentity("clip.wav", 0), 2).tolist() == [[[0.25] * 3]] * 2
+        # the pattern file comes first, and only pattern 0 falls back
+        save_tensor(tmp_path / "clip.p00.acc", np.full((2, 1, 3), 0.5))
+        assert pred.predict(None, ClipIdentity("clip.wav", 0), 2).tolist() == [[[0.5] * 3]] * 2
+        with pytest.raises(FileNotFoundError):
+            pred.predict(None, ClipIdentity("clip.wav", 1), 2)
+
+    def test_external_missing_file_named(self, tmp_path):
+        pred = ExternalFilePredictor(tmp_path / "preds")
+        message = f"no prediction file for clip 'a/clip.wav' pattern 4 under {tmp_path / 'preds'}"
+        with pytest.raises(FileNotFoundError, match=f"^{re.escape(message)}$"):
+            pred.predict(None, ClipIdentity("a/clip.wav", 4), 2)
+
+    def test_external_missing_header_named(self, tmp_path):
+        np.zeros(6, dtype="<f4").tofile(tmp_path / "clip.p02.acc")
+        header = tmp_path / "clip.p02.acc.json"
+        with pytest.raises(FileNotFoundError, match=f"^{re.escape(f'missing tensor header {header}')}$"):
+            ExternalFilePredictor(tmp_path).predict(None, ClipIdentity("clip.wav", 2), 2)
+
+    def test_external_paths_in_messages_as_pathlib_joins_them(self, tmp_path, monkeypatch):
+        # a "." directory names its files without "./", as Path(".") / name does
+        monkeypatch.chdir(tmp_path)
+        seq = np.zeros((2, 1, 3))
+        seq[1, 0, 2] = np.nan
+        save_tensor(tmp_path / "clip.p01.acc", seq)
+        for directory in (".", "./", Path(".")):
+            pred = ExternalFilePredictor(directory)
+            with pytest.raises(ValueError, match=r"^clip\.p01\.acc: non-finite payload values$"):
+                pred.predict(None, ClipIdentity("clip.wav", 1), 2)
+            with pytest.raises(FileNotFoundError, match=r"pattern 3 under \.$"):
+                pred.predict(None, ClipIdentity("clip.wav", 3), 2)
+        pred = ExternalFilePredictor(f"{tmp_path}//")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(tmp_path / 'clip.p01.acc'))}: non-finite"):
+            pred.predict(None, ClipIdentity("clip.wav", 1), 2)
+
+    def test_external_stem_is_the_one_make_predictor_checks(self, tmp_path):
+        # Path("x/a.b.").stem is "a.b.": a name ending in "." has no suffix (os.path.splitext says "a.b")
+        save_tensor(tmp_path / "a.b..p00.acc", np.full((2, 1, 3), 0.5))
+        save_tensor(tmp_path / "a.b.p00.acc", np.full((2, 1, 3), 0.25))
+        spec = {"kind": "external", "dir": str(tmp_path)}
+        pred = make_predictor(spec, dict.fromkeys(["x/a.b.", "y/a.b"], ClipAnnotation(())))
+        assert pred.predict(None, ClipIdentity("x/a.b.", 0), 2).tolist() == [[[0.5] * 3]] * 2
+        with pytest.raises(ValueError, match="share the file stem 'a.b.'"):
+            make_predictor(spec, dict.fromkeys(["x/a.b.", "y/a.b."], ClipAnnotation(())))
+
     def test_make_predictor_specs(self, tmp_path):
         assert isinstance(make_predictor({"kind": "constant"}), ConstantPredictor)
         external = make_predictor({"kind": "external", "dir": str(tmp_path)})

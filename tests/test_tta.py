@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from collections import deque
 
@@ -189,6 +190,12 @@ class TestDbscanSphere:
     def test_bad_eps_rejected(self):
         with pytest.raises(ValueError):
             dbscan_sphere(np.array([[1.0, 0.0, 0.0]]), 0.0, 2)
+
+    @pytest.mark.parametrize("shape", [(3, 4), (2,), (3,), (6,), (2, 2, 3, 3), (2, 3, 4)])
+    def test_shape_checked_before_reshaping(self, shape):
+        # a (3, 4) array is no set of 4 points, nor a (6,) one of 2
+        with pytest.raises(ValueError, match=rf"^expected points shaped .*got {re.escape(str(shape))}$"):
+            dbscan_sphere(np.ones(shape) / 2, 15.0, 2)
 
     def test_matches_reference_on_random_sets(self, rng):
         for _ in range(150):
