@@ -10,7 +10,7 @@ Library layout:
 * ``rotation``  - the 16-pattern FOA rotation/reflection group
 * ``augment``   - gain/pitch/band-pass and spectrogram masking
 * ``accdoa``    - activity-coupled Cartesian DOA encode/decode
-* ``emulate``   - synthetic SRIRs, scene mixing, class balancing, epoch sampling
+* ``emulate``   - synthetic SRIRs, scene mixing, epoch sampling
 * ``tta``       - clustering-based test-time augmentation
 * ``metrics``   - location-dependent SELD metrics (ER20/F20/LE_CD/LR_CD)
 * ``predict``   - predictor contract, oracle/constant/file-backed predictors

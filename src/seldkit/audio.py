@@ -22,8 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-FOA_CHANNELS = ("w", "x", "y", "z")
-
 
 def _check_rate(sample_rate, where: str = "") -> None:
     if int(sample_rate) <= 0:
@@ -250,20 +248,21 @@ def read_wav_info(path) -> WavInfo:
     return WavInfo(sr, n)
 
 
-def _write_float32(path, samples: np.ndarray, sample_rate: int) -> None:
-    """Write (n,) or (n, channels) samples as a 32-bit float WAV.
+def write_wav(path, clip: AudioClip) -> None:
+    """Write a clip as a 4-channel 32-bit float WAV.
 
-    The bytes are those ``scipy.io.wavfile.write`` writes for float32: the
-    RIFF header, an 18-byte fmt chunk (IEEE float, a zero cbSize), a fact
-    chunk with the frame count, then the data chunk.
+    The bytes are those ``scipy.io.wavfile.write`` writes for the clip's
+    samples as a float32 (n, 4) array: the RIFF header, an 18-byte fmt
+    chunk (IEEE float, a zero cbSize), a fact chunk with the frame count,
+    then the data chunk.
     """
-    data = np.ascontiguousarray(samples, dtype="<f4")
-    channels = 1 if data.ndim == 1 else data.shape[1]
+    data = np.ascontiguousarray(clip.samples.T, dtype="<f4")
     riff_size = 50 + data.nbytes
     if riff_size > 0xFFFFFFFF:
         raise ValueError(f"{path}: {data.nbytes} bytes of samples do not fit a RIFF WAV")
-    block_align = 4 * channels
-    fmt = struct.pack("<HHIIHHH", _FLOAT, channels, sample_rate, sample_rate * block_align, block_align, 32, 0)
+    rate = clip.sample_rate
+    # 4 channels of 32 bits: 16-byte frames
+    fmt = struct.pack("<HHIIHHH", _FLOAT, 4, rate, rate * 16, 16, 32, 0)
     header = (
         b"RIFF" + struct.pack("<I", riff_size) + b"WAVE"
         + b"fmt " + struct.pack("<I", len(fmt)) + fmt
@@ -275,19 +274,9 @@ def _write_float32(path, samples: np.ndarray, sample_rate: int) -> None:
         f.write(data.data)
 
 
-def write_wav(path, clip: AudioClip) -> None:
-    """Write a clip as 32-bit float WAV."""
-    _write_float32(path, clip.samples.T, clip.sample_rate)
-
-
 def read_wav_mono(path) -> tuple[np.ndarray, int]:
     """Read a single-channel WAV file as a 1-D float array plus its rate."""
     data, sr, _, _ = _read_stored(path)
     if data.ndim != 1:
         raise ValueError(f"{path}: expected mono, found {data.shape[1]} channels")
     return _normalize_pcm(data), sr
-
-
-def write_wav_mono(path, samples, sample_rate: int) -> None:
-    """Write a 1-D signal as 32-bit float WAV."""
-    _write_float32(path, np.asarray(samples), int(sample_rate))

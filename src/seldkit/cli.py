@@ -20,14 +20,14 @@ import numpy as np
 
 from . import accdoa as accdoa_mod
 from . import emulate as emulate_mod
-from .audio import read_wav, write_wav
+from .audio import read_wav, read_wav_info, write_wav
 from .augment import AugmentConfig, augment_waveform
 from .features import FEATURE_CHANNELS, FeatureConfig, extract_features
 from .labels import read_labels, write_labels
 from .manifest import load_manifest, save_manifest
 from .metrics import MetricConfig, evaluate_stats, score_report
 from .pipeline import RunConfig, kfold_split, run_pipeline, write_scores
-from .predict import ClipIdentity, make_predictor
+from .predict import ClipIdentity, make_predictor, reads_features
 from .rotation import apply_to_audio, pattern_by_id, rotate_annotation
 from .tensorio import config_from_doc, load_tensor, read_json, save_tensor
 from .tta import TtaConfig, run_tta
@@ -130,7 +130,7 @@ def emulate(spec_path, library_path, out_prefix, srir_path, n_classes, seed):
     """Render a scene spec into a 4-channel WAV plus label CSV."""
     spec = emulate_mod.scene_spec_from_json(read_json(spec_path))
     if seed is not None:
-        spec = emulate_mod.SceneSpec(spec.duration_s, spec.events, spec.snr_db, seed)
+        spec = dataclasses.replace(spec, seed=seed)
     library = emulate_mod.load_library(library_path)
     srir_config = _config_file(emulate_mod.SrirSynthConfig, srir_path, "SRIR config")
     clip, annotation = emulate_mod.mix_scene(spec, library, srir_config, n_classes=n_classes)
@@ -204,8 +204,9 @@ def tta():
 def tta_run(models, in_path, config_path, out_path, n_classes):
     """Run 16-rotation clustering TTA over one clip."""
     config = _config_file(TtaConfig, config_path, "TTA config")
-    clip = read_wav(in_path)
     predictors = [make_predictor(*parse_model_spec(s, in_path, n_classes), n_classes) for s in models]
+    # the samples are converted to float64 only for a model that reads features
+    clip = read_wav(in_path) if any(reads_features(m) for m in predictors) else read_wav_info(in_path)
     events = run_tta(predictors, clip, ClipIdentity(in_path), config, n_classes=n_classes)
     accdoa_mod.write_events(events, out_path)
     click.echo(f"wrote {out_path} ({len(events)} events)")

@@ -23,7 +23,7 @@ import numpy as np
 from .audio import AudioClip, _check_rate, read_wav_mono
 from .geometry import Direction, dir_to_unit
 from .labels import LABEL_FRAME_S, ClipAnnotation, EventLabel
-from .manifest import DatasetManifest, ManifestEntry
+from .manifest import DatasetManifest
 from .tensorio import check_keys, config_from_doc, read_json, typed_value
 
 log = logging.getLogger(__name__)
@@ -114,20 +114,11 @@ class SampleLibrary:
     def __post_init__(self):
         object.__setattr__(self, "samples", dict(self.samples))
 
-    def __len__(self) -> int:
-        return len(self.samples)
-
     def __getitem__(self, sample_id: str) -> LibrarySample:
         try:
             return self.samples[sample_id]
         except KeyError:
             raise KeyError(f"unknown sample_id {sample_id!r}") from None
-
-    def class_counts(self) -> dict:
-        counts: dict = {}
-        for s in self.samples.values():
-            counts[s.class_id] = counts.get(s.class_id, 0) + 1
-        return counts
 
 
 def foa_encode_gains(d: Direction) -> np.ndarray:
@@ -279,25 +270,6 @@ def _mean_power(x: np.ndarray, active: np.ndarray) -> float:
     for row in x[1:]:
         power += row**2
     return float(np.mean(power[active]))
-
-
-def balance_classes(library: SampleLibrary, seed: int = 0) -> SampleLibrary:
-    """Down-sample every class to the minimum nonzero class count."""
-    if len(library) == 0:
-        raise ValueError("library is empty")
-    target = min(library.class_counts().values())
-    rng = np.random.default_rng(seed)
-    by_class: dict = {}
-    for sid in sorted(library.samples):
-        by_class.setdefault(library.samples[sid].class_id, []).append(sid)
-    keep = set()
-    for class_id in sorted(by_class):
-        ids = by_class[class_id]
-        if len(ids) <= target:
-            keep.update(ids)
-        else:
-            keep.update(rng.choice(ids, size=target, replace=False))
-    return SampleLibrary({sid: library.samples[sid] for sid in sorted(keep)})
 
 
 def sample_epoch(real: DatasetManifest, emulated: DatasetManifest, seed: int = 0) -> DatasetManifest:

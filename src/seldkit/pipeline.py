@@ -70,27 +70,24 @@ def kfold_split(
     mode: str = "stratified",
     seed: int = 0,
     n_classes: int = 13,
-    class_key=None,
 ) -> list[DatasetManifest]:
     """Split a manifest into k folds.
 
     ``stratified`` deals each class's entries round-robin (after a seeded
     shuffle), so per-class counts across folds differ by at most one. The
-    class of an entry defaults to the dominant class of its label file;
-    pass ``class_key(entry) -> int`` to override. ``room`` keeps every
-    room_tag within a single fold, greedily evening out fold sizes, and
-    requires at least k distinct rooms. Output entries carry fold_tag
-    "fold0".."fold{k-1}".
+    class of an entry is the dominant class of its label file. ``room``
+    keeps every room_tag within a single fold, greedily evening out fold
+    sizes, and requires at least k distinct rooms. Output entries carry
+    fold_tag "fold0".."fold{k-1}".
     """
     if k < 2:
         raise ValueError("k must be >= 2")
     rng = np.random.default_rng(seed)
     folds: list[list[ManifestEntry]] = [[] for _ in range(k)]
     if mode == "stratified":
-        key = class_key or (lambda e: _dominant_class(e, n_classes))
         groups: dict = {}
         for entry in manifest:
-            groups.setdefault(key(entry), []).append(entry)
+            groups.setdefault(_dominant_class(entry, n_classes), []).append(entry)
         for group_key in sorted(groups):
             group = groups[group_key]
             order = rng.permutation(len(group))

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.io import wavfile
 
+import seldkit.audio
 from seldkit.audio import AudioClip
 
 
@@ -48,6 +50,25 @@ def plane_wave_clip(direction: Direction, n_samples: int = 12000, seed: int = 0)
     """Noiseless FOA plane wave from a fixed direction (pure encoding gains)."""
     mono = np.random.default_rng(seed).standard_normal(n_samples)
     return AudioClip(np.outer(foa_encode_gains(direction), mono))
+
+
+@pytest.fixture
+def conversions(monkeypatch):
+    """Count the WAV sample arrays converted to float64."""
+    calls = []
+    original = seldkit.audio._normalize_pcm
+
+    def counting(data):
+        calls.append(data.shape)
+        return original(data)
+
+    monkeypatch.setattr(seldkit.audio, "_normalize_pcm", counting)
+    return calls
+
+
+def write_mono_wav(path, samples, sample_rate: int = 24000) -> None:
+    """Write a 1-D signal as a float32 mono WAV, such as a sample library reads."""
+    wavfile.write(path, sample_rate, np.asarray(samples, dtype=np.float32))
 
 
 def random_direction(rng, max_abs_el: float = 80.0) -> Direction:

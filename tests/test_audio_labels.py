@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.io import wavfile
 
-from seldkit.audio import AudioClip, WavInfo, read_wav, read_wav_info, read_wav_mono, write_wav, write_wav_mono
+from seldkit.audio import AudioClip, WavInfo, read_wav, read_wav_info, read_wav_mono, write_wav
 from seldkit.geometry import Direction
 from seldkit.labels import LABEL_COLUMNS, ClipAnnotation, EventLabel, read_labels, read_table, write_labels
+
+from conftest import write_mono_wav
 
 
 class TestAudioClip:
@@ -68,7 +70,7 @@ class TestWavIO:
 
     def test_mono_round_trip(self, tmp_path, rng):
         x = rng.standard_normal(300) * 0.2
-        write_wav_mono(tmp_path / "m.wav", x, 24000)
+        write_mono_wav(tmp_path / "m.wav", x)
         back, sr = read_wav_mono(tmp_path / "m.wav")
         assert sr == 24000
         np.testing.assert_allclose(back, x, atol=1e-7)
@@ -84,7 +86,7 @@ class TestWavIO:
             read_wav(path)
 
     def test_channel_count_mismatch(self, tmp_path, rng):
-        write_wav_mono(tmp_path / "m.wav", rng.standard_normal(100), 24000)
+        write_mono_wav(tmp_path / "m.wav", rng.standard_normal(100))
         with pytest.raises(ValueError, match="4 FOA channels"):
             read_wav(tmp_path / "m.wav")
 

@@ -12,16 +12,17 @@ import pytest
 from click.testing import CliRunner
 
 import seldkit
-from seldkit.accdoa import encode, read_events
-from seldkit.audio import read_wav, write_wav, write_wav_mono
+from seldkit.accdoa import encode, read_events, write_events
+from seldkit.audio import read_wav, write_wav
 from seldkit.cli import main, parse_model_spec
 from seldkit.labels import ClipAnnotation, read_labels, write_labels
 from seldkit.manifest import DatasetManifest, ManifestEntry, load_manifest, save_manifest
 from seldkit.rotation import all_patterns, apply_to_direction
-from seldkit.predict import ConstantPredictor, ExternalFilePredictor, OraclePredictorConfig, make_predictor
+from seldkit.predict import ClipIdentity, ConstantPredictor, ExternalFilePredictor, OraclePredictorConfig, make_predictor
 from seldkit.tensorio import load_tensor, save_tensor
+from seldkit.tta import run_tta
 
-from conftest import two_event_scene
+from conftest import two_event_scene, write_mono_wav
 
 
 @pytest.fixture
@@ -115,7 +116,7 @@ class TestAugmentCli:
 class TestEmulateCli:
     def test_emulate_scene(self, runner, tmp_path):
         rng = np.random.default_rng(0)
-        write_wav_mono(tmp_path / "s0.wav", rng.standard_normal(24000) * 0.2, 24000)
+        write_mono_wav(tmp_path / "s0.wav", rng.standard_normal(24000) * 0.2)
         library = {"samples": [{"sample_id": "s0", "class_id": 3, "path": "s0.wav"}]}
         (tmp_path / "lib.json").write_text(json.dumps(library))
         spec = {
@@ -138,6 +139,20 @@ class TestEmulateCli:
         labels = read_labels(f"{prefix}.csv")
         assert {e.class_id for e in labels.events} == {3}
 
+    def test_seed_option_overrides_only_the_seed(self, runner, tmp_path):
+        write_mono_wav(tmp_path / "s0.wav", np.random.default_rng(0).standard_normal(24000) * 0.2)
+        (tmp_path / "lib.json").write_text(json.dumps({"samples": [{"sample_id": "s0", "class_id": 3, "path": "s0.wav"}]}))
+        event = {"class_id": 3, "sample_id": "s0", "onset_s": 0.5, "azimuth": 45.0, "elevation": 10.0}
+        outputs = {}
+        for name, spec_seed, option in (("override", 1, ["--seed", "5"]), ("spec", 5, []), ("unset", 1, [])):
+            spec = {"duration_s": 2.0, "snr_db": 7.5, "seed": spec_seed, "events": [event]}
+            (tmp_path / f"{name}.json").write_text(json.dumps(spec))
+            run_ok(runner, ["emulate", "--spec", str(tmp_path / f"{name}.json"), "--library",
+                            str(tmp_path / "lib.json"), "--out-prefix", str(tmp_path / name), *option])
+            outputs[name] = [(tmp_path / f"{name}.{ext}").read_bytes() for ext in ("wav", "csv")]
+        assert outputs["override"] == outputs["spec"]
+        assert outputs["override"][0] != outputs["unset"][0]
+
     @pytest.mark.parametrize(
         "scene_keys, event_keys, message",
         [
@@ -148,7 +163,7 @@ class TestEmulateCli:
     )
     def test_unknown_spec_key_rejected(self, runner, tmp_path, scene_keys, event_keys, message):
         # ignoring the key would render the scene with the default seed, SNR or elevation
-        write_wav_mono(tmp_path / "s0.wav", np.random.default_rng(0).standard_normal(24000) * 0.2, 24000)
+        write_mono_wav(tmp_path / "s0.wav", np.random.default_rng(0).standard_normal(24000) * 0.2)
         library = {"samples": [{"sample_id": "s0", "class_id": 3, "path": "s0.wav"}]}
         (tmp_path / "lib.json").write_text(json.dumps(library))
         event = {"class_id": 3, "sample_id": "s0", "onset_s": 0.5, "azimuth": 45.0, "elevation": 10.0}
@@ -175,7 +190,7 @@ class TestEmulateCli:
         # ignoring the key would mix the sample at its file's gain or rate
         rng = np.random.default_rng(0)
         for name in ("s0", "s1"):
-            write_wav_mono(tmp_path / f"{name}.wav", rng.standard_normal(24000) * 0.2, 24000)
+            write_mono_wav(tmp_path / f"{name}.wav", rng.standard_normal(24000) * 0.2)
         samples = [
             {"sample_id": "s0", "class_id": 3, "path": "s0.wav"},
             {"sample_id": "s1", "class_id": 4, "path": "s1.wav", **sample_keys},
@@ -281,15 +296,20 @@ class TestModelSpec:
 
 
 class TestTtaCli:
-    def test_oracle_tta_run(self, runner, scene_files, tmp_path):
+    def test_oracle_tta_run(self, runner, scene_files, tmp_path, conversions):
         wav, csv, annotation = scene_files
         out = tmp_path / "tta_events.csv"
         run_ok(
             runner,
             ["tta", "run", "--model", f"oracle:{csv}", "--in", str(wav), "--out", str(out)],
         )
+        # the oracle reads no features, so the run converts no samples to float64
+        assert conversions == []
         events = read_events(out)
         assert len(events) == len(annotation.events)
+        oracle = make_predictor(*parse_model_spec(f"oracle:{csv}", str(wav), 13))
+        write_events(run_tta([oracle], read_wav(wav), ClipIdentity(str(wav))), tmp_path / "expected.csv")
+        assert out.read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
 
 class TestEvalCli:
@@ -421,9 +441,7 @@ def test_scipy_optimize_loads_only_for_a_multi_event_cell(tmp_path):
         """
         import json, sys
         from pathlib import Path
-        import numpy as np
         from click.testing import CliRunner
-        from seldkit.audio import write_wav_mono
         from seldkit.cli import main
         from seldkit.manifest import DatasetManifest, ManifestEntry, save_manifest
 
@@ -431,7 +449,6 @@ def test_scipy_optimize_loads_only_for_a_multi_event_cell(tmp_path):
             result = CliRunner().invoke(main, list(args), catch_exceptions=False)
             assert result.exit_code == 0, result.output
 
-        write_wav_mono("s0.wav", np.random.default_rng(0).standard_normal(24000) * 0.2, 24000)
         Path("lib.json").write_text(json.dumps({"samples": [{"sample_id": "s0", "class_id": 3, "path": "s0.wav"}]}))
         event = {"class_id": 3, "sample_id": "s0", "onset_s": 0.5, "azimuth": 45.0, "elevation": 10.0}
         Path("scene.json").write_text(json.dumps({"duration_s": 2.0, "snr_db": 30.0, "seed": 1, "events": [event]}))
@@ -455,6 +472,7 @@ def test_scipy_optimize_loads_only_for_a_multi_event_cell(tmp_path):
         print("scipy.optimize" in sys.modules)
         """
     )
+    write_mono_wav(tmp_path / "s0.wav", np.random.default_rng(0).standard_normal(24000) * 0.2)
     env = {**os.environ, "PYTHONPATH": str(Path(seldkit.__file__).resolve().parents[1])}
     out = subprocess.run(
         [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
@@ -472,15 +490,13 @@ def test_seldkit_loads_no_scipy_io_fft_special_or_sparse(tmp_path):
         """
         import json, sys
         from pathlib import Path
-        import numpy as np
         from click.testing import CliRunner
         import seldkit.emulate, seldkit.pipeline
-        from seldkit.audio import read_wav, write_wav_mono
+        from seldkit.audio import read_wav
         from seldkit.cli import main
 
         unwanted = {"scipy.io", "scipy.fft", "scipy.special", "scipy.sparse"}
         print(sorted(unwanted & set(sys.modules)))
-        write_wav_mono("s0.wav", np.random.default_rng(0).standard_normal(24000) * 0.2, 24000)
         Path("lib.json").write_text(json.dumps({"samples": [{"sample_id": "s0", "class_id": 3, "path": "s0.wav"}]}))
         event = {"class_id": 3, "sample_id": "s0", "onset_s": 0.5, "azimuth": 45.0, "elevation": 10.0}
         Path("scene.json").write_text(json.dumps({"duration_s": 2.0, "seed": 1, "events": [event]}))
@@ -491,6 +507,7 @@ def test_seldkit_loads_no_scipy_io_fft_special_or_sparse(tmp_path):
         print(sorted(unwanted & set(sys.modules)))
         """
     )
+    write_mono_wav(tmp_path / "s0.wav", np.random.default_rng(0).standard_normal(24000) * 0.2)
     env = {**os.environ, "PYTHONPATH": str(Path(seldkit.__file__).resolve().parents[1])}
     out = subprocess.run(
         [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120

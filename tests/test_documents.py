@@ -19,7 +19,6 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from seldkit.accdoa import DetectedEvent, read_events
-from seldkit.audio import write_wav_mono
 from seldkit.augment import AugmentConfig
 from seldkit.cli import main
 from seldkit.emulate import (
@@ -37,6 +36,8 @@ from seldkit.pipeline import RunConfig
 from seldkit.predict import OraclePredictorConfig, make_predictor
 from seldkit.tensorio import check_keys, config_from_doc, load_tensor, read_json, save_tensor
 from seldkit.tta import TtaConfig
+
+from conftest import write_mono_wav
 
 # null is left out: a run document may set a sub-config to null
 non_objects = st.one_of(
@@ -138,7 +139,7 @@ LIBRARY_LOCATIONS = [((), "", ("samples",), ("samples",), ALL)] + [
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     path = tmp_path_factory.mktemp("documents")
-    write_wav_mono(path / "s.wav", np.random.default_rng(0).standard_normal(2400) * 0.2, 24000)
+    write_mono_wav(path / "s.wav", np.random.default_rng(0).standard_normal(2400) * 0.2)
     return path
 
 
@@ -323,7 +324,7 @@ class TestReaders:
                                               ([], "{} must be a JSON object, got list")])
     def test_single_verb_config_files(self, tmp_path, monkeypatch, verb, name, doc, problem):
         monkeypatch.chdir(tmp_path)
-        write_wav_mono(tmp_path / "s.wav", np.random.default_rng(0).standard_normal(2400) * 0.2, 24000)
+        write_mono_wav(tmp_path / "s.wav", np.random.default_rng(0).standard_normal(2400) * 0.2)
         (tmp_path / "lib.json").write_text(json.dumps(LIBRARY_DOC))
         (tmp_path / "scene.json").write_text(json.dumps({"duration_s": 2.0, "events": [EVENT]}))
         (tmp_path / "c.json").write_text(json.dumps(doc))
@@ -443,7 +444,7 @@ class TestConfigFieldTypes:
 
     def test_config_file_value_types(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        write_wav_mono(tmp_path / "s.wav", np.random.default_rng(0).standard_normal(2400) * 0.2, 24000)
+        write_mono_wav(tmp_path / "s.wav", np.random.default_rng(0).standard_normal(2400) * 0.2)
         (tmp_path / "c.json").write_text(json.dumps({"n_mels": True}))
         args = ["features", "extract", "--in", "s.wav", "--out", "f.feat", "--config", "c.json"]
         result = CliRunner().invoke(main, args)
@@ -555,7 +556,7 @@ class TestNonFiniteSettings:
 
     def test_emulate_rejects_nan_srir_config(self, tmp_path):
         # the NaN would otherwise reach the mix and write a WAV no reader accepts
-        write_wav_mono(tmp_path / "s.wav", np.random.default_rng(0).standard_normal(2400) * 0.2, 24000)
+        write_mono_wav(tmp_path / "s.wav", np.random.default_rng(0).standard_normal(2400) * 0.2)
         (tmp_path / "lib.json").write_text(json.dumps(LIBRARY_DOC))
         (tmp_path / "scene.json").write_text(json.dumps({"duration_s": 2.0, "events": [EVENT]}))
         (tmp_path / "srir.json").write_text('{"rt60_s": NaN}')

@@ -15,7 +15,6 @@ from seldkit.emulate import (
     SceneSpec,
     SrirSynthConfig,
     _next_fast_len,
-    balance_classes,
     foa_encode_gains,
     mix_scene,
     render_event,
@@ -309,6 +308,12 @@ class TestMixScene:
         with pytest.raises(KeyError, match="nope"):
             mix_scene(spec, self.library(rng))
 
+    def test_sample_rate_other_than_the_scene_rate_rejected(self, rng):
+        library = SampleLibrary({"hi": LibrarySample("hi", 0, rng.standard_normal(4800), sample_rate=48000)})
+        spec = SceneSpec(1.0, (SceneEvent(0, "hi", 0.0, Direction(0, 0)),), seed=0)
+        with pytest.raises(ValueError, match=r"^sample 'hi' rate 48000 != scene rate 24000$"):
+            mix_scene(spec, library, SrirSynthConfig(sample_rate=24000))
+
 
 class TestLibrarySample:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -322,36 +327,6 @@ class TestLibrarySample:
     def test_rate_must_be_positive(self):
         with pytest.raises(ValueError, match=r"^sample 'x': sample_rate must be positive, got 0$"):
             LibrarySample("x", 0, np.ones(10), sample_rate=0)
-
-
-class TestBalanceClasses:
-    def library_with_counts(self, counts):
-        samples = {}
-        for class_id, n in counts.items():
-            for i in range(n):
-                sid = f"c{class_id}_{i}"
-                samples[sid] = LibrarySample(sid, class_id, np.ones(8))
-        return SampleLibrary(samples)
-
-    def test_already_balanced_unchanged(self):
-        lib = self.library_with_counts({0: 3, 1: 3})
-        out = balance_classes(lib, seed=0)
-        assert set(out.samples) == set(lib.samples)
-
-    def test_min_rule(self):
-        lib = self.library_with_counts({0: 10, 1: 4})
-        out = balance_classes(lib, seed=0)
-        assert out.class_counts() == {0: 4, 1: 4}
-
-    def test_deterministic(self):
-        lib = self.library_with_counts({0: 10, 1: 4, 2: 7})
-        a = balance_classes(lib, seed=3)
-        b = balance_classes(lib, seed=3)
-        assert set(a.samples) == set(b.samples)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            balance_classes(SampleLibrary({}))
 
 
 class TestSampleEpoch:

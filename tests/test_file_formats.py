@@ -25,7 +25,6 @@ from seldkit.audio import (
     read_wav_info,
     read_wav_mono,
     write_wav,
-    write_wav_mono,
 )
 from seldkit.emulate import load_library
 from seldkit.geometry import Direction
@@ -33,6 +32,8 @@ from seldkit.labels import ClipAnnotation, EventLabel, read_labels, write_labels
 from seldkit.manifest import DatasetManifest, ManifestEntry, load_manifest, save_manifest
 from seldkit.pipeline import write_scores
 from seldkit.tensorio import load_tensor, read_json, save_tensor
+
+from conftest import write_mono_wav
 
 
 class TestGoldenBytes:
@@ -226,7 +227,7 @@ def write_foa(path):
 
 
 def write_mono(path):
-    write_wav_mono(path, np.linspace(-1, 1, 12), 24000)
+    write_mono_wav(path, np.linspace(-1, 1, 12))
 
 
 class TestMalformedWavFailsByName:
@@ -336,13 +337,6 @@ class TestWavMatchesScipy:
         clip = AudioClip(rng.standard_normal((4, 1001)))
         write_wav(tmp_path / "ours.wav", clip)
         wavfile.write(tmp_path / "scipy.wav", 24000, clip.samples.T.astype(np.float32))
-        assert (tmp_path / "ours.wav").read_bytes() == (tmp_path / "scipy.wav").read_bytes()
-
-    @pytest.mark.parametrize("n", [0, 1, 333])
-    def test_mono_writer_bytes_equal(self, tmp_path, rng, n):
-        x = rng.standard_normal(n)
-        write_wav_mono(tmp_path / "ours.wav", x, 16000)
-        wavfile.write(tmp_path / "scipy.wav", 16000, x.astype(np.float32))
         assert (tmp_path / "ours.wav").read_bytes() == (tmp_path / "scipy.wav").read_bytes()
 
 
@@ -579,7 +573,7 @@ def _tensor_files(directory: Path) -> Path:
 
 def _library_files(directory: Path) -> dict:
     """A sample library of two mono WAVs, float32 and PCM16: name -> path."""
-    write_wav_mono(directory / "s0.wav", np.linspace(-0.5, 0.5, 40), 24000)
+    write_mono_wav(directory / "s0.wav", np.linspace(-0.5, 0.5, 40))
     (directory / "s1.wav").write_bytes(wav_bytes(seeded_samples("<i2", 30, 1), 1, 16))
     samples = [{"sample_id": f"s{i}", "class_id": i, "path": f"s{i}.wav"} for i in range(2)]
     (directory / "lib.json").write_text(json.dumps({"samples": samples}), encoding="utf-8")

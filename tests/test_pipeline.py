@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import seldkit.audio
 import seldkit.pipeline
 import seldkit.tta
 from seldkit.audio import AudioClip, WavInfo, read_wav, read_wav_info, write_wav
@@ -80,13 +79,17 @@ class TestSegmentClip:
             segment_clip(clip, window_s=0)
 
 
-def manifest_with_classes(class_ids, rooms=None):
+def manifest_with_classes(directory, class_ids, rooms=None):
+    """A manifest whose i-th entry has a one-row label file of class ``class_ids[i]``
+    in ``directory``, and each clip path's class."""
     entries = []
     for i, class_id in enumerate(class_ids):
+        label_path = directory / f"c{i}.csv"
+        label_path.write_text(f"0,{class_id},0,0,0\n", encoding="utf-8")
         entries.append(
             ManifestEntry(
                 f"c{i}.wav",
-                f"c{i}.csv",
+                str(label_path),
                 "emulated",
                 room_tag=None if rooms is None else rooms[i],
             )
@@ -97,26 +100,26 @@ def manifest_with_classes(class_ids, rooms=None):
 
 
 class TestKfold:
-    def test_balanced_two_classes(self):
-        manifest, classes = manifest_with_classes([0, 0, 0, 0, 1, 1, 1, 1])
-        folds = kfold_split(manifest, k=4, class_key=lambda e: classes[e.clip_path])
+    def test_balanced_two_classes(self, tmp_path):
+        manifest, classes = manifest_with_classes(tmp_path, [0, 0, 0, 0, 1, 1, 1, 1])
+        folds = kfold_split(manifest, k=4)
         for fold in folds:
             got = sorted(classes[e.clip_path] for e in fold)
             assert got == [0, 1]
             assert all(e.fold_tag in {f"fold{i}" for i in range(4)} for e in fold)
 
-    def test_partition(self):
-        manifest, classes = manifest_with_classes(list(np.random.default_rng(0).integers(0, 3, 23)))
-        folds = kfold_split(manifest, k=4, class_key=lambda e: classes[e.clip_path])
+    def test_partition(self, tmp_path):
+        manifest, classes = manifest_with_classes(tmp_path, list(np.random.default_rng(0).integers(0, 3, 23)))
+        folds = kfold_split(manifest, k=4)
         seen = [e.clip_path for fold in folds for e in fold]
         assert sorted(seen) == sorted(e.clip_path for e in manifest)
 
-    def test_stratified_counts_within_one(self):
+    def test_stratified_counts_within_one(self, tmp_path):
         rng = np.random.default_rng(7)
         for _ in range(10):
             class_ids = list(rng.integers(0, 4, int(rng.integers(8, 40))))
-            manifest, classes = manifest_with_classes(class_ids)
-            folds = kfold_split(manifest, k=4, seed=3, class_key=lambda e: classes[e.clip_path])
+            manifest, classes = manifest_with_classes(tmp_path, class_ids)
+            folds = kfold_split(manifest, k=4, seed=3)
             for c in set(class_ids):
                 counts = [sum(1 for e in f if classes[e.clip_path] == c) for f in folds]
                 assert max(counts) - min(counts) <= 1
@@ -143,29 +146,29 @@ class TestKfold:
         label_path.write_text("")
         assert seldkit.pipeline._dominant_class(entry, n_classes=5) == -1
 
-    def test_room_mode_one_room_per_fold(self):
-        manifest, _ = manifest_with_classes([0] * 8, rooms=["r1", "r2", "r3", "r4"] * 2)
+    def test_room_mode_one_room_per_fold(self, tmp_path):
+        manifest, _ = manifest_with_classes(tmp_path, [0] * 8, rooms=["r1", "r2", "r3", "r4"] * 2)
         folds = kfold_split(manifest, k=4, mode="room")
         for fold in folds:
             assert len({e.room_tag for e in fold}) == 1
         assert {e.room_tag for f in folds for e in f} == {"r1", "r2", "r3", "r4"}
 
-    def test_room_never_split(self):
+    def test_room_never_split(self, tmp_path):
         rooms = ["a", "a", "a", "b", "b", "c", "d", "e", "e", "e"]
-        manifest, _ = manifest_with_classes([0] * len(rooms), rooms=rooms)
+        manifest, _ = manifest_with_classes(tmp_path, [0] * len(rooms), rooms=rooms)
         folds = kfold_split(manifest, k=4, mode="room", seed=1)
         assignment = {}
         for i, fold in enumerate(folds):
             for e in fold:
                 assert assignment.setdefault(e.room_tag, i) == i
 
-    def test_too_few_rooms_rejected(self):
-        manifest, _ = manifest_with_classes([0] * 4, rooms=["x", "x", "y", "y"])
+    def test_too_few_rooms_rejected(self, tmp_path):
+        manifest, _ = manifest_with_classes(tmp_path, [0] * 4, rooms=["x", "x", "y", "y"])
         with pytest.raises(ValueError, match="rooms"):
             kfold_split(manifest, k=4, mode="room")
 
-    def test_bad_mode_and_k(self):
-        manifest, _ = manifest_with_classes([0, 1])
+    def test_bad_mode_and_k(self, tmp_path):
+        manifest, _ = manifest_with_classes(tmp_path, [0, 1])
         with pytest.raises(ValueError):
             kfold_split(manifest, k=1)
         with pytest.raises(ValueError):
@@ -998,20 +1001,6 @@ def extractions(monkeypatch):
 
     monkeypatch.setattr(seldkit.pipeline, "extract_features", counting)
     monkeypatch.setattr(seldkit.tta, "extract_features", counting)
-    return calls
-
-
-@pytest.fixture
-def conversions(monkeypatch):
-    """Count the WAV sample arrays converted to float64."""
-    calls = []
-    original = seldkit.audio._normalize_pcm
-
-    def counting(data):
-        calls.append(data.shape)
-        return original(data)
-
-    monkeypatch.setattr(seldkit.audio, "_normalize_pcm", counting)
     return calls
 
 
