@@ -209,13 +209,18 @@ def mix_scene(
     Every event gets its own SRIR draw; rendered events are summed at their
     onsets and truncated at the scene end. Ambient noise (independent white
     noise per channel) is scaled so the ratio of event power to noise power
-    over the event-active samples equals snr_db. Labels cover the frames
-    [floor(onset / 0.1), ceil((onset + dry duration) / 0.1)) with one
-    track id per same-class event.
+    over the event-active samples equals snr_db. An event plays the samples
+    [o, o + m) of the scene, with o = round(onset * rate) and m its dry
+    sample's length, and is labelled in the 100 ms frames those samples
+    overlap: [floor(10 * o / rate), ceil(10 * (o + m) / rate)), computed in
+    integers, so an onset or end on a frame boundary opens or closes the
+    frame there (0.3 s opens frame 3). Each same-class event gets its own
+    track id.
     """
     srir_config = srir_config or SrirSynthConfig()
     sr = srir_config.sample_rate
     rng = np.random.default_rng(spec.seed)
+    label_rate = round(1 / LABEL_FRAME_S)  # label frames per second
     n = round(spec.duration_s * sr)
     mix = np.zeros((4, n))
     active = np.zeros(n, dtype=bool)
@@ -243,8 +248,8 @@ def mix_scene(
 
         track_id = tracks_per_class.get(ev.class_id, 0)
         tracks_per_class[ev.class_id] = track_id + 1
-        first = math.floor(ev.onset_s / LABEL_FRAME_S)
-        last = math.ceil((ev.onset_s + sample.duration_s) / LABEL_FRAME_S)
+        first = onset_n * label_rate // sr
+        last = -(-(onset_n + sample.waveform.size) * label_rate // sr)  # ceiling division
         for frame in range(first, last):
             labels.append(EventLabel(frame, ev.class_id, track_id, ev.direction))
 

@@ -10,6 +10,9 @@ active (frame, class, track) triple:
 from __future__ import annotations
 
 import csv
+import io
+import re
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,18 +174,70 @@ def write_table(rows, path) -> None:
         csv.writer(f).writerows(rows)
 
 
-def read_labels(path, n_classes: int = 13) -> ClipAnnotation:
-    """Parse a label CSV file into columns. Malformed rows report their line number.
+# the whole-file read: three integer ids and the two angle texts, kept as written;
+# a text of _TEXT_WIDTH characters may have been cut, so such a file goes to the row reader
+_TEXT_WIDTH = 32
+_WHOLE_FILE_ROW = np.dtype(
+    [(name, np.intp) for name in LABEL_COLUMNS[:3]] + [(name, f"U{_TEXT_WIDTH}") for name in LABEL_COLUMNS[3:]]
+)
+# ASCII that csv and np.loadtxt read apart: a quote, which csv reads as quoting; NUL,
+# which numpy drops from the end of a text; and \x1c-\x1f, which numpy's integer
+# parse skips as space and int() rejects
+_NOT_TAKEN = re.compile(r'["\x00\x1c-\x1f]')
 
-    The rows of one ``(azimuth, elevation)`` text pair share one
-    ``Direction``, built from the first of them; a text pair that fails to
-    parse is never shared, so each row giving it names its own line. No
-    ``EventLabel`` is built (see ``ClipAnnotation``). The checks and their
-    messages are those of ``EventLabel`` rows read one by one: a row's
-    column count, its direction, then its integer ids, the first bad row
-    raising; then, in (frame, class, track) order, a repeated triple or a
-    class of ``n_classes`` or above, naming the file.
+
+def _whole_file_columns(path):
+    """A label file's columns as ``read_labels`` builds them, parsed in one ``np.loadtxt`` call; or None.
+
+    None stands for a file this path does not take; the row reader then
+    reads it, and names its error if it has one. It takes a file of ASCII
+    text without a ``_NOT_TAKEN`` character that numpy parses whole into
+    rows of three int64 ids and two texts, without a warning, with no id
+    below 0, no text of ``_TEXT_WIDTH`` characters, no line past csv's
+    field size limit, and a direction that ``float`` and ``Direction`` take
+    for every distinct text pair. (numpy's integer parse may read a
+    non-ASCII character as a digit of another value than ``int`` gives it.)
+    The row reader reads every such file without error, into the same
+    columns: the ids as ``int`` parses them, and one ``Direction`` per
+    distinct (azimuth, elevation) text pair, built with ``float`` from the
+    texts, in the order of the pair's first row.
     """
+    try:
+        with open(path, "rb") as f:
+            text = f.read().decode("ascii")
+    except (OSError, UnicodeDecodeError):
+        return None
+    if _NOT_TAKEN.search(text):
+        return None
+    limit = csv.field_size_limit()
+    if len(text) > limit and max(map(len, text.replace("\r", "\n").split("\n"))) > limit:
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(io.StringIO(text, newline=""), _WHOLE_FILE_ROW, comments=None, delimiter=",", ndmin=1)
+    except (ValueError, Warning):  # an empty file warns
+        return None
+    frame, class_id, track_id, azimuth, elevation = (table[name] for name in LABEL_COLUMNS)
+    if (frame < 0).any() or (class_id < 0).any() or (track_id < 0).any():
+        return None
+    if (np.char.str_len(azimuth) >= _TEXT_WIDTH).any() or (np.char.str_len(elevation) >= _TEXT_WIDTH).any():
+        return None
+    pairs = list(zip(azimuth.tolist(), elevation.tolist()))
+    slots = dict.fromkeys(pairs)  # each distinct text pair, in the order of its first row
+    directions = []
+    for slot, (az, el) in enumerate(slots):
+        try:
+            directions.append(Direction(float(az), float(el)))
+        except ValueError:
+            return None
+        slots[az, el] = slot
+    inverse = np.fromiter(map(slots.__getitem__, pairs), np.intp, len(pairs))
+    return frame, class_id, track_id, directions, inverse
+
+
+def _row_columns(path):
+    """A label file's columns, read row by row; a bad row raises, naming the file and line."""
     slots: dict = {}  # (azimuth text, elevation text) -> index into directions
     directions: list = []
 
@@ -202,8 +257,29 @@ def read_labels(path, n_classes: int = 13) -> ClipAnnotation:
         frame, class_id, track_id, inverse = np.array(rows, dtype=np.intp).reshape(-1, 4).T
     except OverflowError as exc:
         raise ValueError(f"{path}: a frame, class or track id does not fit in 64 bits") from exc
+    return frame, class_id, track_id, directions, inverse
+
+
+def read_labels(path, n_classes: int = 13) -> ClipAnnotation:
+    """Parse a label CSV file into columns. Malformed rows report their line number.
+
+    The rows of one ``(azimuth, elevation)`` text pair share one
+    ``Direction``, built from the first of them; a text pair that fails to
+    parse is never shared, so each row giving it names its own line. No
+    ``EventLabel`` is built (see ``ClipAnnotation``). The file is first
+    parsed whole, in one ``np.loadtxt`` call (``_whole_file_columns``); a
+    file that path does not take is read row by row, which is the one
+    source of every error message. The checks and their messages are
+    those of ``EventLabel`` rows read one by one: a row's column count,
+    its direction, then its integer ids, the first bad row raising; then,
+    in (frame, class, track) order, a repeated triple or a class of
+    ``n_classes`` or above, naming the file.
+    """
+    columns = _whole_file_columns(path)
+    if columns is None:
+        columns = _row_columns(path)
     try:
-        return ClipAnnotation.from_columns(frame, class_id, track_id, directions, inverse, n_classes)
+        return ClipAnnotation.from_columns(*columns, n_classes)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 

@@ -21,6 +21,8 @@ only a cell with two or more events on both sides loads
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import reduce
+from operator import add, attrgetter
 
 import numpy as np
 
@@ -63,7 +65,10 @@ class ClassStats:
     seg_i: int = 0
 
     def __add__(self, other: "ClassStats") -> "ClassStats":
-        return ClassStats(*(getattr(self, f.name) + getattr(other, f.name) for f in fields(self)))
+        return ClassStats(*(get(self) + get(other) for get in _STAT_GETTERS))
+
+
+_STAT_GETTERS = tuple(attrgetter(f.name) for f in fields(ClassStats))  # in field order
 
 
 @dataclass(frozen=True)
@@ -183,28 +188,24 @@ def evaluate_stats(pred_events, ref_annotation, config: MetricConfig | None = No
     seg_fp = np.add.reduceat(fp, seg_start)
     seg_fn = np.add.reduceat(fn, seg_start)
 
-    def per_class(values, classes=cell_class):
-        total = np.zeros(n_classes, dtype=np.int64)
-        np.add.at(total, classes, values)
-        return total.tolist()
-
-    seg_class = cell_class[seg_start]
-    columns = zip(
-        per_class(tp),
-        per_class(fp),
-        per_class(fn),
-        per_class(n_pairs),
-        per_class(n_ref),
-        per_class(np.minimum(seg_fp, seg_fn), seg_class),
-        per_class(np.maximum(0, seg_fn - seg_fp), seg_class),
-        per_class(np.maximum(0, seg_fp - seg_fn), seg_class),
-    )
-    pair_bounds = np.searchsorted(cell_class[pair_cell], np.arange(n_classes + 1))
+    # cells, and so segments, are sorted by class: a class's sum is the
+    # difference of a running total at its bounds
+    classes = np.arange(n_classes + 1)
+    cell_totals = np.zeros((5, len(cells) + 1), dtype=np.int64)
+    np.cumsum([tp, fp, fn, n_pairs, n_ref], axis=1, out=cell_totals[:, 1:])
+    cell_totals = cell_totals[:, np.searchsorted(cell_class, classes)]
+    seg_totals = np.zeros((3, len(seg_start) + 1), dtype=np.int64)
+    seg_counts = [np.minimum(seg_fp, seg_fn), np.maximum(0, seg_fn - seg_fp), np.maximum(0, seg_fp - seg_fn)]
+    np.cumsum(seg_counts, axis=1, out=seg_totals[:, 1:])
+    seg_totals = seg_totals[:, np.searchsorted(cell_class[seg_start], classes)]
+    columns = zip(*np.diff(cell_totals, axis=1).tolist(), *np.diff(seg_totals, axis=1).tolist())
+    pair_bounds = cell_totals[3].tolist()  # the pairs of class c are dist[pair_bounds[c]:pair_bounds[c + 1]]
+    distances = dist.tolist()
     stats = []
     for class_id, (c_tp, c_fp, c_fn, c_pairs, c_refs, seg_s, seg_d, seg_i) in enumerate(columns):
         lo, hi = pair_bounds[class_id], pair_bounds[class_id + 1]
         # a left-to-right running sum: the distances are added one by one
-        loc_error_sum = float(np.cumsum(dist[lo:hi])[-1]) if hi > lo else 0.0
+        loc_error_sum = reduce(add, distances[lo:hi]) if hi > lo else 0.0
         stats.append(
             ClassStats(c_tp, c_fp, c_fn, loc_error_sum, c_pairs, c_refs, seg_s, seg_d, seg_i)
         )
@@ -270,15 +271,16 @@ def evaluate(pred_events, ref_annotation, config: MetricConfig | None = None) ->
 def merge_stats(per_clip_stats) -> list[ClassStats]:
     """Sum per-class stats across clips, in the given order.
 
-    The counts are the same in any order; the float ``loc_error_sum`` is
-    added clip by clip, so another order may change its last bits.
+    Each field of a class is summed clip by clip from its zero, as a fold
+    of ``ClassStats.__add__`` would. The counts are the same in any order;
+    the float ``loc_error_sum`` is added clip by clip, so another order may
+    change its last bits.
     """
-    merged = None
-    for stats in per_clip_stats:
-        if merged is None:
-            merged = [ClassStats() + st for st in stats]
-        else:
-            merged = [a + b for a, b in zip(merged, stats)]
-    if merged is None:
+    per_clip = list(per_clip_stats)
+    if not per_clip:
         raise ValueError("no stats to merge")
-    return merged
+    zero = ClassStats()
+    return [
+        ClassStats(*(reduce(add, map(get, clips), get(zero)) for get in _STAT_GETTERS))
+        for clips in zip(*per_clip)  # one class's stats, clip by clip
+    ]

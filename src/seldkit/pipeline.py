@@ -4,10 +4,11 @@ A run walks a dataset manifest, and for every entry: load the clip and its
 labels, extract features, predict (directly or through rotation TTA),
 decode into events, and score against the labels. A run never augments
 the waveform; the ``augment`` verb does, to make training data. Every
-entry's WAV is checked (channels, rate, finite samples), but its samples
-are converted to float64 and features extracted only for a predictor
-that reads them (``predict.reads_features``); for any other the run takes
-only the clip's rate and length (``audio.read_wav_info``). The oracle,
+clip's WAV is checked once (channels, rate, finite samples), every clip
+before any entry is scored, but its samples are converted to float64 and
+features extracted only for a predictor that reads them
+(``predict.reads_features``); for any other the run takes only the clip's
+rate and length (``audio.read_wav_info``). The oracle,
 constant and external predictors read no features, so they are given
 None. Per-class stats are merged across entries and finalized into one
 scores document. Entries that fail are reported and skipped; the run
@@ -164,10 +165,8 @@ class RunConfig:
         return config
 
 
-def _score_entry(entry: ManifestEntry, annotation: ClipAnnotation, config: RunConfig, predictor):
-    # every entry's WAV is checked, but its samples are converted only for a model that reads them
-    reading = reads_features(predictor)
-    clip = read_wav(entry.clip_path) if reading else read_wav_info(entry.clip_path)
+def _score_entry(entry: ManifestEntry, clip, annotation: ClipAnnotation, config: RunConfig, predictor, reading: bool):
+    # clip is the checked WAV's AudioClip for a model that reads features, its WavInfo for any other
     config.feature.check_rate(clip)
     label_frames = config.feature.label_frames(clip.n_samples)
     if annotation.max_frame >= label_frames:
@@ -189,10 +188,18 @@ def _score_entry(entry: ManifestEntry, annotation: ClipAnnotation, config: RunCo
 def run_pipeline(config: RunConfig) -> dict:
     """Execute a scoring run and return the scores document.
 
-    Entries are scored one after another in manifest order. The document
-    is deterministic for a fixed config and seed: it carries no timestamps
-    or machine state. A clip listed with two label files, or an external
-    predictor's clips sharing a file stem, fail the whole run.
+    The run goes in stages. It reads each clip's labels once, builds the
+    predictor, then checks each clip's WAV once (``read_wav_info``), every
+    clip before any entry is scored, skipping a clip whose labels failed.
+    Then it scores the entries one after another in manifest order. An
+    entry of a clip that failed raises that clip's error where it is
+    scored, its label error before its WAV error, so the failures, their
+    messages and the log lines come in manifest order, as when each clip
+    was checked just before its entry. A model that reads features reads
+    the samples again (``read_wav``), entry by entry, as it scores them.
+    The document is deterministic for a fixed config and seed: it carries
+    no timestamps or machine state. A clip listed with two label files, or
+    an external predictor's clips sharing a file stem, fail the whole run.
     """
     manifest = load_manifest(config.manifest)
     label_files: dict = {}
@@ -202,21 +209,33 @@ def run_pipeline(config: RunConfig) -> dict:
             raise ValueError(
                 f"clip {e.clip_path!r} is listed with two label files: {first!r} and {e.label_path!r}"
             )
-    annotations, label_errors = {}, {}
+    annotations, errors = {}, {}  # errors: clip path -> the exception each of its entries raises
     for clip, path in label_files.items():
         try:
             annotations[clip] = read_labels(path, n_classes=config.n_classes)
         except Exception as exc:  # fails the clip's entries below
-            label_errors[clip] = exc
+            errors[clip] = exc
     predictor = make_predictor(config.predictor, annotations, n_classes=config.n_classes)
+    # every clip is checked before any entry is scored: checking a float WAV streams all its
+    # samples, and done between two entries it evicts the scoring's working set from the caches
+    infos = {}
+    for clip in annotations:
+        try:
+            infos[clip] = read_wav_info(clip)
+        except Exception as exc:  # fails the clip's entries below
+            errors[clip] = exc
 
+    reading = reads_features(predictor)
     per_entry = []
     failures = []
     for entry in manifest:
         try:
-            if entry.clip_path in label_errors:
-                raise label_errors[entry.clip_path]
-            per_entry.append(_score_entry(entry, annotations[entry.clip_path], config, predictor))
+            if entry.clip_path in errors:
+                raise errors[entry.clip_path]
+            # the samples are converted only for a model that reads them
+            clip = read_wav(entry.clip_path) if reading else infos[entry.clip_path]
+            annotation = annotations[entry.clip_path]
+            per_entry.append(_score_entry(entry, clip, annotation, config, predictor, reading))
         except Exception as exc:  # reported per entry, run continues
             log.warning("entry %s failed: %s", entry.clip_path, exc)
             failures.append({"clip_path": entry.clip_path, "error": f"{type(exc).__name__}: {exc}"})

@@ -1,6 +1,7 @@
 import csv
 import re
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from scipy.io import wavfile
 
 from seldkit.audio import AudioClip, WavInfo, read_wav, read_wav_info, read_wav_mono, write_wav
 from seldkit.geometry import Direction
+from seldkit import labels
 from seldkit.labels import LABEL_COLUMNS, ClipAnnotation, EventLabel, read_labels, read_table, write_labels
 
 from conftest import write_mono_wav
@@ -399,6 +401,119 @@ class TestLabelReadErrors:
         path.write_text(f"{2**70},1,0,10,0\n")
         with pytest.raises(ValueError, match=r"big\.csv: a frame, class or track id does not fit in 64 bits$"):
             read_labels(path)
+
+
+def label_outcome(path, n_classes):
+    """``read_labels``'s result, as comparable values: the columns and the bits of each
+    distinct direction, or the type and message of the error it raises."""
+    try:
+        a = read_labels(path, n_classes)
+    except Exception as exc:
+        return type(exc), str(exc)
+    directions = [(d.azimuth.hex(), d.elevation.hex()) for d in a.directions]
+    columns = (a.frame, a.class_id, a.track_id, a.inverse)
+    return [c.dtype for c in columns], [c.tolist() for c in columns], directions
+
+
+def row_reader_outcome(path, n_classes):
+    with mock.patch.object(labels, "_whole_file_columns", return_value=None):
+        return label_outcome(path, n_classes)
+
+
+VALID_IDS = st.integers(0, 6).map(str)
+ODD_IDS = st.sampled_from(
+    ["9223372036854775807", "9223372036854775808", str(2**64), "1.0", "-1", "-0", "+1", " 1", "1 ", "\t1",
+     "1_0", "\u0661", "\u0968", "0x1", "", "01", "\x0b1", "\x0c1", "\x1c1", "1\x1f", "1e0", "nan"]
+)
+VALID_ELEVATIONS = ["10", "10.0", "-0.0", "0", "45.5", "-89.99999999999999", "1e1", "1e-320"]
+VALID_ANGLES = st.sampled_from(VALID_ELEVATIONS + ["-170.96299394756915", "190"])
+ODD_ANGLES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.floats(-200, 200).map(repr),
+    st.floats(-90, 90).map(str),
+    st.sampled_from(
+        ["nan", "inf", "-inf", "+5", " 5", "5 ", "\t5", "\x0b5", "5\x0c", "1_0", "\u0661\u0660", "", "95",
+         "5\x00", "\x1c5", "0." + "0" * 40 + "1", "1e400", "-nan", "five"]
+    ),
+)
+
+
+@st.composite
+def label_texts(draw):
+    """Label CSV text, from clean files to ones full of the forms csv, int() and float() read in their own ways."""
+    odd = draw(st.sampled_from([0, 0, 5, 30]))  # percent of odd fields and lines
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = "row"
+        if draw(st.integers(0, 99)) < odd:
+            kind = draw(st.sampled_from(["blank", "spaces", "short", "trailing comma", "quoted"]))
+        if kind == "blank":
+            lines.append("")
+            continue
+        if kind == "spaces":
+            lines.append(" " * draw(st.integers(1, 3)))
+            continue
+        fields = [draw(ODD_IDS if draw(st.integers(0, 99)) < odd else VALID_IDS) for _ in range(3)]
+        fields.append(draw(ODD_ANGLES if draw(st.integers(0, 99)) < odd else VALID_ANGLES))
+        fields.append(draw(ODD_ANGLES if draw(st.integers(0, 99)) < odd else st.sampled_from(VALID_ELEVATIONS)))
+        if kind == "quoted":
+            i = draw(st.integers(0, 4))
+            fields[i] = f'"{fields[i]}"'
+        elif kind == "short":
+            fields.pop()
+        elif kind == "trailing comma":
+            fields.append("")
+        lines.append(",".join(fields))
+    ends = [draw(st.sampled_from(["\r\n"] * 3 + ["\n", "\r"])) for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if lines and draw(st.booleans()):
+        text = text[: -len(ends[-1])]  # no line end after the last row
+    if draw(st.integers(0, 99)) < odd:
+        text = "\ufeff" + text
+    return text.encode("utf-8") + (b"\xff" if draw(st.integers(0, 199)) < odd else b"")
+
+
+class TestWholeFileRead:
+    @settings(max_examples=400, deadline=None)
+    @given(data=label_texts(), n_classes=st.sampled_from([5, 13]))
+    def test_equals_the_row_reader(self, tmp_path_factory, data, n_classes):
+        path = tmp_path_factory.mktemp("whole") / "labels.csv"
+        path.write_bytes(data)
+        assert label_outcome(path, n_classes) == row_reader_outcome(path, n_classes)
+
+    def test_takes_what_write_labels_writes(self, tmp_path, rng):
+        clip_events = [
+            EventLabel(f, c, 0, Direction(float(rng.uniform(-180, 180)), float(rng.uniform(-90, 90))))
+            for c in range(3)
+            for f in range(c, 40, 3)
+        ]
+        write_labels(ClipAnnotation(clip_events), tmp_path / "a.csv")
+        assert labels._whole_file_columns(tmp_path / "a.csv") is not None
+        assert label_outcome(tmp_path / "a.csv", 13) == row_reader_outcome(tmp_path / "a.csv", 13)
+
+    def test_equal_texts_share_a_direction_and_equal_values_do_not(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_text("0,1,0,10,5\r\n1,1,0,10.0,5\r\n2,1,0,10,5\r\n", newline="")
+        columns = labels._whole_file_columns(path)
+        assert columns is not None
+        assert columns[3] == [Direction(10.0, 5.0)] * 2 and columns[4].tolist() == [0, 1, 0]
+        assert label_outcome(path, 13) == row_reader_outcome(path, 13)
+
+    def test_texts_too_long_to_keep_go_to_the_row_reader(self, tmp_path):
+        # the two azimuth texts agree in their first 32 characters, so numpy's text
+        # fields would keep them as one pair, of another value
+        path = tmp_path / "a.csv"
+        tiny = "0." + "0" * 35
+        path.write_text(f"0,1,0,{tiny}1,5\n1,1,0,{tiny}2,5\n")
+        assert labels._whole_file_columns(path) is None
+        assert [d.azimuth for d in read_labels(path).directions] == [1e-36, 2e-36]
+
+    def test_an_ascii_character_around_an_id_reads_as_int_reads_it(self, tmp_path):
+        # numpy's integer parse skips some characters int() rejects (\x1c-\x1f)
+        path = tmp_path / "a.csv"
+        for text in [t for code in range(128) for t in (chr(code) + "1", "1" + chr(code), chr(code))]:
+            path.write_bytes(f"0,{text},0,10,5\n".encode("ascii"))
+            assert label_outcome(path, 13) == row_reader_outcome(path, 13), repr(text)
 
 
 class TestAnnotationColumns:

@@ -18,7 +18,7 @@ from seldkit.augment import (
     pitch_shift,
     spec_augment,
 )
-from seldkit.features import FeatureConfig, doa_from_features, extract_features
+from seldkit.features import doa_from_features, extract_features
 from seldkit.geometry import Direction, angular_distance
 
 from conftest import plane_wave_clip

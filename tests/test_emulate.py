@@ -246,6 +246,32 @@ class TestMixScene:
         assert frames == list(range(5, 11))
         assert all(e.class_id == 1 for e in annotation.events)
 
+    @pytest.mark.parametrize(("onset_s", "first"), [(0.3, 3), (0.6, 6), (0.7, 7), (1.2, 12)])
+    def test_an_onset_on_a_frame_boundary_opens_that_frame(self, onset_s, first):
+        # onset_s / 0.1 falls short of the boundary in floats: 0.3 / 0.1 == 2.9999999999999996
+        library = SampleLibrary({"s": LibrarySample("s", 0, np.ones(3600))})  # 0.15 s
+        spec = SceneSpec(2.0, (SceneEvent(0, "s", onset_s, Direction(0, 0)),), seed=0)
+        assert mix_scene(spec, library)[1].frame.tolist() == [first, first + 1]
+
+    def test_an_end_on_a_frame_boundary_closes_the_frame_there(self):
+        # 0.1 s + 0.2 s ends at 0.3 s, and (0.1 + 0.2) / 0.1 == 3.0000000000000004 in floats
+        library = SampleLibrary({"s": LibrarySample("s", 0, np.ones(4800))})
+        spec = SceneSpec(1.0, (SceneEvent(0, "s", 0.1, Direction(0, 0)),), seed=0)
+        assert mix_scene(spec, library)[1].frame.tolist() == [1, 2]
+
+    @settings(max_examples=60, deadline=None)
+    @given(onset_ms=st.integers(0, 1500), length=st.integers(1, 12000), rate=st.sampled_from([24000, 44100, 11025]))
+    def test_labels_are_the_frames_the_samples_overlap(self, onset_ms, length, rate):
+        # frame k holds the instants [k / 10, (k + 1) / 10) s; sample j plays over [j, j + 1) / rate
+        library = SampleLibrary({"s": LibrarySample("s", 0, np.ones(length), rate)})
+        spec = SceneSpec(3.0, (SceneEvent(0, "s", onset_ms / 1000, Direction(0, 0)),), seed=0)
+        _, annotation = mix_scene(spec, library, SrirSynthConfig(sample_rate=rate, ir_length_s=0.01))
+        onset = round(onset_ms / 1000 * rate)
+        overlapped = {
+            k for k in range(30) if k * rate < 10 * (onset + length) and 10 * onset < (k + 1) * rate
+        }
+        assert annotation.frame.tolist() == sorted(overlapped)
+
     def test_intensity_doa_of_clean_event(self, rng):
         d = Direction(-60, 15)
         spec = SceneSpec(2.0, (SceneEvent(0, "n", 0.2, d),), snr_db=40.0, seed=2)

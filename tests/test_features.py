@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from scipy.signal import get_window
 
 from seldkit.audio import AudioClip
-from seldkit.emulate import foa_encode_gains
 from seldkit.features import (
     FeatureConfig,
     doa_from_features,

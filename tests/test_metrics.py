@@ -343,6 +343,31 @@ def test_class_stats_sum_equals_astuple_form(a, b):
     assert [type(v) for v in dataclasses.astuple(total)] == [type(v) for v in dataclasses.astuple(reference)]
 
 
+any_class_stats = st.builds(
+    ClassStats,
+    *(st.integers(0, 10**6) for _ in range(3)),
+    st.floats(allow_nan=False, allow_infinity=False),  # -0.0 and bits that rounding would change
+    *(st.integers(0, 10**6) for _ in range(5)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(per_clip=st.integers(1, 4).flatmap(lambda n: st.lists(st.lists(any_class_stats, min_size=n, max_size=n), min_size=1, max_size=8)))
+def test_merge_stats_equals_a_fold_of_add_in_bits(per_clip):
+    # the fold merge_stats replaced: ClassStats() + the first clip, then each later clip added in turn
+    folded = [ClassStats() + stats for stats in per_clip[0]]
+    for stats in per_clip[1:]:
+        folded = [a + b for a, b in zip(folded, stats)]
+    merged = merge_stats(iter(per_clip))
+    assert [repr(dataclasses.astuple(m)) for m in merged] == [repr(dataclasses.astuple(f)) for f in folded]
+    assert [m.loc_error_sum.hex() for m in merged] == [f.loc_error_sum.hex() for f in folded]
+
+
+def test_merge_stats_of_no_clip_raises():
+    with pytest.raises(ValueError, match="^no stats to merge$"):
+        merge_stats(iter([]))
+
+
 class TestMetricInvariants:
     @settings(max_examples=60, deadline=None)
     @given(cells=clip_cells, pattern_id=st.integers(0, 15))

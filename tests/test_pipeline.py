@@ -1,5 +1,4 @@
 import dataclasses
-import json
 import os
 import re
 import shutil
@@ -34,7 +33,7 @@ from seldkit.predict import (
     seed_material,
 )
 from seldkit.rotation import all_patterns, apply_to_audio, apply_to_features, pattern_by_id, rotate_annotation
-from seldkit.accdoa import DetectedEvent, decode, encode
+from seldkit.accdoa import decode, encode
 from seldkit.features import FeatureConfig, extract_features
 from seldkit.tensorio import save_tensor
 from seldkit.labels import ClipAnnotation, EventLabel
@@ -922,6 +921,70 @@ class TestRunPipeline:
         assert result["n_entries"] == 4 and result["n_scored"] == scored["n_scored"] == 2
         for key in ("scores", "per_class"):
             assert result[key] == scored[key]
+
+    @pytest.mark.parametrize("reading", [False, True], ids=["oracle", "reading"])
+    def test_every_clip_is_checked_once_before_any_entry_is_scored(
+        self, small_dataset, tmp_path, monkeypatch, caplog, reading
+    ):
+        # a missing WAV, a NaN WAV, a label file that fails (once with a missing WAV
+        # too), and a clip listed twice, among good entries
+        _, manifest_path = small_dataset
+        from seldkit.manifest import load_manifest
+
+        first, second, third = load_manifest(manifest_path).entries
+        clip, _ = two_event_scene(seed=102)
+        samples = clip.samples.copy()
+        samples[1, 7] = np.nan
+        write_wav(tmp_path / "nan.wav", AudioClip(samples))
+        (tmp_path / "bad.csv").write_text("0,1,0,10\n")
+        missing = ManifestEntry(str(tmp_path / "missing.wav"), first.label_path, "real")
+        nan = ManifestEntry(str(tmp_path / "nan.wav"), second.label_path, "real")
+        bad = ManifestEntry(third.clip_path, str(tmp_path / "bad.csv"), "real")
+        gone = ManifestEntry(str(tmp_path / "gone.wav"), str(tmp_path / "bad.csv"), "real")
+        entries = (first, missing, nan, bad, second, gone, first, nan)
+        save_manifest(DatasetManifest(entries), tmp_path / "m.json")
+        save_manifest(DatasetManifest((first, second, first)), tmp_path / "good.json")
+        if reading:
+            monkeypatch.setattr(seldkit.pipeline, "make_predictor", lambda *a, **k: IntensityPredictor())
+        scored = run_pipeline(self.config(tmp_path / "good.json", tta=None))
+
+        calls = []
+        for name, kind in (("read_wav_info", "check"), ("read_wav", "read"), ("evaluate_stats", "score")):
+            original = getattr(seldkit.pipeline, name)
+            monkeypatch.setattr(
+                seldkit.pipeline, name,
+                lambda *a, _original=original, _kind=kind, **k: calls.append((_kind, a[0])) or _original(*a, **k),
+            )
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="seldkit.pipeline"):
+            result = run_pipeline(self.config(tmp_path / "m.json", tta=None))
+
+        label_error = (
+            f"ValueError: {tmp_path / 'bad.csv'}:1: expected 5 columns "
+            "(frame,class_id,track_id,azimuth,elevation), got 4"
+        )
+        expected = [
+            (missing.clip_path, f"FileNotFoundError: [Errno 2] No such file or directory: {missing.clip_path!r}"),
+            (nan.clip_path, f"ValueError: {nan.clip_path}: non-finite sample at channel 1, sample 7"),
+            (bad.clip_path, label_error),
+            (gone.clip_path, label_error),  # the label error, not the missing WAV
+            (nan.clip_path, f"ValueError: {nan.clip_path}: non-finite sample at channel 1, sample 7"),
+        ]
+        assert [(f["clip_path"], f["error"]) for f in result["failures"]] == expected
+        assert [r.getMessage() for r in caplog.records] == [
+            f"entry {path} failed: {error.split(': ', 1)[1]}" for path, error in expected
+        ]
+        assert result["n_entries"] == 8 and result["n_scored"] == scored["n_scored"] == 3
+        for key in ("scores", "per_class"):
+            assert result[key] == scored[key]
+        # each distinct clip whose labels parsed is checked once, all before the first score;
+        # a model that reads features reads each scored entry's samples as it scores it
+        checks = [("check", path) for path in (first.clip_path, missing.clip_path, nan.clip_path, second.clip_path)]
+        reads = [("read", path) for path in (first.clip_path, second.clip_path, first.clip_path)]
+        scoring = [c for c in calls if c[0] != "check"]
+        assert calls[: len(checks)] == checks and len(calls) == len(checks) + len(scoring)
+        assert [c for c in scoring if c[0] == "read"] == (reads if reading else [])
+        assert [c[0] for c in scoring] == (["read", "score"] if reading else ["score"]) * 3
 
     @pytest.mark.parametrize("tta", [None, {}], ids=["direct", "tta"])
     def test_non_finite_prediction_fails_entry(self, small_dataset, tmp_path, tta):
